@@ -63,39 +63,45 @@ def _pooled(z, labels, z_adv):
     return pool, np.concatenate([labels, labels]), src
 
 
-def absolute_divergences(z, labels, z_adv=None):
+def absolute_divergences(z, labels, z_adv=None, block_rows=None):
     """Mean anchor-to-positive and anchor-to-negative cosine distances.
 
     Every pooled slot serves as anchor; its positives are all slots from
     *other* source samples with the same label, negatives those with a
     different label. Anchors with an empty set are skipped on that side.
+    Anchors are taken ``block_rows`` at a time (default: all at once), so
+    no temporary outgrows a (block_rows, pool) block; the result does not
+    depend on the block size.
     """
     pool, slot_labels, src = _pooled(z, labels, z_adv)
     m = pool.shape[0]
     norms = np.linalg.norm(pool, axis=1)
     if not np.all(norms > 0):
         raise DomainError("cosine distance of a zero vector")
-    sims = (pool / norms[:, None]) @ (pool / norms[:, None]).T
-    dist = 1.0 - sims
+    unit = pool / norms[:, None]
+    step = block_rows or max(m, 1)
 
-    other = src[:, None] != src[None, :]
-    same = other & (slot_labels[:, None] == slot_labels[None, :])
-    diff = other & (slot_labels[:, None] != slot_labels[None, :])
+    # per-anchor distance sums and counts; side 0 positives, side 1 negatives
+    sums = np.zeros((2, m))
+    counts = np.zeros((2, m), dtype=np.intp)
+    for lo in range(0, m, step):
+        rows = slice(lo, lo + step)
+        dist = unit[rows] @ unit.T
+        np.subtract(1.0, dist, out=dist)
+        other = src[rows, None] != src[None, :]
+        same = slot_labels[rows, None] == slot_labels[None, :]
+        for side, mask in enumerate((other & same, other & ~same)):
+            sums[side, rows] = dist.sum(axis=1, where=mask)
+            counts[side, rows] = mask.sum(axis=1)
 
-    def side_mean(mask):
-        counts = mask.sum(axis=1)
-        keep = counts > 0
+    means = []
+    for side in range(2):
+        keep = counts[side] > 0
         if not np.any(keep):
-            return None
-        per_anchor = (dist * mask).sum(axis=1)[keep] / counts[keep]
-        return float(per_anchor.mean())
-
-    d_plus = side_mean(same)
-    d_minus = side_mean(diff)
-    if d_plus is None or d_minus is None:
-        raise DegenerateInputError("every anchor has an empty positive or negative set")
+            raise DegenerateInputError("every anchor has an empty positive or negative set")
+        means.append(float((sums[side, keep] / counts[side, keep]).mean()))
     # clip float fuzz: self-similarity rounding can give -1e-16 distances
-    return max(d_plus, 0.0), max(d_minus, 0.0)
+    return max(means[0], 0.0), max(means[1], 0.0)
 
 
 def relative_divergence(d_a_plus, d_a_minus):
@@ -110,26 +116,27 @@ def divergence_report(model, features, labels, attack_cfg: AttackConfig | None,
     """Divergences of the model's penultimate latents over a dataset.
 
     With an attack config, pools natural and adversarial latents; without
-    one (or at epsilon 0), uses benign latents only. Large inputs are
-    processed in mini-batches and the batch divergences averaged.
+    one (or at epsilon 0), uses benign latents only. Inputs are encoded
+    and attacked in mini-batches, each sample on its own attack stream;
+    the divergences are then exact over the whole set and do not depend
+    on ``batch_size``.
     """
     features = np.asarray(features, dtype=np.float64)
     labels = np.asarray(labels, dtype=np.intp)
+    if features.shape[0] == 0:
+        raise ContractError("divergence report on an empty dataset")
     attacked = attack_cfg is not None and attack_cfg.epsilon > 0
-    d_plus_parts, d_minus_parts = [], []
+    z_parts, adv_parts = [], []
     for lo in range(0, features.shape[0], batch_size):
         xb = features[lo:lo + batch_size]
-        yb = labels[lo:lo + batch_size]
-        z = model.encode(xb).data
-        z_adv = None
+        z_parts.append(model.encode(xb).data)
         if attacked:
-            x_adv = pgd_attack(model, xb, yb, attack_cfg, seed=seed, index_base=lo)
-            z_adv = model.encode(x_adv).data
-        dp, dm = absolute_divergences(z, yb, z_adv)
-        d_plus_parts.append(dp)
-        d_minus_parts.append(dm)
-    d_plus = float(np.mean(d_plus_parts))
-    d_minus = float(np.mean(d_minus_parts))
+            x_adv = pgd_attack(model, xb, labels[lo:lo + batch_size], attack_cfg,
+                               seed=seed, index_base=lo)
+            adv_parts.append(model.encode(x_adv).data)
+    d_plus, d_minus = absolute_divergences(
+        np.concatenate(z_parts), labels,
+        np.concatenate(adv_parts) if attacked else None, block_rows=batch_size)
     return DivergenceReport(
         d_a_plus=d_plus,
         d_a_minus=d_minus,

@@ -6,6 +6,24 @@ weighted combination.
 Latent pool layout: slots ``0..N-1`` hold natural latents, ``N..2N-1``
 the adversarial counterparts; slot ``j + N`` is sample ``j``'s
 adversarial view.
+
+Every strategy is a pair of boolean (N, 2N) masks from
+``selection_masks``: row ``i`` marks sample ``i``'s positive and negative
+slots, and both anchor views of sample ``i`` share that row. Neither
+mask ever holds slot ``i`` or ``i + N``. ``global`` keeps every other
+sample, split by true label. ``hard`` and ``soft`` keep the global
+positives but only those negatives predicted as the anchor's true label
+(hard) or as the anchor's natural prediction (soft). ``leaked`` is
+``soft`` with the positives filtered the same way. A natural slot is
+judged by its natural prediction, an adversarial slot by its
+adversarial one.
+
+The contrastive loss works on one 2N x 2N similarity matrix. Anchor row
+``a`` has a partner, its other view: slot ``i + N`` for anchor ``i`` and
+slot ``i`` for anchor ``i + N``. The numerator set is the positives plus
+the partner, the denominator set adds the negatives; the anchor itself is
+in neither. Because the partner is always there, every row's masked
+log-sum-exp is finite.
 """
 
 from __future__ import annotations
@@ -16,17 +34,16 @@ import numpy as np
 
 from .errors import ContractError, DomainError
 from .models import MLPClassifier, PredictionSnapshot, snapshot_from_logits
-from .tensor import Tensor, concat
+from .tensor import Tensor, concat, pairwise_lp
 
 __all__ = [
     "STRATEGIES",
     "LossWeights",
     "SelectionResult",
+    "selection_masks",
     "select",
     "selection_stats",
     "similarity",
-    "supcon_anchor_nat",
-    "supcon_anchor_adv",
     "supcon_batch",
     "at_loss",
     "vat_loss",
@@ -76,78 +93,50 @@ class SelectionResult:
     anchor_adv_slot: int
 
 
-def select(strategy, labels, snapshot: PredictionSnapshot | None, i: int) -> SelectionResult:
-    """Positive/negative slots for anchor ``i`` under the named strategy.
-
-    ``global`` splits all other samples by true label. ``hard``/``soft``
-    keep the global positives but keep only negatives currently predicted
-    as the anchor's true label (hard) or the anchor's predicted label
-    (soft). ``leaked`` additionally keeps only positives predicted like
-    the anchor. Natural slots are filtered on the natural prediction,
-    adversarial slots on the adversarial prediction.
-    """
+def selection_masks(strategy, labels, snapshot: PredictionSnapshot | None):
+    """Boolean (N, 2N) positive and negative masks over the latent pool;
+    row ``i`` serves both anchor views of sample ``i``."""
     if strategy not in STRATEGIES:
         raise ContractError(f"unknown strategy {strategy!r}")
-    labels = np.asarray(labels, dtype=np.intp)
-    n = labels.shape[0]
-    if not 0 <= i < n:
-        raise ContractError(f"anchor {i} out of range for batch of {n}")
     if strategy != "global" and snapshot is None:
         raise ContractError("prediction-filtered strategies need a snapshot")
-
-    others = np.arange(n) != i
-    same = others & (labels == labels[i])
-    diff = others & (labels != labels[i])
-
+    labels = np.asarray(labels, dtype=np.intp)
+    same = labels[:, None] == labels[None, :]
+    np.fill_diagonal(same, False)
+    pos = np.tile(same, 2)
+    neg = np.tile(labels[:, None] != labels[None, :], 2)
     if strategy == "global":
-        pos_nat, pos_adv = same, same
-        neg_nat, neg_adv = diff, diff
-    else:
-        p, pa = snapshot.preds_nat, snapshot.preds_adv
-        ref = labels[i] if strategy == "hard" else p[i]
-        neg_nat = diff & (p == ref)
-        neg_adv = diff & (pa == ref)
-        if strategy == "leaked":
-            pos_nat = same & (p == p[i])
-            pos_adv = same & (pa == p[i])
-        else:
-            pos_nat, pos_adv = same, same
+        return pos, neg
+    p = snapshot.preds_nat
+    slot_pred = np.concatenate([p, snapshot.preds_adv])[None, :]
+    ref = labels if strategy == "hard" else p
+    neg &= slot_pred == ref[:, None]
+    if strategy == "leaked":
+        pos &= slot_pred == p[:, None]
+    return pos, neg
 
-    idx = np.arange(n)
-    positives = np.concatenate([idx[pos_nat], idx[pos_adv] + n])
-    negatives = np.concatenate([idx[neg_nat], idx[neg_adv] + n])
-    return SelectionResult(anchor=i, positives=positives, negatives=negatives,
-                           anchor_adv_slot=i + n)
+
+def select(strategy, labels, snapshot: PredictionSnapshot | None, i: int) -> SelectionResult:
+    """Positive/negative slots for anchor ``i``: row ``i`` of ``selection_masks``."""
+    n = len(labels)
+    if not 0 <= i < n:
+        raise ContractError(f"anchor {i} out of range for batch of {n}")
+    pos, neg = selection_masks(strategy, labels, snapshot)
+    return SelectionResult(anchor=i, positives=np.flatnonzero(pos[i]),
+                           negatives=np.flatnonzero(neg[i]), anchor_adv_slot=i + n)
+
+
+def _mean_counts(pos, neg):
+    # the +1 counts the anchor's own adversarial view as a positive
+    return float(np.mean(pos.sum(axis=1) + 1)), float(np.mean(neg.sum(axis=1)))
 
 
 def selection_stats(strategy, labels, snapshot=None):
     """Batch means of (|positives| + 1, |negatives|); the +1 counts the
     anchor's own adversarial view as a positive."""
-    labels = np.asarray(labels, dtype=np.intp)
-    n = labels.shape[0]
-    if n < 2:
+    if len(labels) < 2:
         raise ContractError("selection stats need a batch of at least 2")
-    if strategy not in STRATEGIES:
-        raise ContractError(f"unknown strategy {strategy!r}")
-    if strategy != "global" and snapshot is None:
-        raise ContractError("prediction-filtered strategies need a snapshot")
-
-    same = (labels[:, None] == labels[None, :]) & ~np.eye(n, dtype=bool)
-    diff = (labels[:, None] != labels[None, :])
-    if strategy == "global":
-        pos = 2 * same.sum(axis=1)
-        neg = 2 * diff.sum(axis=1)
-    else:
-        p, pa = snapshot.preds_nat, snapshot.preds_adv
-        ref = labels if strategy == "hard" else p
-        neg = (diff & (p[None, :] == ref[:, None])).sum(axis=1) \
-            + (diff & (pa[None, :] == ref[:, None])).sum(axis=1)
-        if strategy == "leaked":
-            pos = (same & (p[None, :] == p[:, None])).sum(axis=1) \
-                + (same & (pa[None, :] == p[:, None])).sum(axis=1)
-        else:
-            pos = 2 * same.sum(axis=1)
-    return float(np.mean(pos + 1)), float(np.mean(neg))
+    return _mean_counts(*selection_masks(strategy, labels, snapshot))
 
 
 def similarity(weights: LossWeights, z_a: Tensor, z_b: Tensor) -> Tensor:
@@ -163,63 +152,37 @@ def similarity(weights: LossWeights, z_a: Tensor, z_b: Tensor) -> Tensor:
     return -(((a - b).abs() ** p).sum() ** (1.0 / p))
 
 
-def _similarity_rows(weights, rows: Tensor, anchor: Tensor) -> Tensor:
-    """Similarity of each row of ``rows`` (K, h) to ``anchor`` (1, h) -> (K, 1)."""
+def _similarity_matrix(pool: Tensor, weights) -> Tensor:
+    """Pairwise similarities of the pool's rows, (2N, h) -> (2N, 2N)."""
     kind, p = _parse_similarity(weights.similarity)
     if kind == "cosine":
-        norms = np.linalg.norm(rows.data, axis=1)
-        if not np.linalg.norm(anchor.data) > 0 or not np.all(norms > 0):
-            raise DomainError("cosine similarity of a zero vector")
-        dots = rows @ anchor.transpose()
-        rn = (rows * rows).sum(axis=1, keepdims=True).sqrt()
-        an = (anchor * anchor).sum(axis=1, keepdims=True).sqrt()
-        return dots / (rn * an)
-    diff = rows - anchor
-    return -((diff.abs() ** p).sum(axis=1, keepdims=True) ** (1.0 / p))
-
-
-def _anchor_loss(anchor_slot, partner_slot, pool, sel, weights):
-    # numerator terms: positives plus the anchor's other view; denominator
-    # adds the negatives; the anchor itself appears in neither
-    num_idx = np.concatenate([sel.positives, [partner_slot]])
-    den_idx = np.concatenate([sel.positives, sel.negatives, [partner_slot]])
-    anchor_vec = pool.gather_rows([anchor_slot])
-    num_sims = _similarity_rows(weights, pool.gather_rows(num_idx), anchor_vec) / weights.tau
-    den_sims = _similarity_rows(weights, pool.gather_rows(den_idx), anchor_vec) / weights.tau
-    return den_sims.log_sum_exp() - num_sims.mean()
-
-
-def supcon_anchor_nat(i, pool: Tensor, sel: SelectionResult, weights: LossWeights) -> Tensor:
-    """Contrastive loss with the natural view of sample ``i`` as anchor.
-
-    Mean over the positives plus the anchor's adversarial view of
-    ``-log softmax(sim/tau)`` against positives+negatives+that view.
-    Nonnegative; exactly zero when both sets are empty.
-    """
-    return _anchor_loss(i, sel.anchor_adv_slot, pool, sel, weights)
-
-
-def supcon_anchor_adv(i, pool: Tensor, sel: SelectionResult, weights: LossWeights) -> Tensor:
-    """Same loss with the adversarial view as anchor and the natural view
-    taking the special slot."""
-    return _anchor_loss(sel.anchor_adv_slot, i, pool, sel, weights)
+        norms = (pool * pool).sum(axis=1, keepdims=True).sqrt()
+        # an all-zero row stays zero: similarity 0 to every slot
+        unit = pool / (norms + Tensor(norms.data == 0.0))
+        return unit @ unit.transpose()
+    return -(pairwise_lp(pool, p) ** (1.0 / p))
 
 
 def supcon_batch(pool: Tensor, labels, snapshot, strategy, weights: LossWeights) -> Tensor:
     """Batch mean of the natural- plus adversarial-anchor losses.
 
-    Both anchor views of sample ``i`` share one selection result.
+    Each anchor's loss is the mean over its numerator set of
+    ``-log softmax(sim/tau)`` against its denominator set. It is
+    nonnegative, and exactly zero when the positives and negatives are
+    both empty.
     """
     labels = np.asarray(labels, dtype=np.intp)
     n = labels.shape[0]
     if pool.shape[0] != 2 * n:
         raise ContractError(f"pool of {pool.shape[0]} slots does not match {n} samples")
-    total = None
-    for i in range(n):
-        sel = select(strategy, labels, snapshot, i)
-        term = supcon_anchor_nat(i, pool, sel, weights) + supcon_anchor_adv(i, pool, sel, weights)
-        total = term if total is None else total + term
-    return total / float(n)
+    pos, neg = selection_masks(strategy, labels, snapshot)
+    partner = np.roll(np.eye(2 * n, dtype=bool), n, axis=1)
+    num = np.tile(pos, (2, 1)) | partner
+    den = num | np.tile(neg, (2, 1))
+    sims = _similarity_matrix(pool, weights) / weights.tau
+    lse = (sims + Tensor(np.where(den, 0.0, -np.inf))).log_sum_exp(axis=1)
+    num_mean = (sims * Tensor(num / num.sum(axis=1, keepdims=True))).sum(axis=1)
+    return (lse - num_mean).sum() / float(n)
 
 
 def log_softmax(logits: Tensor) -> Tensor:
@@ -277,8 +240,7 @@ def total_loss(batch, model: MLPClassifier, strategy, weights: LossWeights,
     at_val = total.item()
 
     scl_val = 0.0
-    mean_pos, mean_neg = selection_stats(strategy, batch.y, snap) \
-        if len(batch.y) >= 2 else (1.0, 0.0)
+    mean_pos, mean_neg = _mean_counts(*selection_masks(strategy, batch.y, snap))
     if weights.lambda_scl > 0:
         pool = concat([model.project(z_nat), model.project(z_adv)], axis=0)
         scl = supcon_batch(pool, batch.y, snap, strategy, weights)

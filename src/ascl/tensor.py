@@ -12,7 +12,7 @@ import numpy as np
 
 from .errors import ContractError, DimensionError, DomainError, GraphStateError
 
-__all__ = ["Tensor", "concat"]
+__all__ = ["Tensor", "concat", "pairwise_lp"]
 
 
 def _check_broadcast(sa, sb):
@@ -413,3 +413,33 @@ def concat(tensors, axis: int = 0):
                 t._accumulate(g[sl])
 
     return Tensor._make(np.concatenate([t.data for t in tensors], axis=axis), tuple(tensors), back)
+
+
+def pairwise_lp(x, p: float):
+    """``sum_k |x[a, k] - x[b, k]|**p`` for every pair of rows of a 2-D
+    tensor, (M, h) -> (M, M): the p-th power of the Lp distance.
+
+    Forward and backward take one feature column at a time, so memory is
+    O(M^2) whatever h is. The derivative follows ``abs`` and ``**``: zero
+    at a zero difference.
+    """
+    x = Tensor._coerce(x)
+    if x.data.ndim != 2:
+        raise DimensionError("pairwise_lp expects a 2-D tensor")
+    if not p >= 1:
+        raise ContractError("pairwise_lp requires p >= 1")
+    a = x.data
+    out = np.zeros((a.shape[0], a.shape[0]))
+    for col in a.T:
+        out += np.abs(col[:, None] - col[None, :]) ** p
+
+    def back(g):
+        if x.requires_grad:
+            gs = g + g.T
+            grad = np.empty_like(a)
+            for k, col in enumerate(a.T):
+                d = col[:, None] - col[None, :]
+                grad[:, k] = p * (gs * np.sign(d) * np.abs(d) ** (p - 1)).sum(axis=1)
+            x._accumulate(grad)
+
+    return Tensor._make(out, (x,), back)

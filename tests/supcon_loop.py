@@ -1,0 +1,71 @@
+"""Per-anchor reference implementation of the supervised contrastive loss.
+
+One small graph per anchor: gather the anchor row, its numerator rows and
+its denominator rows from the pool, then ``log_sum_exp`` minus a mean.
+It is slow, and it shares no loss arithmetic with the vectorised
+``supcon_batch``, so the tests use it as a second oracle for that
+function, gradients included.
+"""
+
+import numpy as np
+
+from ascl.errors import ContractError, DomainError
+from ascl.losses import LossWeights, SelectionResult, _parse_similarity, select
+from ascl.tensor import Tensor
+
+
+def similarity_rows(weights, rows: Tensor, anchor: Tensor) -> Tensor:
+    """Similarity of each row of ``rows`` (K, h) to ``anchor`` (1, h) -> (K, 1)."""
+    kind, p = _parse_similarity(weights.similarity)
+    if kind == "cosine":
+        norms = np.linalg.norm(rows.data, axis=1)
+        if not np.linalg.norm(anchor.data) > 0 or not np.all(norms > 0):
+            raise DomainError("cosine similarity of a zero vector")
+        dots = rows @ anchor.transpose()
+        rn = (rows * rows).sum(axis=1, keepdims=True).sqrt()
+        an = (anchor * anchor).sum(axis=1, keepdims=True).sqrt()
+        return dots / (rn * an)
+    diff = rows - anchor
+    return -((diff.abs() ** p).sum(axis=1, keepdims=True) ** (1.0 / p))
+
+
+def anchor_loss(anchor_slot, partner_slot, pool, sel, weights):
+    # numerator terms: positives plus the anchor's other view; denominator
+    # adds the negatives; the anchor itself appears in neither
+    num_idx = np.concatenate([sel.positives, [partner_slot]])
+    den_idx = np.concatenate([sel.positives, sel.negatives, [partner_slot]])
+    anchor_vec = pool.gather_rows([anchor_slot])
+    num_sims = similarity_rows(weights, pool.gather_rows(num_idx), anchor_vec) / weights.tau
+    den_sims = similarity_rows(weights, pool.gather_rows(den_idx), anchor_vec) / weights.tau
+    return den_sims.log_sum_exp() - num_sims.mean()
+
+
+def supcon_anchor_nat(i, pool: Tensor, sel: SelectionResult, weights: LossWeights) -> Tensor:
+    """Contrastive loss with the natural view of sample ``i`` as anchor.
+
+    Mean over the positives plus the anchor's adversarial view of
+    ``-log softmax(sim/tau)`` against positives+negatives+that view.
+    Nonnegative; exactly zero when both sets are empty.
+    """
+    return anchor_loss(i, sel.anchor_adv_slot, pool, sel, weights)
+
+
+def supcon_anchor_adv(i, pool: Tensor, sel: SelectionResult, weights: LossWeights) -> Tensor:
+    """Same loss with the adversarial view as anchor and the natural view
+    taking the special slot."""
+    return anchor_loss(sel.anchor_adv_slot, i, pool, sel, weights)
+
+
+def supcon_batch_loop(pool: Tensor, labels, snapshot, strategy, weights: LossWeights) -> Tensor:
+    """Batch mean of the natural- plus adversarial-anchor losses, one
+    anchor at a time; same contract as ``ascl.losses.supcon_batch``."""
+    labels = np.asarray(labels, dtype=np.intp)
+    n = labels.shape[0]
+    if pool.shape[0] != 2 * n:
+        raise ContractError(f"pool of {pool.shape[0]} slots does not match {n} samples")
+    total = None
+    for i in range(n):
+        sel = select(strategy, labels, snapshot, i)
+        term = supcon_anchor_nat(i, pool, sel, weights) + supcon_anchor_adv(i, pool, sel, weights)
+        total = term if total is None else total + term
+    return total / float(n)

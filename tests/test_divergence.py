@@ -3,7 +3,7 @@ import io
 import numpy as np
 import pytest
 
-from ascl.attacks import AttackConfig
+from ascl.attacks import AttackConfig, pgd_attack
 from ascl.config import RunConfig
 from ascl.divergence import (SWEEP_COLUMNS, absolute_divergences, cosine_distance,
                              divergence_report, divergence_sweep,
@@ -190,3 +190,22 @@ class TestSweep:
         r1 = divergence_report(model, test.features, test.labels, None, batch_size=128)
         r2 = divergence_report(model, test.features, test.labels, None, batch_size=1000)
         assert r1.d_a_plus == r2.d_a_plus
+
+    def test_report_does_not_depend_on_batch_size(self, trained_for_sweep):
+        # the moons test labels are sorted, so small batches hold one class
+        model, test = trained_for_sweep
+        x, y = test.features, test.labels
+        n = len(y)
+        cfg = AttackConfig(epsilon=0.08, eta=0.02, steps=3)
+        z_adv = model.encode(pgd_attack(model, x, y, cfg, seed=3)).data
+        exact = absolute_divergences(model.encode(x).data, y, z_adv)
+        for batch_size in (n, n // 2, 7):
+            r = divergence_report(model, x, y, cfg, seed=3, batch_size=batch_size)
+            assert (r.d_a_plus, r.d_a_minus) == pytest.approx(exact, rel=1e-12)
+
+    def test_block_rows_do_not_change_divergences(self):
+        z, z_adv, labels = random_pool(np.random.default_rng(8), 11, 3)
+        whole = absolute_divergences(z, labels, z_adv)
+        for block_rows in (1, 5, 22):
+            got = absolute_divergences(z, labels, z_adv, block_rows=block_rows)
+            assert got == pytest.approx(whole, rel=1e-12)

@@ -7,11 +7,12 @@ from hypothesis import strategies as st
 from ascl.data import Batch
 from ascl.errors import ContractError, DomainError
 from ascl.losses import (STRATEGIES, LossWeights, at_loss, select,
-                         selection_stats, similarity, supcon_anchor_adv,
-                         supcon_anchor_nat, supcon_batch, total_loss, vat_loss)
+                         selection_stats, similarity, supcon_batch, total_loss,
+                         vat_loss)
 from ascl.models import (MLPClassifier, ModelSpec, snapshot_from_logits,
                          snapshot_from_predictions)
 from ascl.tensor import Tensor, concat
+from supcon_loop import supcon_anchor_adv, supcon_anchor_nat
 
 
 def np_similarity(weights, a, b):

@@ -1,0 +1,112 @@
+"""The vectorised ``supcon_batch`` against the per-anchor loop in
+``supcon_loop``: the loss and every gradient agree to 1e-12 relative."""
+
+import numpy as np
+import pytest
+
+import ascl.losses
+from ascl.data import Batch
+from ascl.losses import STRATEGIES, LossWeights, supcon_batch, total_loss
+from ascl.models import MLPClassifier, ModelSpec, snapshot_from_predictions
+from ascl.tensor import Tensor
+from supcon_loop import supcon_batch_loop
+
+SIMILARITIES = ("cosine", "lp:1", "lp:2", "lp:3")
+REL = 1e-12
+
+
+def assert_close(got, want):
+    got, want = np.asarray(got), np.asarray(want)
+    scale = np.max(np.abs(want)) if want.size else 0.0
+    assert np.max(np.abs(got - want), initial=0.0) <= REL * scale
+
+
+def pool_value_and_grad(fn, pool, labels, snap, strategy, weights):
+    t = Tensor(pool, requires_grad=True)
+    loss = fn(t, labels, snap, strategy, weights)
+    loss.backward()
+    return loss.item(), t.grad
+
+
+def check_pool_case(pool, labels, snap, strategy, sim):
+    w = LossWeights(similarity=sim)
+    got, got_grad = pool_value_and_grad(supcon_batch, pool, labels, snap, strategy, w)
+    want, want_grad = pool_value_and_grad(supcon_batch_loop, pool, labels, snap, strategy, w)
+    assert abs(got - want) <= REL * abs(want)
+    assert_close(got_grad, want_grad)
+
+
+@pytest.mark.parametrize("sim", SIMILARITIES)
+@pytest.mark.parametrize("strategy", STRATEGIES)
+def test_random_pools(strategy, sim):
+    rng = np.random.default_rng((STRATEGIES.index(strategy), SIMILARITIES.index(sim)))
+    for _ in range(4):
+        n, c = int(rng.integers(2, 10)), int(rng.integers(2, 4))
+        labels = rng.integers(0, c, size=n)
+        snap = snapshot_from_predictions(rng.integers(0, c, size=n),
+                                         rng.integers(0, c, size=n), c)
+        check_pool_case(rng.normal(size=(2 * n, 5)), labels, snap, strategy, sim)
+
+
+@pytest.mark.parametrize("sim", SIMILARITIES)
+@pytest.mark.parametrize("strategy", STRATEGIES)
+def test_degenerate_batches(strategy, sim):
+    rng = np.random.default_rng(7)
+    # one sample: both sets empty, so the loss is identically zero; the
+    # loop's gradient is zero up to rounding, the vectorised one exactly
+    pool = rng.normal(size=(2, 3))
+    snap = snapshot_from_predictions([1], [0], 2)
+    w = LossWeights(similarity=sim)
+    got, got_grad = pool_value_and_grad(supcon_batch, pool, [1], snap, strategy, w)
+    want, want_grad = pool_value_and_grad(supcon_batch_loop, pool, [1], snap, strategy, w)
+    assert got == want == 0.0
+    assert np.all(got_grad == 0.0) and np.max(np.abs(want_grad)) <= 1e-12
+    # one class: no negatives under any strategy
+    labels = np.zeros(5, dtype=np.intp)
+    snap = snapshot_from_predictions(rng.integers(0, 2, size=5), rng.integers(0, 2, size=5), 2)
+    check_pool_case(rng.normal(size=(10, 3)), labels, snap, strategy, sim)
+    # predictions equal to the labels: hard, soft and leaked keep no negatives
+    labels = np.array([0, 1, 2, 0, 1, 2])
+    snap = snapshot_from_predictions(labels, labels, 3)
+    check_pool_case(rng.normal(size=(12, 3)), labels, snap, strategy, sim)
+
+
+@pytest.mark.parametrize("sim", SIMILARITIES)
+@pytest.mark.parametrize("strategy", STRATEGIES)
+def test_total_loss_parameter_gradients(strategy, sim, monkeypatch):
+    rng = np.random.default_rng(11)
+    spec = ModelSpec(input_dim=3, hidden_layers=(6, 5), num_classes=3,
+                     projection="two_layer", projection_dim=4, projection_mid=7)
+    x = rng.uniform(0.1, 0.9, size=(9, 3))
+    batch = Batch(x, rng.integers(0, 3, size=9),
+                  np.clip(x + rng.uniform(-0.05, 0.05, size=x.shape), 0, 1))
+
+    def run():
+        model = MLPClassifier(spec, seed=11)
+        bd = total_loss(batch, model, strategy, LossWeights(similarity=sim))
+        bd.total.backward()
+        return bd.total.item(), [p.grad for p in model.parameters]
+
+    got, got_grads = run()
+    monkeypatch.setattr(ascl.losses, "supcon_batch", supcon_batch_loop)
+    want, want_grads = run()
+    assert abs(got - want) <= REL * abs(want)
+    for g, h in zip(got_grads, want_grads):
+        assert_close(g, h)
+
+
+def test_zero_latent_row_is_defined():
+    # slot 0 is all zero: its cosine similarity to every slot is 0
+    pool = np.array([[0.0, 0.0], [1.0, 2.0], [0.5, -1.0], [2.0, 0.1]])
+    t = Tensor(pool, requires_grad=True)
+    w = LossWeights()
+    loss = supcon_batch(t, [0, 1], None, "global", w)
+    loss.backward()
+    assert np.all(np.isfinite(t.grad))
+    norms = np.linalg.norm(pool, axis=1)
+    s = np.zeros((4, 4))
+    s[1:, 1:] = pool[1:] @ pool[1:].T / np.outer(norms[1:], norms[1:]) / w.tau
+    # (anchor, partner, denominator); labels differ, so no positives
+    rows = [(0, 2, [2, 1, 3]), (2, 0, [0, 1, 3]), (1, 3, [3, 0, 2]), (3, 1, [1, 0, 2])]
+    expected = sum(np.log(np.exp(s[a, den]).sum()) - s[a, p] for a, p, den in rows) / 2
+    assert loss.item() == pytest.approx(expected, rel=1e-12)

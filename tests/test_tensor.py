@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ascl.errors import ContractError, DimensionError, DomainError, GraphStateError
-from ascl.tensor import Tensor, concat
+from ascl.tensor import Tensor, concat, pairwise_lp
 
 
 def fd_gradient(fn, x, h=1e-5):
@@ -306,3 +306,29 @@ class TestGatherConcat:
         (concat([a, b]) * Tensor([[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]])).sum().backward()
         assert np.array_equal(a.grad, [[1, 2], [3, 4]])
         assert np.array_equal(b.grad, [[5, 6]])
+
+
+class TestPairwiseLp:
+    @pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 3.0])
+    def test_values_and_fd_gradient(self, p):
+        rng = np.random.default_rng(int(p * 10))
+        x0 = rng.normal(size=(5, 3))
+        w = rng.normal(size=(5, 5))
+        t = Tensor(x0, requires_grad=True)
+        out = pairwise_lp(t, p)
+        want = (np.abs(x0[:, None, :] - x0[None, :, :]) ** p).sum(axis=2)
+        assert np.allclose(out.data, want, rtol=1e-14, atol=0.0)
+        (out * Tensor(w)).sum().backward()
+        fd = fd_gradient(lambda v: float((pairwise_lp(Tensor(v), p).data * w).sum()), x0)
+        assert_grad_close(t.grad, fd)
+
+    def test_zero_difference_has_zero_derivative(self):
+        t = Tensor(np.array([[1.0, 2.0], [1.0, 2.0]]), requires_grad=True)
+        pairwise_lp(t, 1.0).sum().backward()
+        assert np.array_equal(t.grad, np.zeros((2, 2)))
+
+    def test_contracts(self):
+        with pytest.raises(DimensionError):
+            pairwise_lp(Tensor(np.ones(3)), 2.0)
+        with pytest.raises(ContractError):
+            pairwise_lp(Tensor(np.ones((2, 2))), 0.5)
