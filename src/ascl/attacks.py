@@ -1,6 +1,10 @@
 """L-infinity attacks: PGD with random start, multi-targeted PGD, ball
 projection, and robust-accuracy evaluation.
 
+PGD ascends the cross-entropy of the true labels, or, when ``targets``
+are given, descends the cross-entropy of the targets; nothing else
+selects the targeted mode. At epsilon 0 every attack returns its input.
+
 Determinism contract: the random start for sample ``i`` is drawn from a
 stream seeded by ``(*seed, i)``, so serial and per-sample-parallel
 evaluation agree bitwise. Targeted runs reuse the same start.
@@ -8,12 +12,12 @@ evaluation agree bitwise. Targeted runs reuse the same start.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ContractError
-from .tensor import Tensor
+from .tensor import Tensor, log_softmax
 
 __all__ = [
     "AttackConfig",
@@ -23,8 +27,6 @@ __all__ = [
     "robust_accuracy",
 ]
 
-LOSS_KINDS = ("cross_entropy", "targeted_cross_entropy")
-
 
 @dataclass(frozen=True)
 class AttackConfig:
@@ -32,7 +34,6 @@ class AttackConfig:
     eta: float = 2.0 / 255.0
     steps: int = 10
     random_init: bool = True
-    loss_kind: str = "cross_entropy"
     clip_range: tuple = (0.0, 1.0)
 
     def __post_init__(self):
@@ -42,8 +43,6 @@ class AttackConfig:
             raise ContractError("eta must be positive when steps > 0")
         if not self.clip_range[0] < self.clip_range[1]:
             raise ContractError("clip_range lower bound must be below upper bound")
-        if self.loss_kind not in LOSS_KINDS:
-            raise ContractError(f"loss_kind must be one of {LOSS_KINDS}")
 
 
 def _seed_parts(seed):
@@ -63,18 +62,13 @@ def project_linf(x_adv, x_orig, epsilon, clip_range=(0.0, 1.0)):
     return np.clip(out, lo, hi)
 
 
-def _input_gradient(model, x_adv, y, targets):
-    """Gradient of summed cross-entropy at x_adv; fresh graph per call."""
+def _input_gradient(model, x_adv, labels):
+    """Gradient of summed cross-entropy against ``labels`` at x_adv; fresh
+    graph per call."""
     xt = Tensor(x_adv, requires_grad=True)
     logits = model.forward(xt)
-    n, c = logits.shape
-    lse = logits.log_sum_exp(axis=1, keepdims=True)
-    log_probs = logits - lse
-    if targets is None:
-        picked = np.eye(c)[y]
-    else:
-        picked = np.eye(c)[targets]
-    loss = -(log_probs * Tensor(picked)).sum()
+    onehot = np.eye(logits.shape[1])[labels]
+    loss = -(log_softmax(logits) * Tensor(onehot)).sum()
     loss.backward()
     return xt.grad
 
@@ -82,9 +76,10 @@ def _input_gradient(model, x_adv, y, targets):
 def pgd_attack(model, x, y, cfg: AttackConfig, seed=0, targets=None, index_base=0):
     """Iterated signed-gradient attack inside the epsilon ball.
 
-    Untargeted: ascend cross-entropy against the true labels. Targeted
-    (``loss_kind="targeted_cross_entropy"``): descend cross-entropy toward
-    ``targets``. Model weights and the input batch are never mutated.
+    Untargeted: ascend cross-entropy against the true labels ``y``.
+    Targeted, exactly when ``targets`` is given: descend cross-entropy
+    toward ``targets``. At epsilon 0 the input comes back unchanged, with
+    no gradient pass. Model weights and the input batch are never mutated.
     ``index_base`` offsets the per-sample stream index so that splitting a
     dataset into batches does not change any sample's random start.
     """
@@ -93,15 +88,12 @@ def pgd_attack(model, x, y, cfg: AttackConfig, seed=0, targets=None, index_base=
     lo, hi = cfg.clip_range
     if np.any(x < lo) or np.any(x > hi):
         raise ContractError("input batch lies outside clip_range")
-    targeted = cfg.loss_kind == "targeted_cross_entropy"
-    if targeted:
-        if targets is None:
-            raise ContractError("targeted attack requires targets")
-        targets = np.asarray(targets, dtype=np.intp)
-    elif targets is not None:
-        raise ContractError("targets given but loss_kind is untargeted")
+    if cfg.epsilon == 0:
+        return x
+    targeted = targets is not None
+    goal = np.asarray(targets, dtype=np.intp) if targeted else y
 
-    if cfg.random_init and cfg.epsilon > 0:
+    if cfg.random_init:
         parts = _seed_parts(seed)
         noise = np.empty_like(x)
         for i in range(x.shape[0]):
@@ -112,7 +104,7 @@ def pgd_attack(model, x, y, cfg: AttackConfig, seed=0, targets=None, index_base=
         x_adv = x.copy()
 
     for _ in range(cfg.steps):
-        grad = _input_gradient(model, x_adv, y, targets if targeted else None)
+        grad = _input_gradient(model, x_adv, goal)
         if grad is None:
             break
         step = cfg.eta * np.sign(grad)
@@ -135,7 +127,6 @@ def multi_targeted_pgd(model, x, y, cfg: AttackConfig, seed=0, index_base=0):
     c = logits.shape[1]
     if c < 2:
         raise ContractError("multi-targeted attack requires at least 2 classes")
-    tcfg = replace(cfg, loss_kind="targeted_cross_entropy")
 
     n = x.shape[0]
     best = x.copy()
@@ -147,12 +138,11 @@ def multi_targeted_pgd(model, x, y, cfg: AttackConfig, seed=0, index_base=0):
         active = targets != y
         if not np.any(active):
             continue
-        cand = pgd_attack(model, x, y, tcfg, seed=seed, targets=targets, index_base=index_base)
+        cand = pgd_attack(model, x, y, cfg, seed=seed, targets=targets, index_base=index_base)
+        # keep values only: the candidate's graph is freed before the next attack
         logits_c = model.forward(cand).data
         preds_c = np.argmax(logits_c, axis=1)
-        lse = logits_c.max(axis=1) + np.log(
-            np.exp(logits_c - logits_c.max(axis=1, keepdims=True)).sum(axis=1))
-        ce = lse - logits_c[np.arange(n), y]
+        ce = -log_softmax(Tensor(logits_c)).data[np.arange(n), y]
 
         flipped = active & ~decided & (preds_c != y)
         best[flipped] = cand[flipped]

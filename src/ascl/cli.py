@@ -7,18 +7,20 @@ make-data. Exit codes: 0 ok, 1 usage error, 2 runtime failure.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import sys
 
 import numpy as np
 
-from .attacks import AttackConfig, attack_by_name, robust_accuracy
+from .attacks import AttackConfig, attack_by_name
 from .config import RunConfig, _parse_value, config_from_dict, parse_config_file
 from .data import Dataset, dataset_to_csv, load_dataset, make_blobs, make_two_moons, save_dataset
-from .divergence import divergence_sweep, write_divergence_csv
+from .divergence import SWEEP_COLUMNS as DIVERGENCE_COLUMNS
+from .divergence import divergence_sweep
 from .errors import ConfigError
 from .losses import STRATEGIES, selection_stats
 from .models import load_model, snapshot_from_predictions
-from .training import evaluate, sweep, train, write_sweep_csv
+from .training import SWEEP_COLUMNS, evaluate, sweep, train, write_csv
 
 
 class UsageError(Exception):
@@ -32,17 +34,25 @@ class _Parser(argparse.ArgumentParser):
 
 def _add_run_overrides(p):
     # every RunConfig key doubles as a --key flag (dashes for underscores)
-    import dataclasses
-
-    from .config import RunConfig as RC
-    for f in dataclasses.fields(RC):
+    for f in dataclasses.fields(RunConfig):
         p.add_argument(f"--{f.name.replace('_', '-')}", dest=f.name, default=None)
+
+
+def _add_attack_args(p, steps, eps=True):
+    """Flags shared by the subcommands that attack a saved checkpoint."""
+    p.add_argument("--checkpoint", required=True)
+    p.add_argument("--data", required=True, help="dataset file")
+    if eps:
+        p.add_argument("--eps", type=float, default=0.05)
+    p.add_argument("--eta", type=float, default=0.0125)
+    p.add_argument("--steps", type=int, default=steps)
+    p.add_argument("--no-random-init", action="store_true")
+    p.add_argument("--seed", type=int, default=0)
 
 
 def _run_config(args) -> RunConfig:
     base = parse_config_file(args.config) if args.config else RunConfig()
     overrides = {}
-    import dataclasses
     for f in dataclasses.fields(RunConfig):
         v = getattr(args, f.name, None)
         if v is not None:
@@ -64,34 +74,17 @@ def build_parser():
     _add_run_overrides(p)
 
     p = sub.add_parser("evaluate", help="robust accuracy of a checkpoint under attacks")
-    p.add_argument("--checkpoint", required=True)
-    p.add_argument("--data", required=True, help="dataset file")
+    _add_attack_args(p, steps=50)
     p.add_argument("--attack", default="pgd", help="comma list from none,pgd,mpgd")
-    p.add_argument("--eps", type=float, default=0.05)
-    p.add_argument("--eta", type=float, default=0.0125)
-    p.add_argument("--steps", type=int, default=50)
-    p.add_argument("--no-random-init", action="store_true")
-    p.add_argument("--seed", type=int, default=0)
 
     p = sub.add_parser("attack", help="attack a dataset, report accuracy, optionally save it")
-    p.add_argument("--checkpoint", required=True)
-    p.add_argument("--data", required=True)
+    _add_attack_args(p, steps=50)
     p.add_argument("--attack", default="pgd", choices=("pgd", "mpgd"))
-    p.add_argument("--eps", type=float, default=0.05)
-    p.add_argument("--eta", type=float, default=0.0125)
-    p.add_argument("--steps", type=int, default=50)
-    p.add_argument("--no-random-init", action="store_true")
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", default=None, help="write attacked features as a dataset file")
 
     p = sub.add_parser("divergence", help="divergence/accuracy table over an epsilon grid")
-    p.add_argument("--checkpoint", required=True)
-    p.add_argument("--data", required=True)
+    _add_attack_args(p, steps=10, eps=False)
     p.add_argument("--eps-grid", required=True, help="comma list, e.g. 0,0.02,0.05")
-    p.add_argument("--eta", type=float, default=0.0125)
-    p.add_argument("--steps", type=int, default=10)
-    p.add_argument("--no-random-init", action="store_true")
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", default=None, help="csv path (default stdout)")
 
     p = sub.add_parser("selection-stats", help="mean positive/negative counts per strategy")
@@ -125,6 +118,16 @@ def build_parser():
     return parser
 
 
+def _emit_csv(rows, columns, out):
+    """Write the rows to the ``--out`` path, or to stdout without one."""
+    if out:
+        with open(out, "w", newline="") as fh:
+            write_csv(rows, columns, fh)
+        print(f"wrote {out}")
+    else:
+        write_csv(rows, columns, sys.stdout)
+
+
 def _cmd_train(args):
     result = train(_run_config(args), quiet=False)
     final = result.summary["final"]
@@ -151,7 +154,7 @@ def _cmd_attack(args):
     cfg = _attack_cfg(args)
     fn = attack_by_name(args.attack)
     x_adv = fn(model, ds.features, ds.labels, cfg, seed=args.seed)
-    acc = robust_accuracy(model, ds.features, ds.labels, args.attack, cfg, seed=args.seed)
+    acc = float(np.mean(np.argmax(model.forward(x_adv).data, axis=1) == ds.labels))
     print(f"attack={args.attack} eps={cfg.epsilon:g} rob_acc={acc:.4f}")
     if args.out:
         save_dataset(Dataset(x_adv, ds.labels, ds.num_classes,
@@ -167,12 +170,7 @@ def _cmd_divergence(args):
     base = AttackConfig(epsilon=max(grid) or 0.05, eta=args.eta, steps=args.steps,
                         random_init=not args.no_random_init)
     rows = divergence_sweep(model, ds, grid, base, seed=args.seed)
-    if args.out:
-        with open(args.out, "w", newline="") as fh:
-            write_divergence_csv(rows, fh)
-        print(f"wrote {args.out}")
-    else:
-        write_divergence_csv(rows, sys.stdout)
+    _emit_csv(rows, DIVERGENCE_COLUMNS, args.out)
     return 0
 
 
@@ -202,12 +200,7 @@ def _cmd_sweep(args):
                  scl_grid=[float(v) for v in args.lambda_scl_grid.split(",")],
                  vat_grid=[float(v) for v in args.lambda_vat_grid.split(",")],
                  epochs=args.sweep_epochs)
-    if args.out:
-        with open(args.out, "w", newline="") as fh:
-            write_sweep_csv(rows, fh)
-        print(f"wrote {args.out}")
-    else:
-        write_sweep_csv(rows, sys.stdout)
+    _emit_csv(rows, SWEEP_COLUMNS, args.out)
     return 0
 
 

@@ -5,7 +5,7 @@ from __future__ import annotations
 
 import csv
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -21,7 +21,6 @@ __all__ = [
     "save_dataset",
     "load_dataset",
     "dataset_to_csv",
-    "dataset_from_csv",
     "iter_batches",
 ]
 
@@ -164,13 +163,6 @@ def augment(features, spec: AugmentationSpec, rng) -> np.ndarray:
     return imgs.reshape(x.shape[0], -1)
 
 
-def flip_horizontal(features, image_shape) -> np.ndarray:
-    """Deterministic flip of every row; involution used by tests."""
-    h, w = image_shape
-    x = np.asarray(features, dtype=np.float64)
-    return x.reshape(-1, h, w)[:, :, ::-1].reshape(x.shape[0], -1)
-
-
 # -- on-disk format --------------------------------------------------------
 #
 # Little-endian: magic "ASCLDS1\0", u32 M, u32 D, u32 C, u8 split
@@ -225,22 +217,6 @@ def dataset_to_csv(ds: Dataset, path):
         writer.writerow([f"f{i}" for i in range(ds.dim)] + ["label"])
         for row, lab in zip(ds.features, ds.labels):
             writer.writerow([f"{v:.17g}" for v in row] + [int(lab)])
-
-
-def dataset_from_csv(path, num_classes=None, split="train") -> Dataset:
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if not header or header[-1] != "label":
-            raise FormatError("csv must end with a 'label' column")
-        rows = [r for r in reader if r]
-    if not rows:
-        raise FormatError("csv has no data rows")
-    feats = np.array([[float(v) for v in r[:-1]] for r in rows])
-    labels = np.array([int(r[-1]) for r in rows], dtype=np.intp)
-    c = num_classes if num_classes is not None else int(labels.max()) + 1
-    name = str(path).rsplit("/", 1)[-1].rsplit(".", 1)[0]
-    return Dataset(feats, labels, c, name=name, split=split)
 
 
 def iter_batches(ds: Dataset, batch_size, rng=None):

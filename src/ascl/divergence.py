@@ -4,8 +4,7 @@ ratio, computed over pooled natural+adversarial latents."""
 
 from __future__ import annotations
 
-import csv
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -19,7 +18,6 @@ __all__ = [
     "relative_divergence",
     "divergence_report",
     "divergence_sweep",
-    "write_divergence_csv",
 ]
 
 RDIV_DENOM_TOL = 1e-12
@@ -35,7 +33,6 @@ class DivergenceReport:
     r_div: float | None
     layer_name: str = "penultimate"
     n_samples: int = 0
-    distance_kind: str = "cosine_distance"
 
 
 def cosine_distance(z_a, z_b) -> float:
@@ -69,6 +66,8 @@ def absolute_divergences(z, labels, z_adv=None, block_rows=None):
     Every pooled slot serves as anchor; its positives are all slots from
     *other* source samples with the same label, negatives those with a
     different label. Anchors with an empty set are skipped on that side.
+    An all-zero latent is at distance 1 from every slot, as it has
+    similarity 0 in the contrastive loss.
     Anchors are taken ``block_rows`` at a time (default: all at once), so
     no temporary outgrows a (block_rows, pool) block; the result does not
     depend on the block size.
@@ -76,9 +75,7 @@ def absolute_divergences(z, labels, z_adv=None, block_rows=None):
     pool, slot_labels, src = _pooled(z, labels, z_adv)
     m = pool.shape[0]
     norms = np.linalg.norm(pool, axis=1)
-    if not np.all(norms > 0):
-        raise DomainError("cosine distance of a zero vector")
-    unit = pool / norms[:, None]
+    unit = pool / np.where(norms > 0, norms, 1.0)[:, None]
     step = block_rows or max(m, 1)
 
     # per-anchor distance sums and counts; side 0 positives, side 1 negatives
@@ -150,23 +147,16 @@ def divergence_sweep(model, dataset, eps_grid, base_cfg: AttackConfig, seed=0,
                      batch_size=128):
     """Rows of (epsilon, divergences, robust accuracy), ascending in epsilon.
 
-    The epsilon-0 row uses benign-only latents and natural accuracy.
+    At epsilon 0 the attack is the identity, so that row holds benign-only
+    latents and natural accuracy.
     """
     rows = []
     for eps in sorted(float(e) for e in eps_grid):
-        if eps == 0.0:
-            report = divergence_report(model, dataset.features, dataset.labels,
-                                       None, seed=seed, batch_size=batch_size)
-            acc = robust_accuracy(model, dataset.features, dataset.labels,
-                                  "none", base_cfg, seed=seed)
-        else:
-            cfg = AttackConfig(epsilon=eps, eta=base_cfg.eta, steps=base_cfg.steps,
-                               random_init=base_cfg.random_init,
-                               clip_range=base_cfg.clip_range)
-            report = divergence_report(model, dataset.features, dataset.labels,
-                                       cfg, seed=seed, batch_size=batch_size)
-            acc = robust_accuracy(model, dataset.features, dataset.labels,
-                                  "pgd", cfg, seed=seed)
+        cfg = replace(base_cfg, epsilon=eps)
+        report = divergence_report(model, dataset.features, dataset.labels,
+                                   cfg, seed=seed, batch_size=batch_size)
+        acc = robust_accuracy(model, dataset.features, dataset.labels,
+                              "pgd", cfg, seed=seed)
         rows.append({
             "epsilon": eps,
             "d_a_plus": report.d_a_plus,
@@ -177,18 +167,3 @@ def divergence_sweep(model, dataset, eps_grid, base_cfg: AttackConfig, seed=0,
             "layer_name": report.layer_name,
         })
     return rows
-
-
-def write_divergence_csv(rows, fh):
-    writer = csv.writer(fh)
-    writer.writerow(SWEEP_COLUMNS)
-    for row in rows:
-        writer.writerow([
-            f"{row['epsilon']:.12g}",
-            f"{row['d_a_plus']:.12g}",
-            f"{row['d_a_minus']:.12g}",
-            "" if row["r_div"] is None else f"{row['r_div']:.12g}",
-            f"{row['robust_acc']:.12g}",
-            row["n_samples"],
-            row["layer_name"],
-        ])

@@ -34,7 +34,7 @@ import numpy as np
 
 from .errors import ContractError, DomainError
 from .models import MLPClassifier, PredictionSnapshot, snapshot_from_logits
-from .tensor import Tensor, concat, pairwise_lp
+from .tensor import Tensor, concat, log_softmax, pairwise_lp
 
 __all__ = [
     "STRATEGIES",
@@ -49,7 +49,6 @@ __all__ = [
     "vat_loss",
     "total_loss",
     "LossBreakdown",
-    "log_softmax",
 ]
 
 STRATEGIES = ("global", "hard", "soft", "leaked")
@@ -183,10 +182,6 @@ def supcon_batch(pool: Tensor, labels, snapshot, strategy, weights: LossWeights)
     lse = (sims + Tensor(np.where(den, 0.0, -np.inf))).log_sum_exp(axis=1)
     num_mean = (sims * Tensor(num / num.sum(axis=1, keepdims=True))).sum(axis=1)
     return (lse - num_mean).sum() / float(n)
-
-
-def log_softmax(logits: Tensor) -> Tensor:
-    return logits - logits.log_sum_exp(axis=1, keepdims=True)
 
 
 def _mean_ce(logits: Tensor, labels) -> Tensor:

@@ -5,7 +5,7 @@ from __future__ import annotations
 
 import json
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -19,7 +19,6 @@ __all__ = [
     "snapshot",
     "snapshot_from_logits",
     "snapshot_from_predictions",
-    "softmax",
     "save_model",
     "load_model",
 ]
@@ -164,36 +163,19 @@ class MLPClassifier:
             p.grad = None
 
 
-def softmax(logits: np.ndarray) -> np.ndarray:
-    """Row-stable softmax on a plain array."""
-    z = logits - logits.max(axis=1, keepdims=True)
-    e = np.exp(z)
-    return e / e.sum(axis=1, keepdims=True)
-
-
 @dataclass
 class PredictionSnapshot:
-    """Logits, probabilities, and argmax predictions for a paired
-    natural/adversarial batch, from a single pair of forwards.
+    """Logits and argmax predictions for a paired natural/adversarial
+    batch, from a single pair of forwards.
 
     Logits stay attached to the graph so losses can differentiate through
-    them; probs/preds are detached value arrays.
+    them; preds are detached value arrays.
     """
 
     logits_nat: Tensor
     logits_adv: Tensor
-    probs_nat: np.ndarray = field(repr=False, default=None)
-    probs_adv: np.ndarray = field(repr=False, default=None)
     preds_nat: np.ndarray = None
     preds_adv: np.ndarray = None
-
-    @property
-    def batch_size(self) -> int:
-        return self.logits_nat.shape[0]
-
-    @property
-    def num_classes(self) -> int:
-        return self.logits_nat.shape[1]
 
 
 def snapshot_from_logits(logits_nat: Tensor, logits_adv: Tensor) -> PredictionSnapshot:
@@ -203,8 +185,6 @@ def snapshot_from_logits(logits_nat: Tensor, logits_adv: Tensor) -> PredictionSn
     return PredictionSnapshot(
         logits_nat=logits_nat,
         logits_adv=logits_adv,
-        probs_nat=softmax(logits_nat.data),
-        probs_adv=softmax(logits_adv.data),
         preds_nat=np.argmax(logits_nat.data, axis=1),
         preds_adv=np.argmax(logits_adv.data, axis=1),
     )

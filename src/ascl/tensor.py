@@ -12,7 +12,7 @@ import numpy as np
 
 from .errors import ContractError, DimensionError, DomainError, GraphStateError
 
-__all__ = ["Tensor", "concat", "pairwise_lp"]
+__all__ = ["Tensor", "concat", "log_softmax", "pairwise_lp"]
 
 
 def _check_broadcast(sa, sb):
@@ -222,17 +222,6 @@ class Tensor:
 
         return Tensor._make(out_data, (self,), back)
 
-    def log(self):
-        if np.any(self.data <= 0.0):
-            raise DomainError("log of non-positive input")
-        a = self.data
-
-        def back(g):
-            if self.requires_grad:
-                self._accumulate(g / a)
-
-        return Tensor._make(np.log(a), (self,), back)
-
     def relu(self):
         a = self.data
 
@@ -251,24 +240,8 @@ class Tensor:
 
         return Tensor._make(np.abs(a), (self,), back)
 
-    def sign(self):
-        # derivative is zero almost everywhere (sign(0) = 0), so the
-        # result is detached from the graph
-        return Tensor(np.sign(self.data))
-
     def sqrt(self):
         return self.__pow__(0.5)
-
-    def clamp(self, lo: float, hi: float):
-        if not lo < hi:
-            raise ContractError(f"clamp requires lo < hi, got [{lo}, {hi}]")
-        a = self.data
-
-        def back(g):
-            if self.requires_grad:
-                self._accumulate(g * ((a >= lo) & (a <= hi)))
-
-        return Tensor._make(np.clip(a, lo, hi), (self,), back)
 
     # -- matrix ops -----------------------------------------------------------
 
@@ -342,36 +315,6 @@ class Tensor:
         n = self.data.size if axis is None else self.data.shape[axis]
         return self.sum(axis=axis, keepdims=keepdims) / float(n)
 
-    def max(self, axis=None, keepdims: bool = False):
-        self._check_axis(axis)
-        a = self.data
-        out_data = a.max(axis=axis, keepdims=keepdims)
-
-        def back(g):
-            if not self.requires_grad:
-                return
-            # ties route to the lowest index, matching the argmax rule
-            if axis is None:
-                mask = np.zeros(a.shape, dtype=np.float64)
-                mask[np.unravel_index(np.argmax(a), a.shape)] = 1.0
-                self._accumulate(mask * g)
-            else:
-                idx = np.expand_dims(np.argmax(a, axis=axis), axis)
-                mask = np.zeros(a.shape, dtype=np.float64)
-                np.put_along_axis(mask, idx, 1.0, axis=axis)
-                ge = g if keepdims else np.expand_dims(g, axis)
-                self._accumulate(mask * ge)
-
-        return Tensor._make(out_data, (self,), back)
-
-    def argmax(self, axis=None):
-        """Index of the largest element; ties break to the lowest index.
-
-        Not differentiable: returns a plain integer ndarray.
-        """
-        self._check_axis(axis)
-        return np.argmax(self.data, axis=axis)
-
     def log_sum_exp(self, axis=None, keepdims: bool = False):
         """log(sum(exp(x))) computed with a max shift, overflow-free."""
         self._check_axis(axis)
@@ -393,6 +336,11 @@ class Tensor:
                 self._accumulate(soft * g)
 
         return Tensor._make(out_data, (self,), back)
+
+
+def log_softmax(logits: Tensor) -> Tensor:
+    """Row-wise log-probabilities of a 2-D logit tensor."""
+    return logits - logits.log_sum_exp(axis=1, keepdims=True)
 
 
 def concat(tensors, axis: int = 0):

@@ -7,7 +7,7 @@ import json
 import math
 import os
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -19,7 +19,6 @@ from .divergence import divergence_report
 from .errors import ContractError, TrainingAborted
 from .losses import total_loss
 from .models import MLPClassifier, save_model
-from .tensor import Tensor
 
 __all__ = [
     "Adam",
@@ -34,7 +33,7 @@ __all__ = [
     "TrainResult",
     "evaluate",
     "sweep",
-    "write_sweep_csv",
+    "write_csv",
 ]
 
 # rng stream tags, combined with the run seed as (seed, tag, ...)
@@ -64,10 +63,6 @@ class Adam:
             vhat = v / (1 - b2 ** self.t)
             p.data = p.data - self.lr * mhat / (np.sqrt(vhat) + self.eps)
 
-    def zero_grad(self):
-        for p in self.params:
-            p.grad = None
-
 
 class SGD:
     def __init__(self, params, lr=0.1, momentum=0.0, weight_decay=0.0):
@@ -88,10 +83,6 @@ class SGD:
             buf += g
             p.data = p.data - self.lr * buf
 
-    def zero_grad(self):
-        for p in self.params:
-            p.grad = None
-
 
 def lr_at(schedule, epoch):
     """Last scheduled rate at or before this epoch."""
@@ -103,11 +94,6 @@ def lr_at(schedule, epoch):
 
 
 METRICS_SCHEMA = "schema=asclmetrics.v1"
-METRICS_COLUMNS = (
-    "epoch", "split", "nat_acc", "rob_acc", "loss_at", "loss_scl", "loss_vat",
-    "loss_total", "d_a_plus", "d_a_minus", "r_div", "mean_pos", "mean_neg",
-    "wall_time_s",
-)
 
 
 @dataclass
@@ -126,6 +112,9 @@ class MetricsRow:
     mean_pos: float = None
     mean_neg: float = None
     wall_time_s: float = None
+
+
+METRICS_COLUMNS = tuple(f.name for f in fields(MetricsRow))
 
 
 def _fmt(v):
@@ -275,16 +264,12 @@ def train(cfg: RunConfig, quiet=True) -> TrainResult:
 
 
 def _eval_row(model, test_ds, cfg: RunConfig, epoch, started) -> MetricsRow:
-    cheap = AttackConfig(epsilon=cfg.eval_eps, eta=cfg.eval_eta,
-                         steps=cfg.epoch_eval_steps,
-                         random_init=cfg.eval_random_init)
+    cheap = replace(cfg.eval_attack(), steps=cfg.epoch_eval_steps)
     nat = _natural_accuracy(model, test_ds)
     rob = robust_accuracy(model, test_ds.features, test_ds.labels, "pgd", cheap,
                           seed=(cfg.seed, _S_EPOCH_EVAL, epoch))
-    train_cfg = cfg.train_attack()
     report = divergence_report(model, test_ds.features, test_ds.labels,
-                               train_cfg if train_cfg.epsilon > 0 else None,
-                               seed=(cfg.seed, _S_EPOCH_EVAL, epoch))
+                               cfg.train_attack(), seed=(cfg.seed, _S_EPOCH_EVAL, epoch))
     return MetricsRow(epoch=epoch, split="test", nat_acc=nat, rob_acc=rob,
                       d_a_plus=report.d_a_plus, d_a_minus=report.d_a_minus,
                       r_div=report.r_div,
@@ -333,8 +318,9 @@ def sweep(base_cfg: RunConfig, strategies, scl_grid, vat_grid, epochs=None):
     return rows
 
 
-def write_sweep_csv(rows, fh):
+def write_csv(rows, columns, fh):
+    """Header plus one line per row dict, each value formatted by ``_fmt``."""
     writer = csv.writer(fh)
-    writer.writerow(SWEEP_COLUMNS)
+    writer.writerow(columns)
     for row in rows:
-        writer.writerow([_fmt(row[c]) for c in SWEEP_COLUMNS])
+        writer.writerow([_fmt(row[c]) for c in columns])

@@ -5,9 +5,14 @@ from ascl.attacks import (AttackConfig, attack_by_name, multi_targeted_pgd,
                           pgd_attack, project_linf, robust_accuracy)
 from ascl.config import RunConfig
 from ascl.errors import ContractError
-from ascl.models import MLPClassifier, ModelSpec, softmax
+from ascl.models import MLPClassifier, ModelSpec
 from ascl.tensor import Tensor
 from ascl.training import train
+
+
+def _softmax(logits):
+    e = np.exp(logits - logits.max(axis=1, keepdims=True))
+    return e / e.sum(axis=1, keepdims=True)
 
 
 class LinearLogistic:
@@ -93,6 +98,9 @@ class TestPGD:
         cfg = AttackConfig(epsilon=0.0, eta=0.01, steps=5)
         x_adv = pgd_attack(toy_model, x, y, cfg, seed=0)
         assert x_adv.tobytes() == x.tobytes()
+        # and without a single gradient pass
+        no_model = LinearLogistic(np.full((4, 3), np.nan), np.zeros(3))
+        assert pgd_attack(no_model, x, y, cfg).tobytes() == x.tobytes()
 
     def test_single_step_matches_logistic_closed_form(self):
         rng = np.random.default_rng(12)
@@ -106,7 +114,7 @@ class TestPGD:
 
         # input gradient of cross-entropy for a linear softmax model:
         # (softmax(logits) - onehot(y)) @ w.T
-        probs = softmax(x @ w + b)
+        probs = _softmax(x @ w + b)
         grad = (probs - np.eye(2)[y]) @ w.T
         expected = project_linf(x + cfg.eta * np.sign(grad), x, cfg.epsilon)
         assert np.array_equal(x_adv, expected)
@@ -163,12 +171,19 @@ class TestPGD:
         rest = pgd_attack(toy_model, x[7:], y[7:], cfg, seed=9, index_base=7)
         assert whole.tobytes() == np.concatenate([first, rest]).tobytes()
 
-    def test_targets_contract(self, toy_model, toy_batch):
-        x, y = toy_batch
-        with pytest.raises(ContractError):
-            pgd_attack(toy_model, x, y, AttackConfig(loss_kind="targeted_cross_entropy"))
-        with pytest.raises(ContractError):
-            pgd_attack(toy_model, x, y, AttackConfig(), targets=y)
+    def test_targets_contract(self):
+        # targeted exactly when targets are given: one step descends the
+        # cross-entropy of the targets, whatever the true labels are
+        rng = np.random.default_rng(15)
+        w = rng.normal(size=(3, 3))
+        b = rng.normal(size=3)
+        x = rng.uniform(0.2, 0.8, size=(6, 3))
+        y = rng.integers(0, 3, size=6)
+        t = (y + 1) % 3
+        cfg = AttackConfig(epsilon=0.1, eta=0.03, steps=1, random_init=False)
+        x_adv = pgd_attack(LinearLogistic(w, b), x, y, cfg, targets=t)
+        grad = (_softmax(x @ w + b) - np.eye(3)[t]) @ w.T
+        assert np.array_equal(x_adv, project_linf(x - cfg.eta * np.sign(grad), x, cfg.epsilon))
 
 
 class TestMultiTargeted:
@@ -180,10 +195,7 @@ class TestMultiTargeted:
         y = rng.integers(0, 2, size=10)
         cfg = AttackConfig(epsilon=0.05, eta=0.015, steps=4)
         got = multi_targeted_pgd(model, x, y, cfg, seed=21)
-        want = pgd_attack(model, x, y,
-                          AttackConfig(epsilon=0.05, eta=0.015, steps=4,
-                                       loss_kind="targeted_cross_entropy"),
-                          seed=21, targets=1 - y)
+        want = pgd_attack(model, x, y, cfg, seed=21, targets=1 - y)
         assert got.tobytes() == want.tobytes()
 
     def test_epsilon_zero_returns_input(self, toy_model, toy_batch):

@@ -1,7 +1,9 @@
+import numpy as np
 import pytest
 
+import ascl.attacks
 from ascl.cli import build_parser, cli
-from ascl.data import make_blobs, save_dataset
+from ascl.data import load_dataset, make_blobs, save_dataset
 from ascl.models import MLPClassifier, ModelSpec, save_model
 
 
@@ -12,7 +14,7 @@ def files(tmp_path):
     data, ckpt = tmp_path / "test.ds", tmp_path / "model.ckpt"
     save_dataset(ds, data)
     save_model(model, ckpt)
-    return str(data), str(ckpt)
+    return model, ds, str(data), str(ckpt)
 
 
 def test_unknown_flag_is_a_usage_error():
@@ -26,7 +28,7 @@ def test_unknown_config_key_is_a_usage_error(tmp_path):
 
 
 def test_missing_checkpoint_is_a_runtime_failure(files, tmp_path):
-    data, _ = files
+    _, _, data, _ = files
     assert cli(["evaluate", "--checkpoint", str(tmp_path / "missing.ckpt"),
                 "--data", data]) == 2
 
@@ -41,3 +43,23 @@ def test_attack_flag_defaults(command, extra, eps, steps):
     assert getattr(args, "eps", None) == eps
     assert (args.eta, args.steps, args.seed, args.no_random_init) == (0.0125, steps, 0, False)
 
+
+@pytest.mark.parametrize("attack,fn", [("pgd", "pgd_attack"), ("mpgd", "multi_targeted_pgd")])
+def test_attack_scores_each_sample_once(files, tmp_path, monkeypatch, capsys, attack, fn):
+    model, ds, data, ckpt = files
+    attacked = []
+    real = getattr(ascl.attacks, fn)
+
+    def counting(model, x, *args, **kwargs):
+        attacked.append(len(x))
+        return real(model, x, *args, **kwargs)
+
+    monkeypatch.setattr(ascl.attacks, fn, counting)
+    out = tmp_path / "adv.ds"
+    assert cli(["attack", "--checkpoint", ckpt, "--data", data, "--attack", attack,
+                "--steps", "5", "--out", str(out)]) == 0
+    assert sum(attacked) == len(ds)
+    printed = capsys.readouterr().out.split("rob_acc=")[1].split()[0]
+    adv = load_dataset(out)
+    preds = np.argmax(model.forward(adv.features).data, axis=1)
+    assert printed == f"{(preds == adv.labels).mean():.4f}"

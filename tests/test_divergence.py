@@ -7,9 +7,9 @@ from ascl.attacks import AttackConfig, pgd_attack
 from ascl.config import RunConfig
 from ascl.divergence import (SWEEP_COLUMNS, absolute_divergences, cosine_distance,
                              divergence_report, divergence_sweep,
-                             relative_divergence, write_divergence_csv)
+                             relative_divergence)
 from ascl.errors import DegenerateInputError, DomainError
-from ascl.training import train
+from ascl.training import train, write_csv
 
 
 def brute_force_divergences(pool, slot_labels, src):
@@ -72,6 +72,13 @@ class TestAbsoluteDivergences:
         assert dp == pytest.approx(0.0, abs=1e-12)
         assert dm == pytest.approx(1.0)
         assert relative_divergence(dp, dm) == pytest.approx(0.0, abs=1e-12)
+
+    def test_zero_latent_is_at_distance_one(self):
+        # slot 0 is all zero: distance 1 to both others; slots 1 and 2 coincide
+        z = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 0.0]])
+        dp, dm = absolute_divergences(z, [0, 0, 1])
+        assert dp == 1.0
+        assert dm == pytest.approx(0.5)
 
     def test_matches_double_loop_oracle(self):
         rng = np.random.default_rng(1)
@@ -180,7 +187,7 @@ class TestSweep:
         rows = divergence_sweep(model, test, [0.0, 0.02],
                                 AttackConfig(epsilon=0.02, eta=0.01, steps=3), seed=0)
         buf = io.StringIO()
-        write_divergence_csv(rows, buf)
+        write_csv(rows, SWEEP_COLUMNS, buf)
         lines = buf.getvalue().strip().splitlines()
         assert lines[0] == ",".join(SWEEP_COLUMNS)
         assert len(lines) == 3

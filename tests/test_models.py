@@ -3,8 +3,8 @@ import pytest
 
 from ascl.errors import ConfigError, ContractError, DimensionError, FormatError
 from ascl.models import (MLPClassifier, ModelSpec, load_model, save_model,
-                         snapshot, snapshot_from_logits, softmax)
-from ascl.tensor import Tensor
+                         snapshot, snapshot_from_logits)
+from ascl.tensor import Tensor, log_softmax
 
 
 def small_spec(**kw):
@@ -37,7 +37,7 @@ class TestForward:
             p.data = np.zeros_like(p.data)
         z = m.encode(np.random.default_rng(0).uniform(size=(4, 3))).data
         assert np.array_equal(z, np.zeros((4, 4)))
-        probs = softmax(m.classify(Tensor(z)).data)
+        probs = np.exp(log_softmax(m.classify(Tensor(z))).data)
         assert np.allclose(probs, 1.0 / 3.0)
 
     def test_composition_equals_full_forward(self):
@@ -120,13 +120,13 @@ class TestSnapshot:
         m = MLPClassifier(small_spec(), seed=6)
         rng = np.random.default_rng(6)
         snap = snapshot(m, rng.uniform(size=(8, 3)), rng.uniform(size=(8, 3)))
-        assert np.abs(snap.probs_nat.sum(axis=1) - 1).max() < 1e-9
-        assert np.abs(snap.probs_adv.sum(axis=1) - 1).max() < 1e-9
+        for logits in (snap.logits_nat, snap.logits_adv):
+            assert np.abs(np.exp(log_softmax(logits).data).sum(axis=1) - 1).max() < 1e-9
 
     def test_softmax_stable_for_large_logits(self):
-        probs = softmax(np.array([[1e3, -1e3, 0.0]]))
-        assert np.isfinite(probs).all()
-        assert abs(probs.sum() - 1) < 1e-9
+        logp = log_softmax(Tensor([[1e3, -1e3, 0.0]])).data
+        assert np.isfinite(logp).all()
+        assert abs(np.exp(logp).sum() - 1) < 1e-9
 
     def test_batch_size_mismatch(self):
         m = MLPClassifier(small_spec(), seed=0)

@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ascl.errors import ContractError, DimensionError, DomainError, GraphStateError
-from ascl.tensor import Tensor, concat, pairwise_lp
+from ascl.tensor import Tensor, concat, log_softmax, pairwise_lp
 
 
 def fd_gradient(fn, x, h=1e-5):
@@ -33,17 +33,6 @@ class TestElementwise:
     def test_relu(self):
         assert np.array_equal(Tensor([-1.0, 0.0, 2.0]).relu().data, [0.0, 0.0, 2.0])
 
-    def test_clamp(self):
-        out = Tensor([-0.1, 0.5, 1.3]).clamp(0.0, 1.0)
-        assert np.array_equal(out.data, [0.0, 0.5, 1.0])
-
-    def test_sign_zero_is_zero(self):
-        assert np.array_equal(Tensor([-2.0, 0.0, 3.0]).sign().data, [-1.0, 0.0, 1.0])
-
-    def test_log_domain(self):
-        with pytest.raises(DomainError):
-            Tensor([1.0, 0.0]).log()
-
     def test_div_by_zero(self):
         with pytest.raises(DomainError):
             Tensor([1.0]) / Tensor([0.0])
@@ -70,9 +59,9 @@ class TestElementwise:
         rng = np.random.default_rng(0)
         x = Tensor(rng.normal(size=(5, 5)))
         y = Tensor(rng.uniform(0.5, 2.0, size=(5, 5)))
-        for out in [x + y, x - y, x * y, x / y, y.log(), x.relu(), x.abs(),
-                    x.exp(), x.clamp(-1, 1), x @ y, x.sum(), x.mean(axis=0),
-                    x.log_sum_exp(axis=1)]:
+        for out in [x + y, x - y, x * y, x / y, x.relu(), x.abs(), x.exp(),
+                    x @ y, x.sum(), x.mean(axis=0), x.log_sum_exp(axis=1),
+                    log_softmax(x)]:
             assert not np.any(np.isnan(out.data))
 
 
@@ -112,22 +101,12 @@ class TestMatmul:
 
 
 class TestReductions:
-    def test_argmax_unique(self):
-        assert Tensor([0.2, 0.7, 0.1]).argmax() == 1
-
-    def test_argmax_tie_lowest_index(self):
-        assert Tensor([0.5, 0.5]).argmax() == 0
-
     def test_mean_of_ones(self):
         assert Tensor(np.ones(4)).mean().item() == 1.0
 
     def test_invalid_axis(self):
         with pytest.raises(DimensionError):
             Tensor(np.ones((2, 2))).sum(axis=5)
-
-    def test_max_axis(self):
-        out = Tensor([[1.0, 5.0], [7.0, 2.0]]).max(axis=1)
-        assert np.array_equal(out.data, [5.0, 7.0])
 
 
 class TestLogSumExp:
@@ -233,26 +212,22 @@ def _random_ops(rng):
          lambda: (rng.normal(size=(3, 4)), rng.uniform(0.5, 2.0, size=(3, 4)))),
         ("exp", lambda t, c: t.exp().sum(), None,
          lambda: (rng.normal(size=(3, 4)), None)),
-        ("log", lambda t, c: t.log().sum(), None,
-         lambda: (rng.uniform(0.5, 3.0, size=(3, 4)), None)),
         ("relu", lambda t, c: t.relu().sum(), None,
          lambda: (rng.normal(size=(3, 4)) + 0.5, None)),
         ("abs", lambda t, c: t.abs().sum(), None,
          lambda: (rng.normal(size=(3, 4)) + 0.5, None)),
         ("pow", lambda t, c: (t ** 1.7).sum(), None,
          lambda: (rng.uniform(0.5, 2.0, size=(3, 4)), None)),
-        ("clamp", lambda t, c: t.clamp(-0.5, 0.5).sum(), None,
-         lambda: (rng.normal(size=(3, 4)), None)),
         ("matmul", lambda t, c: (t @ Tensor(c)).sum(), None,
          lambda: (rng.normal(size=(3, 4)), rng.normal(size=(4, 2)))),
         ("sum0", lambda t, c: (t.sum(axis=0) ** 2.0).sum(), None,
          lambda: (rng.normal(size=(3, 4)), None)),
         ("mean1", lambda t, c: (t.mean(axis=1) ** 2.0).sum(), None,
          lambda: (rng.normal(size=(3, 4)), None)),
-        ("max", lambda t, c: (t.max(axis=1) * Tensor(np.arange(3.0))).sum(), None,
-         lambda: (rng.normal(size=(3, 4)), None)),
         ("lse", lambda t, c: t.log_sum_exp(axis=1).sum(), None,
          lambda: (rng.normal(size=(3, 4)), None)),
+        ("log_softmax", lambda t, c: (log_softmax(t) * Tensor(c)).sum(), None,
+         lambda: (rng.normal(size=(3, 4)), rng.normal(size=(3, 4)))),
         ("gather", lambda t, c: (t.gather_rows([0, 2, 2]) ** 2.0).sum(), None,
          lambda: (rng.normal(size=(3, 4)), None)),
         ("transpose", lambda t, c: (t.transpose() @ Tensor(c)).sum(), None,
@@ -273,11 +248,6 @@ def test_fd_sweep_every_differentiable_op():
     for name, build, _, sample in ops:
         for _ in range(trials_per_op):
             x0, const = sample()
-            # keep clamp/relu/abs kinks away from the fd step
-            if name == "clamp":
-                x0 = x0[(np.abs(np.abs(x0) - 0.5) > 1e-3).all(axis=1) if x0.ndim > 1 else slice(None)]
-                if x0.shape[0] == 0:
-                    continue
             t = Tensor(x0, requires_grad=True)
             build(t, const).backward()
             fd = fd_gradient(lambda v: build(Tensor(v), const).item(), x0)

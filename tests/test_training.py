@@ -50,3 +50,16 @@ def test_seeded_contrastive_runs_write_identical_checkpoints(tmp_path, sim):
                         output_dir=str(tmp_path / run))
         blobs.append(Path(train(cfg).checkpoint_path).read_bytes())
     assert blobs[0] == blobs[1]
+
+
+def test_zero_test_latents_do_not_stop_the_epoch_evaluation(tmp_path):
+    # one ReLU unit: many test latents are exactly zero at the per-epoch report
+    cfg = RunConfig(dataset="blobs", data_per_class=10, hidden_layers=(1,), epochs=3,
+                    batch_size=64, eval_steps=5, output_dir=str(tmp_path))
+    result = train(cfg)
+    with open(result.metrics_path) as fh:
+        rows = [r for r in csv.DictReader(fh.readlines()[1:]) if r["split"] == "test"]
+    assert len(rows) == 3
+    for row in rows:
+        for key in ("d_a_plus", "d_a_minus"):
+            assert math.isfinite(float(row[key]))
