@@ -167,8 +167,8 @@ def _cmd_divergence(args):
     model = load_model(args.checkpoint)
     ds = load_dataset(args.data)
     grid = [float(v) for v in args.eps_grid.split(",")]
-    base = AttackConfig(epsilon=max(grid) or 0.05, eta=args.eta, steps=args.steps,
-                        random_init=not args.no_random_init)
+    # divergence_sweep sets epsilon on every row
+    base = AttackConfig(eta=args.eta, steps=args.steps, random_init=not args.no_random_init)
     rows = divergence_sweep(model, ds, grid, base, seed=args.seed)
     _emit_csv(rows, DIVERGENCE_COLUMNS, args.out)
     return 0

@@ -61,11 +61,6 @@ class RunConfig:
     seed: int = 0
     output_dir: str = "runs/run0"
     eval_every: int = 1
-    epoch_eval_steps: int = 10
-
-    augment_flip: bool = False
-    augment_shift: float = 0.0
-    image_shape: tuple = ()
 
     def __post_init__(self):
         if self.batch_size < 2:
@@ -82,7 +77,6 @@ class RunConfig:
             if epochs[0] != 0 or any(a >= b for a, b in zip(epochs, epochs[1:])):
                 raise ConfigError("schedule epochs must start at 0 and strictly increase")
         self.hidden_layers = tuple(int(w) for w in self.hidden_layers)
-        self.image_shape = tuple(int(v) for v in self.image_shape)
 
     # -- derived objects ---------------------------------------------------
 
@@ -127,7 +121,6 @@ class RunConfig:
         d = dataclasses.asdict(self)
         d["hidden_layers"] = list(self.hidden_layers)
         d["schedule"] = [list(s) for s in self.schedule]
-        d["image_shape"] = list(self.image_shape)
         return d
 
 
@@ -154,7 +147,7 @@ def _parse_value(key, raw):
                 raise ConfigError(f"schedule entries are epoch:lr, got {part!r}")
             pairs.append((int(epoch), float(lr)))
         return tuple(pairs)
-    if key in ("hidden_layers", "image_shape"):
+    if key == "hidden_layers":
         return tuple(int(v) for v in raw.split(",")) if raw else ()
     kind = _FIELD_TYPES[key]
     try:

@@ -1,5 +1,5 @@
-"""Desk-scale datasets: seeded synthetic generators, an on-disk format,
-and light augmentation. Features always live in [0, 1]."""
+"""Desk-scale datasets: seeded synthetic generators and an on-disk
+format. Features always live in [0, 1]."""
 
 from __future__ import annotations
 
@@ -9,15 +9,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, ContractError, FormatError
+from .errors import ContractError, FormatError
 
 __all__ = [
     "Dataset",
     "Batch",
-    "AugmentationSpec",
     "make_blobs",
     "make_two_moons",
-    "augment",
     "save_dataset",
     "load_dataset",
     "dataset_to_csv",
@@ -67,26 +65,6 @@ class Batch:
     x_adv: np.ndarray = None
 
 
-@dataclass(frozen=True)
-class AugmentationSpec:
-    """Horizontal flips and integer-pixel shifts for image-shaped rows."""
-
-    horizontal_flip: bool = False
-    shift_fraction: float = 0.10
-    apply_probability: float = 0.5
-    image_shape: tuple = None
-
-    def __post_init__(self):
-        if not 0.0 <= self.shift_fraction < 1.0:
-            raise ConfigError("shift_fraction must be in [0, 1)")
-        if not 0.0 <= self.apply_probability <= 1.0:
-            raise ConfigError("apply_probability must be in [0, 1]")
-
-    @property
-    def is_noop(self) -> bool:
-        return not self.horizontal_flip and self.shift_fraction == 0.0
-
-
 def _squash_unit(x):
     lo = x.min(axis=0, keepdims=True)
     hi = x.max(axis=0, keepdims=True)
@@ -134,33 +112,6 @@ def make_two_moons(size, noise, seed, split="train", name="moons") -> Dataset:
     feats = np.concatenate([outer, inner]) + noise * rng.standard_normal((size, 2))
     labels = np.concatenate([np.zeros(n_out, dtype=np.intp), np.ones(n_in, dtype=np.intp)])
     return Dataset(_squash_unit(feats), labels, 2, name=name, split=split)
-
-
-def augment(features, spec: AugmentationSpec, rng) -> np.ndarray:
-    """Apply flips/shifts to a batch of flattened images; outputs stay in
-    [0, 1] and shifts zero-pad at the borders."""
-    x = np.asarray(features, dtype=np.float64)
-    if spec.is_noop:
-        return x.copy()
-    if spec.image_shape is None:
-        raise ConfigError("flip/shift augmentation needs image_shape")
-    h, w = spec.image_shape
-    if h * w != x.shape[1]:
-        raise ConfigError(f"image_shape {spec.image_shape} does not match width {x.shape[1]}")
-    imgs = x.reshape(-1, h, w).copy()
-    max_dy = int(spec.shift_fraction * h)
-    max_dx = int(spec.shift_fraction * w)
-    for i in range(imgs.shape[0]):
-        if spec.horizontal_flip and rng.random() < spec.apply_probability:
-            imgs[i] = imgs[i][:, ::-1]
-        if max_dy or max_dx:
-            dy = int(rng.integers(-max_dy, max_dy + 1)) if max_dy else 0
-            dx = int(rng.integers(-max_dx, max_dx + 1)) if max_dx else 0
-            shifted = np.zeros_like(imgs[i])
-            src = imgs[i][max(0, -dy):h - max(0, dy), max(0, -dx):w - max(0, dx)]
-            shifted[max(0, dy):h - max(0, -dy), max(0, dx):w - max(0, -dx)] = src
-            imgs[i] = shifted
-    return imgs.reshape(x.shape[0], -1)
 
 
 # -- on-disk format --------------------------------------------------------

@@ -9,7 +9,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .attacks import AttackConfig, pgd_attack, robust_accuracy
-from .errors import ContractError, DegenerateInputError, DomainError
+from .errors import ContractError, DomainError
 
 __all__ = [
     "DivergenceReport",
@@ -28,9 +28,10 @@ SWEEP_COLUMNS = ("epsilon", "d_a_plus", "d_a_minus", "r_div", "robust_acc",
 
 @dataclass
 class DivergenceReport:
-    d_a_plus: float
-    d_a_minus: float
+    d_a_plus: float | None
+    d_a_minus: float | None
     r_div: float | None
+    rob_acc: float
     layer_name: str = "penultimate"
     n_samples: int = 0
 
@@ -65,7 +66,8 @@ def absolute_divergences(z, labels, z_adv=None, block_rows=None):
 
     Every pooled slot serves as anchor; its positives are all slots from
     *other* source samples with the same label, negatives those with a
-    different label. Anchors with an empty set are skipped on that side.
+    different label. Anchors with an empty set are skipped on that side;
+    a side with no anchor left (one class only, say) is None.
     An all-zero latent is at distance 1 from every slot, as it has
     similarity 0 in the contrastive loss.
     Anchors are taken ``block_rows`` at a time (default: all at once), so
@@ -94,16 +96,16 @@ def absolute_divergences(z, labels, z_adv=None, block_rows=None):
     means = []
     for side in range(2):
         keep = counts[side] > 0
-        if not np.any(keep):
-            raise DegenerateInputError("every anchor has an empty positive or negative set")
-        means.append(float((sums[side, keep] / counts[side, keep]).mean()))
-    # clip float fuzz: self-similarity rounding can give -1e-16 distances
-    return max(means[0], 0.0), max(means[1], 0.0)
+        # clip float fuzz: self-similarity rounding can give -1e-16 distances
+        means.append(max(float((sums[side, keep] / counts[side, keep]).mean()), 0.0)
+                     if np.any(keep) else None)
+    return tuple(means)
 
 
 def relative_divergence(d_a_plus, d_a_minus):
-    """Ratio intra/inter, or None when the denominator is at tolerance."""
-    if d_a_minus > RDIV_DENOM_TOL:
+    """Ratio intra/inter, or None when either side is undefined or the
+    denominator is at tolerance."""
+    if d_a_plus is not None and d_a_minus is not None and d_a_minus > RDIV_DENOM_TOL:
         return d_a_plus / d_a_minus
     return None
 
@@ -112,10 +114,11 @@ def divergence_report(model, features, labels, attack_cfg: AttackConfig | None,
                       seed=0, batch_size=128, layer_name="penultimate") -> DivergenceReport:
     """Divergences of the model's penultimate latents over a dataset.
 
-    With an attack config, pools natural and adversarial latents; without
-    one (or at epsilon 0), uses benign latents only. Inputs are encoded
-    and attacked in mini-batches, each sample on its own attack stream;
-    the divergences are then exact over the whole set and do not depend
+    With an attack config, one PGD pass gives the adversarial latents, pooled
+    with the natural ones, and ``rob_acc``, the accuracy on exactly those
+    inputs; without one (or at epsilon 0), the pool is benign-only and
+    ``rob_acc`` is natural accuracy. Inputs are encoded and attacked in
+    mini-batches, each sample on its own attack stream; no result depends
     on ``batch_size``.
     """
     features = np.asarray(features, dtype=np.float64)
@@ -123,21 +126,25 @@ def divergence_report(model, features, labels, attack_cfg: AttackConfig | None,
     if features.shape[0] == 0:
         raise ContractError("divergence report on an empty dataset")
     attacked = attack_cfg is not None and attack_cfg.epsilon > 0
-    z_parts, adv_parts = [], []
-    for lo in range(0, features.shape[0], batch_size):
-        xb = features[lo:lo + batch_size]
-        z_parts.append(model.encode(xb).data)
-        if attacked:
-            x_adv = pgd_attack(model, xb, labels[lo:lo + batch_size], attack_cfg,
-                               seed=seed, index_base=lo)
-            adv_parts.append(model.encode(x_adv).data)
+    adv_parts = []
+
+    def attack_and_encode(model, x, y, cfg, seed=0, index_base=0):
+        x_adv = pgd_attack(model, x, y, cfg, seed=seed, index_base=index_base)
+        adv_parts.append(model.encode(x_adv).data)
+        return x_adv
+
+    rob_acc = robust_accuracy(model, features, labels,
+                              attack_and_encode if attacked else "none", attack_cfg,
+                              seed=seed, batch_size=batch_size)
+    z = np.concatenate([model.encode(features[lo:lo + batch_size]).data
+                        for lo in range(0, features.shape[0], batch_size)])
     d_plus, d_minus = absolute_divergences(
-        np.concatenate(z_parts), labels,
-        np.concatenate(adv_parts) if attacked else None, block_rows=batch_size)
+        z, labels, np.concatenate(adv_parts) if attacked else None, block_rows=batch_size)
     return DivergenceReport(
         d_a_plus=d_plus,
         d_a_minus=d_minus,
         r_div=relative_divergence(d_plus, d_minus),
+        rob_acc=rob_acc,
         layer_name=layer_name,
         n_samples=int(features.shape[0]),
     )
@@ -147,22 +154,21 @@ def divergence_sweep(model, dataset, eps_grid, base_cfg: AttackConfig, seed=0,
                      batch_size=128):
     """Rows of (epsilon, divergences, robust accuracy), ascending in epsilon.
 
+    Each row attacks the dataset once, with ``base_cfg`` at that epsilon.
     At epsilon 0 the attack is the identity, so that row holds benign-only
     latents and natural accuracy.
     """
     rows = []
     for eps in sorted(float(e) for e in eps_grid):
-        cfg = replace(base_cfg, epsilon=eps)
         report = divergence_report(model, dataset.features, dataset.labels,
-                                   cfg, seed=seed, batch_size=batch_size)
-        acc = robust_accuracy(model, dataset.features, dataset.labels,
-                              "pgd", cfg, seed=seed)
+                                   replace(base_cfg, epsilon=eps), seed=seed,
+                                   batch_size=batch_size)
         rows.append({
             "epsilon": eps,
             "d_a_plus": report.d_a_plus,
             "d_a_minus": report.d_a_minus,
             "r_div": report.r_div,
-            "robust_acc": acc,
+            "robust_acc": report.rob_acc,
             "n_samples": report.n_samples,
             "layer_name": report.layer_name,
         })

@@ -18,15 +18,11 @@ class GraphStateError(RuntimeError):
 
 
 class ConfigError(ValueError):
-    """Invalid model, augmentation, or run configuration."""
+    """Invalid model or run configuration."""
 
 
 class FormatError(ValueError):
     """A serialized file is malformed; message carries the byte offset."""
-
-
-class DegenerateInputError(ValueError):
-    """Statistics requested on input where every contributing set is empty."""
 
 
 class TrainingAborted(RuntimeError):

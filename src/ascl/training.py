@@ -14,7 +14,7 @@ import numpy as np
 from . import __version__
 from .attacks import AttackConfig, pgd_attack, robust_accuracy
 from .config import RunConfig
-from .data import AugmentationSpec, Batch, Dataset, augment, iter_batches
+from .data import Batch, Dataset, iter_batches
 from .divergence import divergence_report
 from .errors import ContractError, TrainingAborted
 from .losses import total_loss
@@ -37,7 +37,7 @@ __all__ = [
 ]
 
 # rng stream tags, combined with the run seed as (seed, tag, ...)
-_S_INIT, _S_SHUFFLE, _S_ATTACK, _S_EPOCH_EVAL, _S_FINAL_EVAL, _S_AUG = range(6)
+_S_INIT, _S_SHUFFLE, _S_ATTACK, _S_EPOCH_EVAL, _S_FINAL_EVAL = range(5)
 
 
 class Adam:
@@ -193,12 +193,6 @@ def train(cfg: RunConfig, quiet=True) -> TrainResult:
         opt = SGD(model.parameters, lr=schedule[0][1], momentum=cfg.momentum,
                   weight_decay=cfg.weight_decay)
 
-    aug = None
-    if cfg.augment_flip or cfg.augment_shift > 0:
-        aug = AugmentationSpec(horizontal_flip=cfg.augment_flip,
-                               shift_fraction=cfg.augment_shift,
-                               image_shape=cfg.image_shape or None)
-
     os.makedirs(cfg.output_dir, exist_ok=True)
     metrics_path = os.path.join(cfg.output_dir, "metrics.csv")
     checkpoint_path = os.path.join(cfg.output_dir, "model.ckpt")
@@ -210,12 +204,9 @@ def train(cfg: RunConfig, quiet=True) -> TrainResult:
         for epoch in range(cfg.epochs):
             opt.lr = lr_at(schedule, epoch)
             shuffle_rng = np.random.default_rng((cfg.seed, _S_SHUFFLE, epoch))
-            aug_rng = np.random.default_rng((cfg.seed, _S_AUG, epoch))
             sums, steps = {}, 0
             for step, (x, y) in enumerate(iter_batches(train_ds, cfg.batch_size,
                                                        shuffle_rng)):
-                if aug is not None:
-                    x = augment(x, aug, aug_rng)
                 try:
                     frag = train_step(model, opt, x, y, cfg,
                                       step_seed=(cfg.seed, _S_ATTACK, epoch, step))
@@ -264,13 +255,12 @@ def train(cfg: RunConfig, quiet=True) -> TrainResult:
 
 
 def _eval_row(model, test_ds, cfg: RunConfig, epoch, started) -> MetricsRow:
-    cheap = replace(cfg.eval_attack(), steps=cfg.epoch_eval_steps)
-    nat = _natural_accuracy(model, test_ds)
-    rob = robust_accuracy(model, test_ds.features, test_ds.labels, "pgd", cheap,
-                          seed=(cfg.seed, _S_EPOCH_EVAL, epoch))
+    """Test row of one epoch: one pass of the training attack gives both
+    ``rob_acc`` (robust accuracy under the training attack) and d+/d-."""
     report = divergence_report(model, test_ds.features, test_ds.labels,
                                cfg.train_attack(), seed=(cfg.seed, _S_EPOCH_EVAL, epoch))
-    return MetricsRow(epoch=epoch, split="test", nat_acc=nat, rob_acc=rob,
+    return MetricsRow(epoch=epoch, split="test", nat_acc=_natural_accuracy(model, test_ds),
+                      rob_acc=report.rob_acc,
                       d_a_plus=report.d_a_plus, d_a_minus=report.d_a_minus,
                       r_div=report.r_div,
                       wall_time_s=time.monotonic() - started)
@@ -313,7 +303,7 @@ def sweep(base_cfg: RunConfig, strategies, scl_grid, vat_grid, epochs=None):
             row["nat_acc"] = result.summary["final"]["nat_acc"]
             row["rob_acc"] = result.summary["final"]["rob_acc"]
         except Exception as e:  # per-cell isolation
-            row["status"] = f"failed: {type(e).__name__}"
+            row["status"] = f"failed: {type(e).__name__}: {e}"
         rows.append(row)
     return rows
 

@@ -1,0 +1,68 @@
+import struct
+
+import numpy as np
+import pytest
+
+from ascl.data import DATASET_MAGIC, load_dataset, make_blobs, save_dataset
+from ascl.errors import FormatError
+
+HEADER = 8 + struct.calcsize("<IIIB")
+
+
+@pytest.fixture()
+def blob(tmp_path):
+    ds = make_blobs(3, 4, 5, 0.1, seed=3, split="test")
+    path = tmp_path / "blobs.ds"
+    save_dataset(ds, path)
+    return ds, path, path.read_bytes()
+
+
+def _load(tmp_path, data):
+    path = tmp_path / "edited.ds"
+    path.write_bytes(data)
+    return load_dataset(path)
+
+
+def test_round_trip_is_bitwise(blob, tmp_path):
+    ds, path, data = blob
+    back = load_dataset(path)
+    assert back.features.tobytes() == ds.features.tobytes()
+    assert np.array_equal(back.labels, ds.labels)
+    assert (back.num_classes, back.split, back.name) == (3, "test", "blobs")
+    save_dataset(back, tmp_path / "again.ds")
+    assert (tmp_path / "again.ds").read_bytes() == data
+    assert len(data) == HEADER + 12 * (8 * 5 + 4)
+
+
+def test_bad_magic(blob, tmp_path):
+    _, _, data = blob
+    with pytest.raises(FormatError, match="bad dataset magic at byte 0"):
+        _load(tmp_path, b"XSCLDS1\x00" + data[8:])
+
+
+def test_truncated_header(tmp_path):
+    with pytest.raises(FormatError, match="truncated header at byte 14"):
+        _load(tmp_path, DATASET_MAGIC + bytes(6))
+
+
+def test_split_code_two(blob, tmp_path):
+    _, _, data = blob
+    edited = data[:HEADER - 1] + bytes([2]) + data[HEADER:]
+    with pytest.raises(FormatError, match="bad split code 2 at byte 20"):
+        _load(tmp_path, edited)
+
+
+def test_truncated_payload_names_the_first_missing_byte(blob, tmp_path):
+    _, _, data = blob
+    cut = len(data) - 7
+    with pytest.raises(FormatError, match=f"first missing byte at {cut}\\)"):
+        _load(tmp_path, data[:cut])
+
+
+def test_label_out_of_range(blob, tmp_path):
+    _, _, data = blob
+    # the first record's label follows its 5 features
+    at = HEADER + 8 * 5
+    edited = data[:at] + struct.pack("<I", 3) + data[at + 4:]
+    with pytest.raises(FormatError, match="labels must lie in"):
+        _load(tmp_path, edited)

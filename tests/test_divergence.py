@@ -1,14 +1,17 @@
 import io
+from collections import Counter
 
 import numpy as np
 import pytest
 
+import ascl.attacks
+import ascl.divergence
 from ascl.attacks import AttackConfig, pgd_attack
 from ascl.config import RunConfig
 from ascl.divergence import (SWEEP_COLUMNS, absolute_divergences, cosine_distance,
                              divergence_report, divergence_sweep,
                              relative_divergence)
-from ascl.errors import DegenerateInputError, DomainError
+from ascl.errors import DomainError
 from ascl.training import train, write_csv
 
 
@@ -133,9 +136,18 @@ class TestAbsoluteDivergences:
         assert a == pytest.approx(b, rel=1e-12)
 
     def test_single_class_is_degenerate(self):
+        # no anchor has a negative: d- is undefined, d+ still exact
         z = np.random.default_rng(6).normal(size=(4, 3))
-        with pytest.raises(DegenerateInputError):
-            absolute_divergences(z, [1, 1, 1, 1], z.copy())
+        labels = np.ones(4, dtype=np.intp)
+        dp, dm = absolute_divergences(z, labels, z.copy())
+        pool = np.concatenate([z, z])
+        src = np.concatenate([np.arange(4)] * 2)
+        expected = np.mean([np.mean([cosine_distance(pool[i], pool[j])
+                                     for j in range(8) if src[j] != src[i]])
+                            for i in range(8)])
+        assert dp == pytest.approx(expected, rel=1e-12)
+        assert dm is None
+        assert relative_divergence(dp, dm) is None
 
     def test_skips_empty_positive_anchors(self):
         # one isolated sample of class 2: its slots have no positives but
@@ -181,6 +193,24 @@ class TestSweep:
         assert zero["robust_acc"] == (nat_preds == test.labels).mean()
         benign = divergence_report(model, test.features, test.labels, None)
         assert zero["d_a_plus"] == benign.d_a_plus
+
+    def test_each_attacked_row_attacks_every_sample_once(self, trained_for_sweep,
+                                                          monkeypatch):
+        model, test = trained_for_sweep
+        attacked = Counter()
+
+        def counting(model, x, y, cfg, seed=0, index_base=0, **kwargs):
+            attacked.update((cfg.epsilon, index_base + i) for i in range(len(x)))
+            return pgd_attack(model, x, y, cfg, seed=seed, index_base=index_base, **kwargs)
+
+        # every name under which the sweep could reach the attack
+        monkeypatch.setattr(ascl.attacks, "pgd_attack", counting)
+        monkeypatch.setattr(ascl.divergence, "pgd_attack", counting)
+        grid = [0.0, 0.02, 0.05]
+        rows = divergence_sweep(model, test, grid, AttackConfig(eta=0.02, steps=3),
+                                seed=0, batch_size=64)
+        assert len(rows) == 3
+        assert attacked == Counter((eps, i) for eps in grid[1:] for i in range(len(test)))
 
     def test_csv_schema(self, trained_for_sweep):
         model, test = trained_for_sweep

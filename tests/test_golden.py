@@ -24,7 +24,7 @@ from ascl.cli import cli
 from ascl.data import save_dataset
 
 _COMMON = dict(hidden_layers=(8, 8), epochs=4, lr=1e-2, train_steps=3, eval_steps=5,
-               epoch_eval_steps=3, eval_every=1, seed=3)
+               eval_every=1, seed=3)
 CONFIGS = {
     "at_moons": dict(dataset="moons", data_size=100, batch_size=25, lambda_scl=0.0,
                      lambda_vat=0.0),

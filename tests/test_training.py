@@ -3,12 +3,17 @@ import math
 import os
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
+import ascl.attacks
+import ascl.divergence
+from ascl.cli import cli
 from ascl.config import RunConfig
-from ascl.training import train
+from ascl.data import Dataset, make_blobs, save_dataset
+from ascl.training import SWEEP_COLUMNS, sweep, train
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
 
@@ -63,3 +68,61 @@ def test_zero_test_latents_do_not_stop_the_epoch_evaluation(tmp_path):
     for row in rows:
         for key in ("d_a_plus", "d_a_minus"):
             assert math.isfinite(float(row[key]))
+
+
+def _test_rows(metrics_path):
+    with open(metrics_path) as fh:
+        return [r for r in csv.DictReader(fh.readlines()[1:]) if r["split"] == "test"]
+
+
+def test_each_evaluated_epoch_attacks_every_test_sample_once(tmp_path, monkeypatch):
+    attacked = Counter()
+    real = ascl.attacks.pgd_attack
+
+    def counting(model, x, y, cfg, seed=0, index_base=0, **kwargs):
+        attacked.update((tuple(seed), index_base + i) for i in range(len(x)))
+        return real(model, x, y, cfg, seed=seed, index_base=index_base, **kwargs)
+
+    # the evaluation attacks; training steps call ascl.training.pgd_attack
+    monkeypatch.setattr(ascl.attacks, "pgd_attack", counting)
+    monkeypatch.setattr(ascl.divergence, "pgd_attack", counting)
+    cfg = RunConfig(dataset="moons", data_size=40, hidden_layers=(8,), epochs=3,
+                    batch_size=20, train_steps=2, eval_steps=2, eval_every=1, seed=5,
+                    output_dir=str(tmp_path))
+    train(cfg)
+    n = cfg.data_size
+    # stream tags: 3 per-epoch evaluation, 4 final evaluation
+    expected = Counter((5, 3, epoch, i) for epoch in range(3) for i in range(n))
+    expected.update((5, 4, i) for i in range(n))
+    assert Counter({seed + (i,): k for (seed, i), k in attacked.items()}) == expected
+
+
+def test_one_class_test_split_leaves_the_divergences_empty(tmp_path):
+    ds = make_blobs(3, 10, 4, 0.1, seed=1)
+    train_path, test_path = tmp_path / "train.ds", tmp_path / "test.ds"
+    save_dataset(ds, train_path)
+    keep = ds.labels == 0
+    save_dataset(Dataset(ds.features[keep], ds.labels[keep], 3, split="test"), test_path)
+    out = tmp_path / "run"
+    assert cli(["train", "--dataset", str(train_path), "--dataset-test", str(test_path),
+                "--epochs", "2", "--eval-steps", "3", "--output-dir", str(out)]) == 0
+    rows = _test_rows(out / "metrics.csv")
+    assert len(rows) == 2
+    for row in rows:
+        assert row["d_a_minus"] == "" and row["r_div"] == ""
+        assert math.isfinite(float(row["d_a_plus"]))
+        assert 0.0 <= float(row["rob_acc"]) <= 1.0
+
+
+def test_sweep_records_the_failure_and_continues(tmp_path):
+    base = RunConfig(dataset="moons", data_size=20, hidden_layers=(4,), epochs=1,
+                     batch_size=10, train_steps=1, eval_steps=1, eval_every=0,
+                     output_dir=str(tmp_path))
+    rows = sweep(base, ["global"], [1.0, -1.0], [2.0])
+    assert [(r["lambda_scl"], r["status"]) for r in rows] == [
+        (-1.0, "failed: ContractError: loss weights must be nonnegative"),
+        (1.0, "ok"),
+    ]
+    assert rows[0]["nat_acc"] is None and rows[0]["rob_acc"] is None
+    assert rows[1]["nat_acc"] is not None and rows[1]["rob_acc"] is not None
+    assert all(set(r) == set(SWEEP_COLUMNS) for r in rows)
