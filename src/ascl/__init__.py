@@ -11,9 +11,9 @@ __version__ = "0.1.0"
 from .attacks import AttackConfig, multi_targeted_pgd, pgd_attack, project_linf, robust_accuracy
 from .config import RunConfig, parse_config_file
 from .data import Batch, Dataset, make_blobs, make_two_moons
-from .divergence import DivergenceReport, absolute_divergences, cosine_distance, divergence_sweep
+from .divergence import DivergenceReport, absolute_divergences, divergence_sweep
 from .losses import LossWeights, SelectionResult, select, selection_stats, total_loss
-from .models import MLPClassifier, ModelSpec, PredictionSnapshot, load_model, save_model, snapshot
+from .models import MLPClassifier, ModelSpec, PredictionSnapshot, load_model, save_model
 from .tensor import Tensor, concat
 from .training import evaluate, sweep, train
 
@@ -21,8 +21,8 @@ __all__ = [
     "AttackConfig", "Batch", "Dataset", "DivergenceReport", "LossWeights",
     "MLPClassifier", "ModelSpec", "PredictionSnapshot", "RunConfig",
     "SelectionResult", "Tensor", "absolute_divergences", "concat",
-    "cosine_distance", "divergence_sweep", "evaluate", "load_model",
-    "make_blobs", "make_two_moons", "multi_targeted_pgd", "parse_config_file",
-    "pgd_attack", "project_linf", "robust_accuracy", "save_model", "select",
-    "selection_stats", "snapshot", "sweep", "total_loss", "train",
+    "divergence_sweep", "evaluate", "load_model", "make_blobs", "make_two_moons",
+    "multi_targeted_pgd", "parse_config_file", "pgd_attack", "project_linf",
+    "robust_accuracy", "save_model", "select", "selection_stats", "sweep",
+    "total_loss", "train",
 ]

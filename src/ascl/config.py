@@ -44,16 +44,11 @@ class RunConfig:
     train_eps: float = 0.05
     train_eta: float = 0.0125
     train_steps: int = 10
-    train_random_init: bool = True
     eval_eps: float = 0.05
     eval_eta: float = 0.0125
     eval_steps: int = 250
-    eval_random_init: bool = True
 
-    optimizer: str = "adam"
     lr: float = 1e-3
-    momentum: float = 0.9
-    weight_decay: float = 0.0
     schedule: tuple = ()
 
     epochs: int = 30
@@ -69,8 +64,6 @@ class RunConfig:
             raise ConfigError("epochs must be nonnegative")
         if self.strategy not in STRATEGIES:
             raise ConfigError(f"strategy must be one of {STRATEGIES}")
-        if self.optimizer not in ("adam", "sgd"):
-            raise ConfigError("optimizer must be adam or sgd")
         self.schedule = tuple((int(e), float(v)) for e, v in self.schedule)
         if self.schedule:
             epochs = [e for e, _ in self.schedule]
@@ -88,12 +81,10 @@ class RunConfig:
                            tau=self.tau, similarity=self.similarity)
 
     def train_attack(self) -> AttackConfig:
-        return AttackConfig(epsilon=self.train_eps, eta=self.train_eta,
-                            steps=self.train_steps, random_init=self.train_random_init)
+        return AttackConfig(epsilon=self.train_eps, eta=self.train_eta, steps=self.train_steps)
 
     def eval_attack(self) -> AttackConfig:
-        return AttackConfig(epsilon=self.eval_eps, eta=self.eval_eta,
-                            steps=self.eval_steps, random_init=self.eval_random_init)
+        return AttackConfig(epsilon=self.eval_eps, eta=self.eval_eta, steps=self.eval_steps)
 
     def model_spec(self, input_dim, num_classes) -> ModelSpec:
         return ModelSpec(input_dim=input_dim, hidden_layers=self.hidden_layers,
@@ -137,20 +128,20 @@ def _parse_bool(v, key):
 
 def _parse_value(key, raw):
     raw = raw.strip()
-    if key == "schedule":
-        if not raw:
-            return ()
-        pairs = []
-        for part in raw.split(","):
-            epoch, _, lr = part.partition(":")
-            if not lr:
-                raise ConfigError(f"schedule entries are epoch:lr, got {part!r}")
-            pairs.append((int(epoch), float(lr)))
-        return tuple(pairs)
-    if key == "hidden_layers":
-        return tuple(int(v) for v in raw.split(",")) if raw else ()
     kind = _FIELD_TYPES[key]
     try:
+        if key == "schedule":
+            if not raw:
+                return ()
+            pairs = []
+            for part in raw.split(","):
+                epoch, _, lr = part.partition(":")
+                if not lr:
+                    raise ConfigError(f"schedule entries are epoch:lr, got {part!r}")
+                pairs.append((int(epoch), float(lr)))
+            return tuple(pairs)
+        if key == "hidden_layers":
+            return tuple(int(v) for v in raw.split(",")) if raw else ()
         if kind == "int":
             return int(raw)
         if kind == "float":

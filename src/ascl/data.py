@@ -120,14 +120,19 @@ def make_two_moons(size, noise, seed, split="train", name="moons") -> Dataset:
 # (0=train, 1=test), then M records of D f64 features plus a u32 label.
 
 
+def _record_dtype(d):
+    return np.dtype([("x", "<f8", (d,)), ("y", "<u4")])
+
+
 def save_dataset(ds: Dataset, path):
+    m, d = ds.features.shape
+    records = np.empty(m, dtype=_record_dtype(d))
+    records["x"] = ds.features
+    records["y"] = ds.labels
     with open(path, "wb") as fh:
         fh.write(DATASET_MAGIC)
-        m, d = ds.features.shape
         fh.write(struct.pack("<IIIB", m, d, ds.num_classes, _SPLITS.index(ds.split)))
-        for i in range(m):
-            fh.write(np.ascontiguousarray(ds.features[i], dtype="<f8").tobytes())
-            fh.write(struct.pack("<I", int(ds.labels[i])))
+        fh.write(records.tobytes())
 
 
 def load_dataset(path) -> Dataset:
@@ -141,23 +146,17 @@ def load_dataset(path) -> Dataset:
     m, d, c, split_code = struct.unpack_from("<IIIB", blob, 8)
     if split_code >= len(_SPLITS):
         raise FormatError(f"bad split code {split_code} at byte {8 + 12}")
-    record = 8 * d + 4
-    expected = header_end + m * record
+    record = _record_dtype(d)
+    expected = header_end + m * record.itemsize
     if len(blob) != expected:
         raise FormatError(
             f"payload size mismatch: have {len(blob)} bytes, header implies {expected}"
             f" (first missing byte at {min(len(blob), expected)})")
-    feats = np.empty((m, d), dtype=np.float64)
-    labels = np.empty(m, dtype=np.intp)
-    off = header_end
-    for i in range(m):
-        feats[i] = np.frombuffer(blob, dtype="<f8", count=d, offset=off)
-        off += 8 * d
-        (labels[i],) = struct.unpack_from("<I", blob, off)
-        off += 4
+    records = np.frombuffer(blob, dtype=record, count=m, offset=header_end)
     name = str(path).rsplit("/", 1)[-1].rsplit(".", 1)[0]
     try:
-        return Dataset(feats, labels, c, name=name, split=_SPLITS[split_code])
+        return Dataset(records["x"].copy(), records["y"], c, name=name,
+                       split=_SPLITS[split_code])
     except ContractError as e:
         raise FormatError(f"invalid payload after byte {header_end}: {e}") from e
 

@@ -9,11 +9,10 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .attacks import AttackConfig, pgd_attack, robust_accuracy
-from .errors import ContractError, DomainError
+from .errors import ContractError
 
 __all__ = [
     "DivergenceReport",
-    "cosine_distance",
     "absolute_divergences",
     "relative_divergence",
     "divergence_report",
@@ -34,16 +33,6 @@ class DivergenceReport:
     rob_acc: float
     layer_name: str = "penultimate"
     n_samples: int = 0
-
-
-def cosine_distance(z_a, z_b) -> float:
-    """1 - cosine similarity; lies in [0, 2]."""
-    a = np.asarray(z_a, dtype=np.float64)
-    b = np.asarray(z_b, dtype=np.float64)
-    na, nb = np.linalg.norm(a), np.linalg.norm(b)
-    if not (na > 0 and nb > 0):
-        raise DomainError("cosine distance of a zero vector")
-    return float(1.0 - np.dot(a, b) / (na * nb))
 
 
 def _pooled(z, labels, z_adv):

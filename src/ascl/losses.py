@@ -32,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ContractError, DomainError
+from .errors import ContractError
 from .models import MLPClassifier, PredictionSnapshot, snapshot_from_logits
 from .tensor import Tensor, concat, log_softmax, pairwise_lp
 
@@ -43,7 +43,6 @@ __all__ = [
     "selection_masks",
     "select",
     "selection_stats",
-    "similarity",
     "supcon_batch",
     "at_loss",
     "vat_loss",
@@ -136,19 +135,6 @@ def selection_stats(strategy, labels, snapshot=None):
     if len(labels) < 2:
         raise ContractError("selection stats need a batch of at least 2")
     return _mean_counts(*selection_masks(strategy, labels, snapshot))
-
-
-def similarity(weights: LossWeights, z_a: Tensor, z_b: Tensor) -> Tensor:
-    """Similarity between two latent vectors: cosine, or negated Lp distance."""
-    a = z_a if isinstance(z_a, Tensor) else Tensor(z_a)
-    b = z_b if isinstance(z_b, Tensor) else Tensor(z_b)
-    kind, p = _parse_similarity(weights.similarity)
-    if kind == "cosine":
-        if not np.linalg.norm(a.data) > 0 or not np.linalg.norm(b.data) > 0:
-            raise DomainError("cosine similarity of a zero vector")
-        dot = (a * b).sum()
-        return dot / ((a * a).sum().sqrt() * (b * b).sum().sqrt())
-    return -(((a - b).abs() ** p).sum() ** (1.0 / p))
 
 
 def _similarity_matrix(pool: Tensor, weights) -> Tensor:

@@ -5,7 +5,7 @@ from __future__ import annotations
 
 import json
 import struct
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -16,7 +16,6 @@ __all__ = [
     "ModelSpec",
     "MLPClassifier",
     "PredictionSnapshot",
-    "snapshot",
     "snapshot_from_logits",
     "snapshot_from_predictions",
     "save_model",
@@ -57,29 +56,6 @@ class ModelSpec:
     @property
     def latent_dim(self) -> int:
         return self.hidden_layers[-1]
-
-    def to_dict(self) -> dict:
-        return {
-            "input_dim": self.input_dim,
-            "hidden_layers": list(self.hidden_layers),
-            "num_classes": self.num_classes,
-            "activation": self.activation,
-            "projection": self.projection,
-            "projection_dim": self.projection_dim,
-            "projection_mid": self.projection_mid,
-        }
-
-    @staticmethod
-    def from_dict(d: dict) -> "ModelSpec":
-        return ModelSpec(
-            input_dim=int(d["input_dim"]),
-            hidden_layers=tuple(d["hidden_layers"]),
-            num_classes=int(d["num_classes"]),
-            activation=d["activation"],
-            projection=d["projection"],
-            projection_dim=int(d["projection_dim"]),
-            projection_mid=int(d["projection_mid"]),
-        )
 
 
 def _glorot(rng, fan_in, fan_out):
@@ -198,15 +174,6 @@ def snapshot_from_predictions(preds_nat, preds_adv, num_classes) -> PredictionSn
     return snapshot_from_logits(Tensor(eye[preds_nat]), Tensor(eye[preds_adv]))
 
 
-def snapshot(model: MLPClassifier, x_nat, x_adv) -> PredictionSnapshot:
-    """Predictions on a paired batch from one pair of forwards."""
-    xn = np.asarray(x_nat, dtype=np.float64)
-    xa = np.asarray(x_adv, dtype=np.float64)
-    if xn.shape[0] != xa.shape[0]:
-        raise ContractError(f"batch sizes disagree: {xn.shape[0]} vs {xa.shape[0]}")
-    return snapshot_from_logits(model.forward(xn), model.forward(xa))
-
-
 # -- checkpoint io -------------------------------------------------------------
 #
 # Layout (little-endian): 8-byte magic, u32 spec-JSON length, spec JSON
@@ -216,7 +183,7 @@ def snapshot(model: MLPClassifier, x_nat, x_adv) -> PredictionSnapshot:
 def save_model(model: MLPClassifier, path):
     blob = bytearray()
     blob += CHECKPOINT_MAGIC
-    spec_json = json.dumps(model.spec.to_dict(), sort_keys=True).encode("utf-8")
+    spec_json = json.dumps(asdict(model.spec), sort_keys=True).encode("utf-8")
     blob += struct.pack("<I", len(spec_json))
     blob += spec_json
     for p in model._params:
@@ -238,8 +205,8 @@ def load_model(path) -> MLPClassifier:
     if len(blob) < off + spec_len:
         raise FormatError(f"truncated checkpoint at byte {len(blob)}")
     try:
-        spec = ModelSpec.from_dict(json.loads(blob[off:off + spec_len].decode("utf-8")))
-    except (ValueError, KeyError) as e:
+        spec = ModelSpec(**json.loads(blob[off:off + spec_len].decode("utf-8")))
+    except (ValueError, TypeError) as e:
         raise FormatError(f"bad spec record at byte {off}: {e}") from e
     off += spec_len
 

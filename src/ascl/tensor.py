@@ -59,7 +59,7 @@ class Tensor:
     def item(self) -> float:
         if self.data.size != 1:
             raise ContractError(f"item() on tensor of shape {self.shape}")
-        return float(self.data)
+        return self.data.item()
 
     def __repr__(self):
         return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
@@ -273,25 +273,6 @@ class Tensor:
 
         return Tensor._make(self.data.T, (self,), back)
 
-    def gather_rows(self, indices):
-        """Select rows of a 2-D tensor; backward scatter-adds."""
-        if self.data.ndim != 2:
-            raise DimensionError("gather_rows expects a 2-D tensor")
-        idx = np.asarray(indices, dtype=np.intp)
-        if idx.ndim != 1:
-            raise DimensionError("gather_rows expects a 1-D index list")
-        if idx.size and (idx.min() < 0 or idx.max() >= self.shape[0]):
-            raise ContractError("row index out of range")
-        shape = self.data.shape
-
-        def back(g):
-            if self.requires_grad:
-                full = np.zeros(shape, dtype=np.float64)
-                np.add.at(full, idx, g)
-                self._accumulate(full)
-
-        return Tensor._make(self.data[idx], (self,), back)
-
     # -- reductions -------------------------------------------------------------
 
     def _check_axis(self, axis):
@@ -323,10 +304,7 @@ class Tensor:
         shifted = np.exp(a - m)
         total = shifted.sum(axis=axis, keepdims=True)
         out_full = m + np.log(total)
-        out_data = out_full if axis is None and a.ndim == 0 else (
-            out_full.reshape(()) if axis is None else
-            (out_full if keepdims else np.squeeze(out_full, axis=axis))
-        )
+        out_data = out_full if keepdims else np.squeeze(out_full, axis=axis)
         soft = shifted / total
 
         def back(g):

@@ -1,4 +1,4 @@
-"""Training loop, optimizers, metrics logging, evaluation, and sweeps."""
+"""Training loop, the Adam optimizer, metrics logging, evaluation, and sweeps."""
 
 from __future__ import annotations
 
@@ -22,7 +22,6 @@ from .models import MLPClassifier, save_model
 
 __all__ = [
     "Adam",
-    "SGD",
     "lr_at",
     "MetricsRow",
     "MetricsWriter",
@@ -62,26 +61,6 @@ class Adam:
             mhat = m / (1 - b1 ** self.t)
             vhat = v / (1 - b2 ** self.t)
             p.data = p.data - self.lr * mhat / (np.sqrt(vhat) + self.eps)
-
-
-class SGD:
-    def __init__(self, params, lr=0.1, momentum=0.0, weight_decay=0.0):
-        self.params = list(params)
-        self.lr = lr
-        self.momentum = momentum
-        self.weight_decay = weight_decay
-        self.buf = [np.zeros_like(p.data) for p in self.params]
-
-    def step(self):
-        for p, buf in zip(self.params, self.buf):
-            if p.grad is None:
-                continue
-            g = p.grad
-            if self.weight_decay:
-                g = g + self.weight_decay * p.data
-            buf *= self.momentum
-            buf += g
-            p.data = p.data - self.lr * buf
 
 
 def lr_at(schedule, epoch):
@@ -187,11 +166,7 @@ def train(cfg: RunConfig, quiet=True) -> TrainResult:
     spec = cfg.model_spec(train_ds.dim, train_ds.num_classes)
     model = MLPClassifier(spec, seed=(cfg.seed, _S_INIT))
     schedule = cfg.effective_schedule()
-    if cfg.optimizer == "adam":
-        opt = Adam(model.parameters, lr=schedule[0][1])
-    else:
-        opt = SGD(model.parameters, lr=schedule[0][1], momentum=cfg.momentum,
-                  weight_decay=cfg.weight_decay)
+    opt = Adam(model.parameters, lr=schedule[0][1])
 
     os.makedirs(cfg.output_dir, exist_ok=True)
     metrics_path = os.path.join(cfg.output_dir, "metrics.csv")

@@ -1,10 +1,10 @@
 """Per-anchor reference implementation of the supervised contrastive loss.
 
 One small graph per anchor: gather the anchor row, its numerator rows and
-its denominator rows from the pool, then ``log_sum_exp`` minus a mean.
-It is slow, and it shares no loss arithmetic with the vectorised
-``supcon_batch``, so the tests use it as a second oracle for that
-function, gradients included.
+its denominator rows from the pool by one-hot matmul, then ``log_sum_exp``
+minus a mean. It is slow, and it shares no loss arithmetic with the
+vectorised ``supcon_batch``, so the tests use it as a second oracle for
+that function, gradients included.
 """
 
 import numpy as np
@@ -29,14 +29,20 @@ def similarity_rows(weights, rows: Tensor, anchor: Tensor) -> Tensor:
     return -((diff.abs() ** p).sum(axis=1, keepdims=True) ** (1.0 / p))
 
 
+def gather_rows(t: Tensor, idx) -> Tensor:
+    """Rows ``idx`` of a 2-D tensor as a one-hot matmul: each output entry
+    is one product by 1.0 plus zeros, so values are exact."""
+    return Tensor(np.eye(t.shape[0])[np.asarray(idx, dtype=np.intp)]) @ t
+
+
 def anchor_loss(anchor_slot, partner_slot, pool, sel, weights):
     # numerator terms: positives plus the anchor's other view; denominator
     # adds the negatives; the anchor itself appears in neither
     num_idx = np.concatenate([sel.positives, [partner_slot]])
     den_idx = np.concatenate([sel.positives, sel.negatives, [partner_slot]])
-    anchor_vec = pool.gather_rows([anchor_slot])
-    num_sims = similarity_rows(weights, pool.gather_rows(num_idx), anchor_vec) / weights.tau
-    den_sims = similarity_rows(weights, pool.gather_rows(den_idx), anchor_vec) / weights.tau
+    anchor_vec = gather_rows(pool, [anchor_slot])
+    num_sims = similarity_rows(weights, gather_rows(pool, num_idx), anchor_vec) / weights.tau
+    den_sims = similarity_rows(weights, gather_rows(pool, den_idx), anchor_vec) / weights.tau
     return den_sims.log_sum_exp() - num_sims.mean()
 
 

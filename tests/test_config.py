@@ -9,12 +9,12 @@ from ascl.errors import ConfigError
 NON_DEFAULT = RunConfig(dataset="blobs", data_classes=4, data_dims=6, hidden_layers=(16, 8, 4),
                         projection="two_layer", strategy="leaked", lambda_scl=0.5, tau=0.1,
                         similarity="lp:2", nat_ce=False, use_vat=False, train_eps=0.03,
-                        train_random_init=False, eval_steps=20, optimizer="sgd",
-                        weight_decay=5e-4, schedule=((0, 0.1), (5, 0.01), (8, 0.001)),
+                        eval_steps=20, schedule=((0, 0.1), (5, 0.01), (8, 0.001)),
                         epochs=9, batch_size=32, seed=7, output_dir="runs/other",
                         eval_every=3)
 REMOVED = {"augment_flip": "true", "augment_shift": "0.1", "image_shape": "4,4",
-           "epoch_eval_steps": "3"}
+           "epoch_eval_steps": "3", "optimizer": "sgd", "momentum": "0.9",
+           "weight_decay": "5e-4", "train_random_init": "false", "eval_random_init": "false"}
 
 
 def _format(value):
@@ -57,4 +57,14 @@ def test_removed_keys_are_usage_errors(tmp_path, key):
     assert cli(["train", "--config", str(path)] + out) == 1
     flag = "--" + key.replace("_", "-")
     assert cli(["train", "--epochs", "0", flag, REMOVED[key]] + out) == 1
+    assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize("flag,value", [("--hidden-layers", "8,x"), ("--schedule", "0:abc")])
+def test_malformed_values_are_usage_errors(tmp_path, flag, value):
+    out = ["--output-dir", str(tmp_path / "run")]
+    assert cli(["train", flag, value, "--epochs", "0"] + out) == 1
+    path = tmp_path / "run.cfg"
+    path.write_text(f"epochs = 0\n{flag[2:].replace('-', '_')} = {value}\n")
+    assert cli(["train", "--config", str(path)] + out) == 1
     assert not (tmp_path / "run").exists()

@@ -34,6 +34,14 @@ def test_round_trip_is_bitwise(blob, tmp_path):
     assert len(data) == HEADER + 12 * (8 * 5 + 4)
 
 
+def test_records_are_packed_features_then_label(blob):
+    # the on-disk layout, written one record at a time as the reference
+    ds, _, data = blob
+    records = b"".join(struct.pack("<5dI", *row, label)
+                       for row, label in zip(ds.features, ds.labels))
+    assert data[HEADER:] == records
+
+
 def test_bad_magic(blob, tmp_path):
     _, _, data = blob
     with pytest.raises(FormatError, match="bad dataset magic at byte 0"):

@@ -8,11 +8,20 @@ import ascl.attacks
 import ascl.divergence
 from ascl.attacks import AttackConfig, pgd_attack
 from ascl.config import RunConfig
-from ascl.divergence import (SWEEP_COLUMNS, absolute_divergences, cosine_distance,
-                             divergence_report, divergence_sweep,
-                             relative_divergence)
+from ascl.divergence import (SWEEP_COLUMNS, absolute_divergences, divergence_report,
+                             divergence_sweep, relative_divergence)
 from ascl.errors import DomainError
 from ascl.training import train, write_csv
+
+
+def cosine_distance(z_a, z_b) -> float:
+    """1 - cosine similarity of two vectors; lies in [0, 2]."""
+    a = np.asarray(z_a, dtype=np.float64)
+    b = np.asarray(z_b, dtype=np.float64)
+    na, nb = np.linalg.norm(a), np.linalg.norm(b)
+    if not (na > 0 and nb > 0):
+        raise DomainError("cosine distance of a zero vector")
+    return float(1.0 - np.dot(a, b) / (na * nb))
 
 
 def brute_force_divergences(pool, slot_labels, src):

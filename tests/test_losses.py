@@ -5,10 +5,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ascl.data import Batch
-from ascl.errors import ContractError, DomainError
-from ascl.losses import (STRATEGIES, LossWeights, at_loss, select,
-                         selection_stats, similarity, supcon_batch, total_loss,
-                         vat_loss)
+from ascl.errors import ContractError
+from ascl.losses import (STRATEGIES, LossWeights, _similarity_matrix, at_loss, select,
+                         selection_stats, supcon_batch, total_loss, vat_loss)
 from ascl.models import (MLPClassifier, ModelSpec, snapshot_from_logits,
                          snapshot_from_predictions)
 from ascl.tensor import Tensor, concat
@@ -140,20 +139,24 @@ class TestSelectionStats:
 
 
 class TestSimilarity:
+    # the pairwise similarity matrix the contrastive loss works on
     def test_cosine_self(self):
-        z = Tensor([1.0, 2.0, -1.0])
-        assert similarity(LossWeights(), z, z).item() == pytest.approx(1.0)
+        z = Tensor([[1.0, 2.0, -1.0]])
+        assert _similarity_matrix(z, LossWeights()).item() == pytest.approx(1.0)
 
     def test_cosine_orthogonal(self):
-        assert similarity(LossWeights(), Tensor([1.0, 0.0]), Tensor([0.0, 1.0])).item() == 0.0
+        sims = _similarity_matrix(Tensor([[1.0, 0.0], [0.0, 1.0]]), LossWeights()).data
+        assert sims[0, 1] == sims[1, 0] == 0.0
 
     def test_neg_l2_345(self):
         w = LossWeights(similarity="lp:2")
-        assert similarity(w, Tensor([0.0, 0.0]), Tensor([3.0, 4.0])).item() == pytest.approx(-5.0)
+        sims = _similarity_matrix(Tensor([[0.0, 0.0], [3.0, 4.0]]), w).data
+        assert sims[0, 1] == pytest.approx(-5.0)
 
     def test_cosine_zero_vector(self):
-        with pytest.raises(DomainError):
-            similarity(LossWeights(), Tensor([0.0, 0.0]), Tensor([1.0, 0.0]))
+        # an all-zero latent has similarity 0 to every slot, itself included
+        sims = _similarity_matrix(Tensor([[0.0, 0.0], [1.0, 0.0]]), LossWeights()).data
+        assert np.array_equal(sims[0], [0.0, 0.0]) and np.array_equal(sims[:, 0], [0.0, 0.0])
 
     def test_weights_validation(self):
         with pytest.raises(ContractError):

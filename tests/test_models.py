@@ -1,9 +1,11 @@
+import json
+import struct
+
 import numpy as np
 import pytest
 
 from ascl.errors import ConfigError, ContractError, DimensionError, FormatError
-from ascl.models import (MLPClassifier, ModelSpec, load_model, save_model,
-                         snapshot, snapshot_from_logits)
+from ascl.models import MLPClassifier, ModelSpec, load_model, save_model, snapshot_from_logits
 from ascl.tensor import Tensor, log_softmax
 
 
@@ -105,6 +107,10 @@ class TestProjection:
         assert np.abs(m.parameters[0].grad).sum() > 0
 
 
+def snapshot(m, x_nat, x_adv):
+    return snapshot_from_logits(m.forward(x_nat), m.forward(x_adv))
+
+
 class TestSnapshot:
     def test_identical_inputs_identical_preds(self):
         m = MLPClassifier(small_spec(), seed=5)
@@ -172,4 +178,15 @@ class TestCheckpoint:
         blob = path.read_bytes()
         path.write_bytes(blob[:len(blob) - 9])
         with pytest.raises(FormatError, match="byte"):
+            load_model(path)
+
+    @pytest.mark.parametrize("edit", [{"extra": 1}, {"input_dim": "3"}, {"hidden_layers": ["a"]}])
+    def test_bad_spec_record(self, tmp_path, edit):
+        path = tmp_path / "m.ckpt"
+        save_model(MLPClassifier(small_spec(), seed=0), path)
+        blob = path.read_bytes()
+        (n,) = struct.unpack_from("<I", blob, 8)
+        spec = json.dumps({**json.loads(blob[12:12 + n]), **edit}).encode()
+        path.write_bytes(blob[:8] + struct.pack("<I", len(spec)) + spec + blob[12 + n:])
+        with pytest.raises(FormatError, match="bad spec record at byte 12"):
             load_model(path)
