@@ -13,13 +13,13 @@ from .config import RunConfig, parse_config_file
 from .data import Batch, Dataset, make_blobs, make_two_moons
 from .divergence import DivergenceReport, absolute_divergences, divergence_sweep
 from .losses import LossWeights, SelectionResult, select, selection_stats, total_loss
-from .models import MLPClassifier, ModelSpec, PredictionSnapshot, load_model, save_model
+from .models import MLPClassifier, ModelSpec, load_model, save_model
 from .tensor import Tensor, concat
 from .training import evaluate, sweep, train
 
 __all__ = [
     "AttackConfig", "Batch", "Dataset", "DivergenceReport", "LossWeights",
-    "MLPClassifier", "ModelSpec", "PredictionSnapshot", "RunConfig",
+    "MLPClassifier", "ModelSpec", "RunConfig",
     "SelectionResult", "Tensor", "absolute_divergences", "concat",
     "divergence_sweep", "evaluate", "load_model", "make_blobs", "make_two_moons",
     "multi_targeted_pgd", "parse_config_file", "pgd_attack", "project_linf",

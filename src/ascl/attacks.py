@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ContractError
-from .tensor import Tensor, log_softmax
+from .tensor import Tensor, cross_entropy
 
 __all__ = [
     "AttackConfig",
@@ -66,10 +66,7 @@ def _input_gradient(model, x_adv, labels):
     """Gradient of summed cross-entropy against ``labels`` at x_adv; fresh
     graph per call."""
     xt = Tensor(x_adv, requires_grad=True)
-    logits = model.forward(xt)
-    onehot = np.eye(logits.shape[1])[labels]
-    loss = -(log_softmax(logits) * Tensor(onehot)).sum()
-    loss.backward()
+    cross_entropy(model.forward(xt), labels).sum().backward()
     return xt.grad
 
 
@@ -123,8 +120,7 @@ def multi_targeted_pgd(model, x, y, cfg: AttackConfig, seed=0, index_base=0):
     """
     x = np.array(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.intp)
-    logits = model.forward(x)
-    c = logits.shape[1]
+    c = model.spec.num_classes
     if c < 2:
         raise ContractError("multi-targeted attack requires at least 2 classes")
 
@@ -142,7 +138,7 @@ def multi_targeted_pgd(model, x, y, cfg: AttackConfig, seed=0, index_base=0):
         # keep values only: the candidate's graph is freed before the next attack
         logits_c = model.forward(cand).data
         preds_c = np.argmax(logits_c, axis=1)
-        ce = -log_softmax(Tensor(logits_c)).data[np.arange(n), y]
+        ce = cross_entropy(Tensor(logits_c), y).data
 
         flipped = active & ~decided & (preds_c != y)
         best[flipped] = cand[flipped]

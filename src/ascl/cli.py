@@ -19,7 +19,7 @@ from .divergence import SWEEP_COLUMNS as DIVERGENCE_COLUMNS
 from .divergence import divergence_sweep
 from .errors import ConfigError
 from .losses import STRATEGIES, selection_stats
-from .models import load_model, snapshot_from_predictions
+from .models import load_model
 from .training import SWEEP_COLUMNS, evaluate, sweep, train, write_csv
 
 
@@ -179,13 +179,10 @@ def _cmd_selection_stats(args):
     pos, neg = [], []
     for _ in range(args.trials):
         labels = rng.integers(0, args.classes, size=args.batch_size)
-        snap = None
+        preds = None
         if args.strategy != "global":
-            snap = snapshot_from_predictions(
-                rng.integers(0, args.classes, size=args.batch_size),
-                rng.integers(0, args.classes, size=args.batch_size),
-                args.classes)
-        p, n = selection_stats(args.strategy, labels, snap)
+            preds = rng.integers(0, args.classes, size=2 * args.batch_size)
+        p, n = selection_stats(args.strategy, labels, preds)
         pos.append(p)
         neg.append(n)
     print(f"strategy={args.strategy} trials={args.trials} "

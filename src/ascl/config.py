@@ -8,7 +8,7 @@ from dataclasses import dataclass
 
 from .attacks import AttackConfig
 from .data import load_dataset, make_blobs, make_two_moons
-from .errors import ConfigError
+from .errors import ConfigError, ContractError
 from .losses import STRATEGIES, LossWeights
 from .models import ModelSpec
 
@@ -62,6 +62,8 @@ class RunConfig:
             raise ConfigError("batch_size must be at least 2 (selection needs other samples)")
         if self.epochs < 0:
             raise ConfigError("epochs must be nonnegative")
+        if self.eval_every < 0:
+            raise ConfigError("eval_every must be nonnegative")
         if self.strategy not in STRATEGIES:
             raise ConfigError(f"strategy must be one of {STRATEGIES}")
         self.schedule = tuple((int(e), float(v)) for e, v in self.schedule)
@@ -70,6 +72,14 @@ class RunConfig:
             if epochs[0] != 0 or any(a >= b for a, b in zip(epochs, epochs[1:])):
                 raise ConfigError("schedule epochs must start at 0 and strictly increase")
         self.hidden_layers = tuple(int(w) for w in self.hidden_layers)
+        # LossWeights and AttackConfig own these checks; building them here
+        # rejects a bad value before a run writes anything
+        try:
+            self.loss_weights()
+            self.train_attack()
+            self.eval_attack()
+        except ContractError as e:
+            raise ConfigError(str(e)) from e
 
     # -- derived objects ---------------------------------------------------
 
@@ -154,14 +164,10 @@ def _parse_value(key, raw):
 
 
 def config_from_dict(values: dict, base: RunConfig | None = None) -> RunConfig:
-    known = set(_FIELD_TYPES)
-    unknown = set(values) - known
+    unknown = set(values) - set(_FIELD_TYPES)
     if unknown:
         raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-    merged = (base.to_dict() if base else {})
-    merged = {k: v for k, v in merged.items() if k in known}
-    merged.update(values)
-    return RunConfig(**merged)
+    return dataclasses.replace(base or RunConfig(), **values)
 
 
 def parse_config_file(path, base: RunConfig | None = None) -> RunConfig:

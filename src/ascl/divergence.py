@@ -100,7 +100,7 @@ def relative_divergence(d_a_plus, d_a_minus):
 
 
 def divergence_report(model, features, labels, attack_cfg: AttackConfig | None,
-                      seed=0, batch_size=128, layer_name="penultimate") -> DivergenceReport:
+                      seed=0, batch_size=128) -> DivergenceReport:
     """Divergences of the model's penultimate latents over a dataset.
 
     With an attack config, one PGD pass gives the adversarial latents, pooled
@@ -134,7 +134,6 @@ def divergence_report(model, features, labels, attack_cfg: AttackConfig | None,
         d_a_minus=d_minus,
         r_div=relative_divergence(d_plus, d_minus),
         rob_acc=rob_acc,
-        layer_name=layer_name,
         n_samples=int(features.shape[0]),
     )
 

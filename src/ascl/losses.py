@@ -14,9 +14,10 @@ mask ever holds slot ``i`` or ``i + N``. ``global`` keeps every other
 sample, split by true label. ``hard`` and ``soft`` keep the global
 positives but only those negatives predicted as the anchor's true label
 (hard) or as the anchor's natural prediction (soft). ``leaked`` is
-``soft`` with the positives filtered the same way. A natural slot is
-judged by its natural prediction, an adversarial slot by its
-adversarial one.
+``soft`` with the positives filtered the same way. The filters read the
+2N slot predictions in pool order, the argmax of each slot's logits: a
+natural slot is judged by its natural prediction, an adversarial slot by
+its adversarial one.
 
 The contrastive loss works on one 2N x 2N similarity matrix. Anchor row
 ``a`` has a partner, its other view: slot ``i + N`` for anchor ``i`` and
@@ -33,8 +34,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ContractError
-from .models import MLPClassifier, PredictionSnapshot, snapshot_from_logits
-from .tensor import Tensor, concat, log_softmax, pairwise_lp
+from .models import MLPClassifier
+from .tensor import Tensor, concat, cross_entropy, log_softmax, pairwise_lp
 
 __all__ = [
     "STRATEGIES",
@@ -74,7 +75,10 @@ def _parse_similarity(name):
     if name == "cosine":
         return ("cosine", None)
     if name.startswith("lp:"):
-        p = float(name[3:])
+        try:
+            p = float(name[3:])
+        except ValueError as e:
+            raise ContractError(f"lp similarity needs a number p, got {name!r}") from e
         if not p >= 1:
             raise ContractError("lp similarity requires p >= 1")
         return ("lp", p)
@@ -91,35 +95,40 @@ class SelectionResult:
     anchor_adv_slot: int
 
 
-def selection_masks(strategy, labels, snapshot: PredictionSnapshot | None):
+def selection_masks(strategy, labels, preds=None):
     """Boolean (N, 2N) positive and negative masks over the latent pool;
-    row ``i`` serves both anchor views of sample ``i``."""
+    row ``i`` serves both anchor views of sample ``i``. ``preds`` holds the
+    2N slot predictions, natural then adversarial; ``global`` ignores them."""
     if strategy not in STRATEGIES:
         raise ContractError(f"unknown strategy {strategy!r}")
-    if strategy != "global" and snapshot is None:
-        raise ContractError("prediction-filtered strategies need a snapshot")
     labels = np.asarray(labels, dtype=np.intp)
+    n = labels.shape[0]
+    if preds is not None:
+        preds = np.asarray(preds, dtype=np.intp)
+        if preds.shape != (2 * n,):
+            raise ContractError(f"expected {2 * n} slot predictions, got shape {preds.shape}")
+    elif strategy != "global":
+        raise ContractError("prediction-filtered strategies need slot predictions")
     same = labels[:, None] == labels[None, :]
     np.fill_diagonal(same, False)
     pos = np.tile(same, 2)
     neg = np.tile(labels[:, None] != labels[None, :], 2)
     if strategy == "global":
         return pos, neg
-    p = snapshot.preds_nat
-    slot_pred = np.concatenate([p, snapshot.preds_adv])[None, :]
+    p = preds[:n]
     ref = labels if strategy == "hard" else p
-    neg &= slot_pred == ref[:, None]
+    neg &= preds == ref[:, None]
     if strategy == "leaked":
-        pos &= slot_pred == p[:, None]
+        pos &= preds == p[:, None]
     return pos, neg
 
 
-def select(strategy, labels, snapshot: PredictionSnapshot | None, i: int) -> SelectionResult:
+def select(strategy, labels, preds, i: int) -> SelectionResult:
     """Positive/negative slots for anchor ``i``: row ``i`` of ``selection_masks``."""
     n = len(labels)
     if not 0 <= i < n:
         raise ContractError(f"anchor {i} out of range for batch of {n}")
-    pos, neg = selection_masks(strategy, labels, snapshot)
+    pos, neg = selection_masks(strategy, labels, preds)
     return SelectionResult(anchor=i, positives=np.flatnonzero(pos[i]),
                            negatives=np.flatnonzero(neg[i]), anchor_adv_slot=i + n)
 
@@ -129,12 +138,12 @@ def _mean_counts(pos, neg):
     return float(np.mean(pos.sum(axis=1) + 1)), float(np.mean(neg.sum(axis=1)))
 
 
-def selection_stats(strategy, labels, snapshot=None):
+def selection_stats(strategy, labels, preds=None):
     """Batch means of (|positives| + 1, |negatives|); the +1 counts the
     anchor's own adversarial view as a positive."""
     if len(labels) < 2:
         raise ContractError("selection stats need a batch of at least 2")
-    return _mean_counts(*selection_masks(strategy, labels, snapshot))
+    return _mean_counts(*selection_masks(strategy, labels, preds))
 
 
 def _similarity_matrix(pool: Tensor, weights) -> Tensor:
@@ -148,19 +157,18 @@ def _similarity_matrix(pool: Tensor, weights) -> Tensor:
     return -(pairwise_lp(pool, p) ** (1.0 / p))
 
 
-def supcon_batch(pool: Tensor, labels, snapshot, strategy, weights: LossWeights) -> Tensor:
-    """Batch mean of the natural- plus adversarial-anchor losses.
+def supcon_batch(pool: Tensor, pos, neg, weights: LossWeights) -> Tensor:
+    """Batch mean of the natural- plus adversarial-anchor losses over the
+    (N, 2N) ``selection_masks``.
 
     Each anchor's loss is the mean over its numerator set of
     ``-log softmax(sim/tau)`` against its denominator set. It is
     nonnegative, and exactly zero when the positives and negatives are
     both empty.
     """
-    labels = np.asarray(labels, dtype=np.intp)
-    n = labels.shape[0]
+    n = pos.shape[0]
     if pool.shape[0] != 2 * n:
         raise ContractError(f"pool of {pool.shape[0]} slots does not match {n} samples")
-    pos, neg = selection_masks(strategy, labels, snapshot)
     partner = np.roll(np.eye(2 * n, dtype=bool), n, axis=1)
     num = np.tile(pos, (2, 1)) | partner
     den = num | np.tile(neg, (2, 1))
@@ -170,26 +178,20 @@ def supcon_batch(pool: Tensor, labels, snapshot, strategy, weights: LossWeights)
     return (lse - num_mean).sum() / float(n)
 
 
-def _mean_ce(logits: Tensor, labels) -> Tensor:
-    n, c = logits.shape
-    onehot = np.eye(c)[np.asarray(labels, dtype=np.intp)]
-    return -(log_softmax(logits) * Tensor(onehot)).sum(axis=1).mean()
-
-
-def at_loss(snapshot: PredictionSnapshot, labels, nat_ce: bool = True) -> Tensor:
+def at_loss(logits_nat: Tensor, logits_adv: Tensor, labels, nat_ce: bool = True) -> Tensor:
     """Cross-entropy on the adversarial batch plus, unless disabled, the
     natural batch; per-sample terms are averaged over the batch."""
-    adv = _mean_ce(snapshot.logits_adv, labels)
+    adv = cross_entropy(logits_adv, labels).mean()
     if not nat_ce:
         return adv
-    return _mean_ce(snapshot.logits_nat, labels) + adv
+    return cross_entropy(logits_nat, labels).mean() + adv
 
 
-def vat_loss(snapshot: PredictionSnapshot) -> Tensor:
+def vat_loss(logits_nat: Tensor, logits_adv: Tensor) -> Tensor:
     """Mean KL(natural predictions || adversarial predictions); keeps the
     classifier smooth across the perturbation."""
-    logp = log_softmax(snapshot.logits_nat)
-    logq = log_softmax(snapshot.logits_adv)
+    logp = log_softmax(logits_nat)
+    logq = log_softmax(logits_adv)
     p = logp.exp()
     return (p * (logp - logq)).sum(axis=1).mean()
 
@@ -200,7 +202,6 @@ class LossBreakdown:
     at: float
     scl: float
     vat: float
-    snapshot: PredictionSnapshot
     mean_pos: float
     mean_neg: float
 
@@ -215,24 +216,25 @@ def total_loss(batch, model: MLPClassifier, strategy, weights: LossWeights,
     """
     z_nat, logits_nat = model.forward_with_latent(batch.x)
     z_adv, logits_adv = model.forward_with_latent(batch.x_adv)
-    snap = snapshot_from_logits(logits_nat, logits_adv)
+    preds = np.argmax(np.concatenate([logits_nat.data, logits_adv.data]), axis=1)
+    pos, neg = selection_masks(strategy, batch.y, preds)
+    mean_pos, mean_neg = _mean_counts(pos, neg)
 
-    total = at_loss(snap, batch.y, nat_ce=nat_ce)
+    total = at_loss(logits_nat, logits_adv, batch.y, nat_ce=nat_ce)
     at_val = total.item()
 
     scl_val = 0.0
-    mean_pos, mean_neg = _mean_counts(*selection_masks(strategy, batch.y, snap))
     if weights.lambda_scl > 0:
         pool = concat([model.project(z_nat), model.project(z_adv)], axis=0)
-        scl = supcon_batch(pool, batch.y, snap, strategy, weights)
+        scl = supcon_batch(pool, pos, neg, weights)
         scl_val = scl.item()
         total = total + weights.lambda_scl * scl
 
     vat_val = 0.0
     if use_vat and weights.lambda_vat > 0:
-        vat = vat_loss(snap)
+        vat = vat_loss(logits_nat, logits_adv)
         vat_val = vat.item()
         total = total + weights.lambda_vat * vat
 
     return LossBreakdown(total=total, at=at_val, scl=scl_val, vat=vat_val,
-                         snapshot=snap, mean_pos=mean_pos, mean_neg=mean_neg)
+                         mean_pos=mean_pos, mean_neg=mean_neg)

@@ -9,15 +9,12 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .errors import ConfigError, ContractError, DimensionError, FormatError
+from .errors import ConfigError, DimensionError, FormatError
 from .tensor import Tensor
 
 __all__ = [
     "ModelSpec",
     "MLPClassifier",
-    "PredictionSnapshot",
-    "snapshot_from_logits",
-    "snapshot_from_predictions",
     "save_model",
     "load_model",
 ]
@@ -137,41 +134,6 @@ class MLPClassifier:
     def zero_grad(self):
         for p in self._params:
             p.grad = None
-
-
-@dataclass
-class PredictionSnapshot:
-    """Logits and argmax predictions for a paired natural/adversarial
-    batch, from a single pair of forwards.
-
-    Logits stay attached to the graph so losses can differentiate through
-    them; preds are detached value arrays.
-    """
-
-    logits_nat: Tensor
-    logits_adv: Tensor
-    preds_nat: np.ndarray = None
-    preds_adv: np.ndarray = None
-
-
-def snapshot_from_logits(logits_nat: Tensor, logits_adv: Tensor) -> PredictionSnapshot:
-    if logits_nat.shape != logits_adv.shape:
-        raise ContractError(
-            f"natural/adversarial logits disagree: {logits_nat.shape} vs {logits_adv.shape}")
-    return PredictionSnapshot(
-        logits_nat=logits_nat,
-        logits_adv=logits_adv,
-        preds_nat=np.argmax(logits_nat.data, axis=1),
-        preds_adv=np.argmax(logits_adv.data, axis=1),
-    )
-
-
-def snapshot_from_predictions(preds_nat, preds_adv, num_classes) -> PredictionSnapshot:
-    """Synthetic snapshot from bare predicted labels (one-hot logits)."""
-    preds_nat = np.asarray(preds_nat, dtype=np.intp)
-    preds_adv = np.asarray(preds_adv, dtype=np.intp)
-    eye = np.eye(num_classes)
-    return snapshot_from_logits(Tensor(eye[preds_nat]), Tensor(eye[preds_adv]))
 
 
 # -- checkpoint io -------------------------------------------------------------

@@ -12,7 +12,7 @@ import numpy as np
 
 from .errors import ContractError, DimensionError, DomainError, GraphStateError
 
-__all__ = ["Tensor", "concat", "log_softmax", "pairwise_lp"]
+__all__ = ["Tensor", "concat", "log_softmax", "cross_entropy", "pairwise_lp"]
 
 
 def _check_broadcast(sa, sb):
@@ -76,6 +76,7 @@ class Tensor:
         return out
 
     def _accumulate(self, g):
+        # g may be any shape that broadcasts to this tensor's
         if self.grad is None:
             self.grad = np.zeros(self.data.shape, dtype=np.float64)
         self.grad += g
@@ -281,13 +282,12 @@ class Tensor:
 
     def sum(self, axis=None, keepdims: bool = False):
         self._check_axis(axis)
-        shape = self.data.shape
 
         def back(g):
             if self.requires_grad:
                 if axis is not None and not keepdims:
                     g = np.expand_dims(g, axis)
-                self._accumulate(np.broadcast_to(g, shape).copy())
+                self._accumulate(g)
 
         return Tensor._make(self.data.sum(axis=axis, keepdims=keepdims), (self,), back)
 
@@ -309,9 +309,7 @@ class Tensor:
 
         def back(g):
             if self.requires_grad:
-                if axis is not None and not keepdims:
-                    g = np.expand_dims(g, axis)
-                self._accumulate(soft * g)
+                self._accumulate(soft * g.reshape(total.shape))
 
         return Tensor._make(out_data, (self,), back)
 
@@ -319,6 +317,16 @@ class Tensor:
 def log_softmax(logits: Tensor) -> Tensor:
     """Row-wise log-probabilities of a 2-D logit tensor."""
     return logits - logits.log_sum_exp(axis=1, keepdims=True)
+
+
+def cross_entropy(logits: Tensor, labels) -> Tensor:
+    """Per-row cross-entropy of a 2-D logit tensor against integer labels, (N,).
+
+    ``lse - z_y`` equals ``-log_softmax(logits)[y]`` bit for bit, since
+    float subtraction is antisymmetric, and records fewer graph nodes.
+    """
+    onehot = np.eye(logits.shape[1])[np.asarray(labels, dtype=np.intp)]
+    return logits.log_sum_exp(axis=1) - (logits * Tensor(onehot)).sum(axis=1)
 
 
 def concat(tensors, axis: int = 0):

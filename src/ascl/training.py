@@ -268,12 +268,12 @@ def sweep(base_cfg: RunConfig, strategies, scl_grid, vat_grid, epochs=None):
     for strategy, lam_scl, lam_vat in cells:
         cell_dir = os.path.join(base_cfg.output_dir,
                                 f"sweep_{strategy}_scl{lam_scl:g}_vat{lam_vat:g}")
-        cell_cfg = replace(base_cfg, strategy=strategy, lambda_scl=lam_scl,
-                           lambda_vat=lam_vat, output_dir=cell_dir,
-                           epochs=epochs if epochs is not None else base_cfg.epochs)
         row = {"strategy": strategy, "lambda_scl": lam_scl, "lambda_vat": lam_vat,
                "nat_acc": None, "rob_acc": None, "status": "ok"}
         try:
+            cell_cfg = replace(base_cfg, strategy=strategy, lambda_scl=lam_scl,
+                               lambda_vat=lam_vat, output_dir=cell_dir,
+                               epochs=epochs if epochs is not None else base_cfg.epochs)
             result = train(cell_cfg)
             row["nat_acc"] = result.summary["final"]["nat_acc"]
             row["rob_acc"] = result.summary["final"]["rob_acc"]

@@ -10,7 +10,7 @@ that function, gradients included.
 import numpy as np
 
 from ascl.errors import ContractError, DomainError
-from ascl.losses import LossWeights, SelectionResult, _parse_similarity, select
+from ascl.losses import LossWeights, SelectionResult, _parse_similarity
 from ascl.tensor import Tensor
 
 
@@ -62,16 +62,16 @@ def supcon_anchor_adv(i, pool: Tensor, sel: SelectionResult, weights: LossWeight
     return anchor_loss(sel.anchor_adv_slot, i, pool, sel, weights)
 
 
-def supcon_batch_loop(pool: Tensor, labels, snapshot, strategy, weights: LossWeights) -> Tensor:
+def supcon_batch_loop(pool: Tensor, pos, neg, weights: LossWeights) -> Tensor:
     """Batch mean of the natural- plus adversarial-anchor losses, one
     anchor at a time; same contract as ``ascl.losses.supcon_batch``."""
-    labels = np.asarray(labels, dtype=np.intp)
-    n = labels.shape[0]
+    n = pos.shape[0]
     if pool.shape[0] != 2 * n:
         raise ContractError(f"pool of {pool.shape[0]} slots does not match {n} samples")
     total = None
     for i in range(n):
-        sel = select(strategy, labels, snapshot, i)
+        sel = SelectionResult(anchor=i, positives=np.flatnonzero(pos[i]),
+                              negatives=np.flatnonzero(neg[i]), anchor_adv_slot=i + n)
         term = supcon_anchor_nat(i, pool, sel, weights) + supcon_anchor_adv(i, pool, sel, weights)
         total = term if total is None else total + term
     return total / float(n)

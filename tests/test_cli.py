@@ -63,3 +63,14 @@ def test_attack_scores_each_sample_once(files, tmp_path, monkeypatch, capsys, at
     adv = load_dataset(out)
     preds = np.argmax(model.forward(adv.features).data, axis=1)
     assert printed == f"{(preds == adv.labels).mean():.4f}"
+
+
+@pytest.mark.parametrize("strategy,pos,neg", [
+    ("global", "26.24", "100.76"), ("hard", "26.24", "20.13"),
+    ("soft", "26.24", "20.11"), ("leaked", "6.06", "20.11"),
+])
+def test_selection_stats_output_is_pinned(capsys, strategy, pos, neg):
+    assert cli(["selection-stats", "--strategy", strategy, "--trials", "200",
+                "--batch-size", "64", "--classes", "5", "--seed", "4"]) == 0
+    assert capsys.readouterr().out == (
+        f"strategy={strategy} trials=200 mean_pos={pos} mean_neg={neg}\n")

@@ -60,7 +60,11 @@ def test_removed_keys_are_usage_errors(tmp_path, key):
     assert not (tmp_path / "run").exists()
 
 
-@pytest.mark.parametrize("flag,value", [("--hidden-layers", "8,x"), ("--schedule", "0:abc")])
+@pytest.mark.parametrize("flag,value", [
+    ("--hidden-layers", "8,x"), ("--schedule", "0:abc"), ("--eval-eps", "-1"), ("--tau", "0"),
+    ("--similarity", "foo"), ("--similarity", "lp:x"), ("--lambda-scl", "-1"),
+    ("--train-eps", "-1"), ("--eval-every", "-1"),
+])
 def test_malformed_values_are_usage_errors(tmp_path, flag, value):
     out = ["--output-dir", str(tmp_path / "run")]
     assert cli(["train", flag, value, "--epochs", "0"] + out) == 1

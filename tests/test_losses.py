@@ -4,13 +4,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import ascl.losses
 from ascl.data import Batch
 from ascl.errors import ContractError
 from ascl.losses import (STRATEGIES, LossWeights, _similarity_matrix, at_loss, select,
-                         selection_stats, supcon_batch, total_loss, vat_loss)
-from ascl.models import (MLPClassifier, ModelSpec, snapshot_from_logits,
-                         snapshot_from_predictions)
-from ascl.tensor import Tensor, concat
+                         selection_masks, selection_stats, supcon_batch, total_loss, vat_loss)
+from ascl.models import MLPClassifier, ModelSpec
+from ascl.tensor import Tensor
 from supcon_loop import supcon_anchor_adv, supcon_anchor_nat
 
 
@@ -37,19 +37,23 @@ def oracle_anchor_loss(anchor_vec, partner_idx, pool, sel, weights, dps=50):
         return float(-mpmath.fsum(terms) / len(num_idx))
 
 
-def oracle_batch_loss(pool, labels, snap, strategy, weights):
+def oracle_batch_loss(pool, labels, preds, strategy, weights):
     n = len(labels)
     total = 0.0
     for i in range(n):
-        sel = select(strategy, labels, snap, i)
+        sel = select(strategy, labels, preds, i)
         total += oracle_anchor_loss(pool[i], i + n, pool, sel, weights)
         total += oracle_anchor_loss(pool[i + n], i, pool, sel, weights)
     return total / n
 
 
-def random_snapshot(rng, n, c):
-    return snapshot_from_predictions(rng.integers(0, c, size=n),
-                                     rng.integers(0, c, size=n), c)
+def random_preds(rng, n, c):
+    """2N slot predictions: natural then adversarial."""
+    return rng.integers(0, c, size=2 * n)
+
+
+def supcon(pool, labels, preds, strategy, weights):
+    return supcon_batch(Tensor(pool), *selection_masks(strategy, labels, preds), weights)
 
 
 class TestSelect:
@@ -60,15 +64,19 @@ class TestSelect:
         assert len(sel.negatives) == 0
 
     def test_hard_manual_enumeration(self):
-        snap = snapshot_from_predictions([0, 1, 1], [1, 0, 1], 2)
-        sel = select("hard", [0, 0, 1], snap, 0)
+        sel = select("hard", [0, 0, 1], [0, 1, 1, 1, 0, 1], 0)
         assert sorted(sel.positives) == [1, 4]
         assert len(sel.negatives) == 0
 
     def test_leaked_manual_enumeration(self):
-        snap = snapshot_from_predictions([0, 1, 1], [1, 0, 1], 2)
-        sel = select("leaked", [0, 0, 1], snap, 0)
+        sel = select("leaked", [0, 0, 1], [0, 1, 1, 1, 0, 1], 0)
         assert list(sel.positives) == [4]
+
+    @pytest.mark.parametrize("preds", [None, [0, 1, 1], [0, 1, 1, 1, 0, 1, 0],
+                                       [[0, 1, 1], [1, 0, 1]]])
+    def test_predictions_must_cover_every_slot(self, preds):
+        with pytest.raises(ContractError):
+            selection_masks("hard", [0, 0, 1], preds)
 
     def test_anchor_out_of_range(self):
         with pytest.raises(ContractError):
@@ -77,10 +85,10 @@ class TestSelect:
     def test_anchor_slots_never_included(self):
         rng = np.random.default_rng(0)
         labels = rng.integers(0, 3, size=8)
-        snap = random_snapshot(rng, 8, 3)
+        preds = random_preds(rng, 8, 3)
         for strategy in STRATEGIES:
             for i in range(8):
-                sel = select(strategy, labels, snap, i)
+                sel = select(strategy, labels, preds, i)
                 slots = set(sel.positives) | set(sel.negatives)
                 assert i not in slots and sel.anchor_adv_slot not in slots
                 assert not (set(sel.positives) & set(sel.negatives))
@@ -101,12 +109,12 @@ class TestSelect:
     def test_strategy_subset_invariants(self, n, c, seed):
         rng = np.random.default_rng(seed)
         labels = rng.integers(0, c, size=n)
-        snap = random_snapshot(rng, n, c)
+        preds = random_preds(rng, n, c)
         for i in range(n):
-            g = select("global", labels, snap, i)
-            h = select("hard", labels, snap, i)
-            s = select("soft", labels, snap, i)
-            l = select("leaked", labels, snap, i)
+            g = select("global", labels, preds, i)
+            h = select("hard", labels, preds, i)
+            s = select("soft", labels, preds, i)
+            l = select("leaked", labels, preds, i)
             assert set(h.negatives) <= set(g.negatives)
             assert set(s.negatives) <= set(g.negatives)
             assert set(l.positives) <= set(g.positives)
@@ -127,9 +135,9 @@ class TestSelectionStats:
         rng = np.random.default_rng(1)
         for strategy in STRATEGIES:
             labels = rng.integers(0, 3, size=10)
-            snap = random_snapshot(rng, 10, 3)
-            pos, neg = selection_stats(strategy, labels, snap)
-            sels = [select(strategy, labels, snap, i) for i in range(10)]
+            preds = random_preds(rng, 10, 3)
+            pos, neg = selection_stats(strategy, labels, preds)
+            sels = [select(strategy, labels, preds, i) for i in range(10)]
             assert pos == pytest.approx(np.mean([len(s.positives) + 1 for s in sels]))
             assert neg == pytest.approx(np.mean([len(s.negatives) for s in sels]))
 
@@ -197,10 +205,10 @@ class TestSupConLoss:
             c = int(rng.integers(2, 4))
             pool = rng.normal(size=(2 * n, 4))
             labels = rng.integers(0, c, size=n)
-            snap = random_snapshot(rng, n, c)
+            preds = random_preds(rng, n, c)
             strategy = STRATEGIES[trial % 4]
-            got = supcon_batch(Tensor(pool), labels, snap, strategy, w).item()
-            want = oracle_batch_loss(pool, labels, snap, strategy, w)
+            got = supcon(pool, labels, preds, strategy, w).item()
+            want = oracle_batch_loss(pool, labels, preds, strategy, w)
             assert abs(got - want) <= 1e-12 * max(1.0, abs(want))
 
     def test_loss_nonnegative(self):
@@ -209,14 +217,13 @@ class TestSupConLoss:
             n = 6
             pool = rng.normal(size=(2 * n, 3))
             labels = rng.integers(0, 3, size=n)
-            snap = random_snapshot(rng, n, 3)
-            val = supcon_batch(Tensor(pool), labels, snap, "global", LossWeights()).item()
+            preds = random_preds(rng, n, 3)
+            val = supcon(pool, labels, preds, "global", LossWeights()).item()
             assert val >= 0.0
 
     def test_single_sample_batch_is_zero(self):
-        pool = Tensor(np.array([[1.0, 0.2], [0.4, 1.0]]))
-        snap = snapshot_from_predictions([0], [0], 2)
-        assert supcon_batch(pool, [0], snap, "global", LossWeights()).item() == 0.0
+        pool = np.array([[1.0, 0.2], [0.4, 1.0]])
+        assert supcon(pool, [0], [0, 0], "global", LossWeights()).item() == 0.0
 
     def test_permutation_invariance(self):
         rng = np.random.default_rng(5)
@@ -224,14 +231,12 @@ class TestSupConLoss:
         z = rng.normal(size=(n, 4))
         za = rng.normal(size=(n, 4))
         labels = rng.integers(0, 2, size=n)
-        snap = random_snapshot(rng, n, 2)
+        preds = random_preds(rng, n, 2)
         w = LossWeights()
-        base = supcon_batch(Tensor(np.concatenate([z, za])), labels, snap,
-                            "soft", w).item()
+        base = supcon(np.concatenate([z, za]), labels, preds, "soft", w).item()
         perm = rng.permutation(n)
-        snap_p = snapshot_from_predictions(snap.preds_nat[perm], snap.preds_adv[perm], 2)
-        permuted = supcon_batch(Tensor(np.concatenate([z[perm], za[perm]])),
-                                labels[perm], snap_p, "soft", w).item()
+        permuted = supcon(np.concatenate([z[perm], za[perm]]), labels[perm],
+                          preds[np.concatenate([perm, perm + n])], "soft", w).item()
         assert abs(base - permuted) < 1e-10
 
     def test_identical_rows_closed_form(self):
@@ -239,9 +244,9 @@ class TestSupConLoss:
         # loss depends on counts alone
         n, c = 6, 2
         labels = np.array([0, 0, 0, 1, 1, 1])
-        pool = Tensor(np.tile([1.0, 2.0], (2 * n, 1)))
+        pool = np.tile([1.0, 2.0], (2 * n, 1))
         w = LossWeights()
-        got = supcon_batch(pool, labels, None, "global", w).item()
+        got = supcon(pool, labels, None, "global", w).item()
         per_anchor = np.log(2 * n - 2 + 1)  # |pos| + |neg| + 1 terms in den
         assert got == pytest.approx(2 * per_anchor, rel=1e-12)
 
@@ -251,8 +256,8 @@ class TestSupConLoss:
         pool = rng.normal(size=(2 * n, 4))
         labels = rng.integers(0, 2, size=n)
         w = LossWeights()
-        a = supcon_batch(Tensor(pool), labels, None, "global", w).item()
-        b = supcon_batch(Tensor(pool * 37.5), labels, None, "global", w).item()
+        a = supcon(pool, labels, None, "global", w).item()
+        b = supcon(pool * 37.5, labels, None, "global", w).item()
         assert abs(a - b) < 1e-10
 
 
@@ -260,40 +265,38 @@ class TestATLoss:
     def test_uniform_predictions(self):
         c = 4
         logits = Tensor(np.zeros((5, c)))
-        snap = snapshot_from_logits(logits, Tensor(np.zeros((5, c))))
-        assert at_loss(snap, [0, 1, 2, 3, 0]).item() == pytest.approx(2 * np.log(c))
+        at = at_loss(logits, Tensor(np.zeros((5, c))), [0, 1, 2, 3, 0])
+        assert at.item() == pytest.approx(2 * np.log(c))
 
     def test_perfect_predictions(self):
         y = np.array([0, 1])
         logits = Tensor(np.eye(2)[y] * 500.0)
-        snap = snapshot_from_logits(logits, logits)
-        assert at_loss(snap, y).item() == pytest.approx(0.0, abs=1e-12)
+        assert at_loss(logits, logits, y).item() == pytest.approx(0.0, abs=1e-12)
 
     def test_nat_ce_flag_drops_first_term(self):
         c = 3
-        snap = snapshot_from_logits(Tensor(np.zeros((4, c))), Tensor(np.zeros((4, c))))
-        assert at_loss(snap, [0, 1, 2, 0], nat_ce=False).item() == pytest.approx(np.log(c))
+        at = at_loss(Tensor(np.zeros((4, c))), Tensor(np.zeros((4, c))), [0, 1, 2, 0],
+                     nat_ce=False)
+        assert at.item() == pytest.approx(np.log(c))
 
 
 class TestVATLoss:
     def test_identical_predictions_exact_zero(self):
         rng = np.random.default_rng(7)
         logits = Tensor(rng.normal(size=(6, 3)))
-        snap = snapshot_from_logits(logits, Tensor(logits.data.copy()))
-        assert vat_loss(snap).item() == 0.0
+        assert vat_loss(logits, Tensor(logits.data.copy())).item() == 0.0
 
     def test_point_mass_vs_uniform(self):
         nat = Tensor(np.array([[60.0, -60.0]]))
         adv = Tensor(np.array([[0.0, 0.0]]))
-        snap = snapshot_from_logits(nat, adv)
-        assert vat_loss(snap).item() == pytest.approx(np.log(2), abs=1e-9)
+        assert vat_loss(nat, adv).item() == pytest.approx(np.log(2), abs=1e-9)
 
     def test_gibbs_nonnegativity(self):
         rng = np.random.default_rng(8)
         for _ in range(40):
             nat = Tensor(rng.normal(size=(25, 4)))
             adv = Tensor(rng.normal(size=(25, 4)))
-            val = vat_loss(snapshot_from_logits(nat, adv)).item()
+            val = vat_loss(nat, adv).item()
             assert val >= 0.0
 
 
@@ -314,9 +317,42 @@ class TestTotalLoss:
         bd = total_loss(batch, model, "global", w)
         z, logits_nat = model.forward_with_latent(batch.x)
         _, logits_adv = model.forward_with_latent(batch.x_adv)
-        at = at_loss(snapshot_from_logits(logits_nat, logits_adv), batch.y)
+        at = at_loss(logits_nat, logits_adv, batch.y)
         assert bd.total.item() == at.item()
         assert bd.scl == 0.0 and bd.vat == 0.0
+
+    def _record_masks(self, monkeypatch):
+        calls = []
+        real = ascl.losses.selection_masks
+
+        def recording(strategy, labels, preds=None):
+            calls.append(preds)
+            return real(strategy, labels, preds)
+
+        monkeypatch.setattr(ascl.losses, "selection_masks", recording)
+        return calls
+
+    @pytest.mark.parametrize("strategy", STRATEGIES)
+    def test_masks_built_once_from_argmax_slot_predictions(self, monkeypatch, strategy):
+        model, batch = self._setup()
+        calls = self._record_masks(monkeypatch)
+        bd = total_loss(batch, model, strategy, LossWeights())
+        assert len(calls) == 1
+        logits = np.concatenate([model.forward(batch.x).data, model.forward(batch.x_adv).data])
+        assert np.array_equal(calls[0], np.argmax(logits, axis=1))
+        assert (bd.mean_pos, bd.mean_neg) == selection_stats(strategy, batch.y, calls[0])
+
+    def test_uniform_logits_tie_to_class_zero(self, monkeypatch):
+        model, batch = self._setup()
+        model.cls_w.data = np.zeros_like(model.cls_w.data)
+        calls = self._record_masks(monkeypatch)
+        total_loss(batch, model, "hard", LossWeights())
+        assert np.array_equal(calls[0], np.zeros(8))
+
+    def test_batch_size_mismatch(self):
+        model, batch = self._setup()
+        with pytest.raises(ContractError):
+            total_loss(Batch(batch.x, batch.y, batch.x_adv[:3]), model, "global", LossWeights())
 
     def test_default_weights(self):
         w = LossWeights()

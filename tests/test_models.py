@@ -4,8 +4,8 @@ import struct
 import numpy as np
 import pytest
 
-from ascl.errors import ConfigError, ContractError, DimensionError, FormatError
-from ascl.models import MLPClassifier, ModelSpec, load_model, save_model, snapshot_from_logits
+from ascl.errors import ConfigError, DimensionError, FormatError
+from ascl.models import MLPClassifier, ModelSpec, load_model, save_model
 from ascl.tensor import Tensor, log_softmax
 
 
@@ -105,45 +105,6 @@ class TestProjection:
         (m.project(m.encode(x)) ** 2.0).sum().backward()
         assert m.parameters[0].grad is not None
         assert np.abs(m.parameters[0].grad).sum() > 0
-
-
-def snapshot(m, x_nat, x_adv):
-    return snapshot_from_logits(m.forward(x_nat), m.forward(x_adv))
-
-
-class TestSnapshot:
-    def test_identical_inputs_identical_preds(self):
-        m = MLPClassifier(small_spec(), seed=5)
-        x = np.random.default_rng(5).uniform(size=(6, 3))
-        snap = snapshot(m, x, x)
-        assert np.array_equal(snap.preds_nat, snap.preds_adv)
-
-    def test_uniform_logits_tie_to_class_zero(self):
-        snap = snapshot_from_logits(Tensor(np.zeros((4, 3))), Tensor(np.zeros((4, 3))))
-        assert np.array_equal(snap.preds_nat, np.zeros(4))
-
-    def test_prob_rows_sum_to_one(self):
-        m = MLPClassifier(small_spec(), seed=6)
-        rng = np.random.default_rng(6)
-        snap = snapshot(m, rng.uniform(size=(8, 3)), rng.uniform(size=(8, 3)))
-        for logits in (snap.logits_nat, snap.logits_adv):
-            assert np.abs(np.exp(log_softmax(logits).data).sum(axis=1) - 1).max() < 1e-9
-
-    def test_softmax_stable_for_large_logits(self):
-        logp = log_softmax(Tensor([[1e3, -1e3, 0.0]])).data
-        assert np.isfinite(logp).all()
-        assert abs(np.exp(logp).sum() - 1) < 1e-9
-
-    def test_batch_size_mismatch(self):
-        m = MLPClassifier(small_spec(), seed=0)
-        with pytest.raises(ContractError):
-            snapshot(m, np.ones((2, 3)), np.ones((3, 3)))
-
-    def test_preds_are_valid_classes(self):
-        m = MLPClassifier(small_spec(), seed=7)
-        rng = np.random.default_rng(7)
-        snap = snapshot(m, rng.uniform(size=(10, 3)), rng.uniform(size=(10, 3)))
-        assert snap.preds_nat.min() >= 0 and snap.preds_nat.max() < 3
 
 
 class TestCheckpoint:

@@ -6,8 +6,8 @@ import pytest
 
 import ascl.losses
 from ascl.data import Batch
-from ascl.losses import STRATEGIES, LossWeights, supcon_batch, total_loss
-from ascl.models import MLPClassifier, ModelSpec, snapshot_from_predictions
+from ascl.losses import STRATEGIES, LossWeights, selection_masks, supcon_batch, total_loss
+from ascl.models import MLPClassifier, ModelSpec
 from ascl.tensor import Tensor
 from supcon_loop import supcon_batch_loop
 
@@ -21,17 +21,18 @@ def assert_close(got, want):
     assert np.max(np.abs(got - want), initial=0.0) <= REL * scale
 
 
-def pool_value_and_grad(fn, pool, labels, snap, strategy, weights):
+def pool_value_and_grad(fn, pool, masks, weights):
     t = Tensor(pool, requires_grad=True)
-    loss = fn(t, labels, snap, strategy, weights)
+    loss = fn(t, *masks, weights)
     loss.backward()
     return loss.item(), t.grad
 
 
-def check_pool_case(pool, labels, snap, strategy, sim):
+def check_pool_case(pool, labels, preds, strategy, sim):
     w = LossWeights(similarity=sim)
-    got, got_grad = pool_value_and_grad(supcon_batch, pool, labels, snap, strategy, w)
-    want, want_grad = pool_value_and_grad(supcon_batch_loop, pool, labels, snap, strategy, w)
+    masks = selection_masks(strategy, labels, preds)
+    got, got_grad = pool_value_and_grad(supcon_batch, pool, masks, w)
+    want, want_grad = pool_value_and_grad(supcon_batch_loop, pool, masks, w)
     assert abs(got - want) <= REL * abs(want)
     assert_close(got_grad, want_grad)
 
@@ -43,9 +44,8 @@ def test_random_pools(strategy, sim):
     for _ in range(4):
         n, c = int(rng.integers(2, 10)), int(rng.integers(2, 4))
         labels = rng.integers(0, c, size=n)
-        snap = snapshot_from_predictions(rng.integers(0, c, size=n),
-                                         rng.integers(0, c, size=n), c)
-        check_pool_case(rng.normal(size=(2 * n, 5)), labels, snap, strategy, sim)
+        preds = rng.integers(0, c, size=2 * n)
+        check_pool_case(rng.normal(size=(2 * n, 5)), labels, preds, strategy, sim)
 
 
 @pytest.mark.parametrize("sim", SIMILARITIES)
@@ -55,20 +55,19 @@ def test_degenerate_batches(strategy, sim):
     # one sample: both sets empty, so the loss is identically zero; the
     # loop's gradient is zero up to rounding, the vectorised one exactly
     pool = rng.normal(size=(2, 3))
-    snap = snapshot_from_predictions([1], [0], 2)
+    masks = selection_masks(strategy, [1], [1, 0])
     w = LossWeights(similarity=sim)
-    got, got_grad = pool_value_and_grad(supcon_batch, pool, [1], snap, strategy, w)
-    want, want_grad = pool_value_and_grad(supcon_batch_loop, pool, [1], snap, strategy, w)
+    got, got_grad = pool_value_and_grad(supcon_batch, pool, masks, w)
+    want, want_grad = pool_value_and_grad(supcon_batch_loop, pool, masks, w)
     assert got == want == 0.0
     assert np.all(got_grad == 0.0) and np.max(np.abs(want_grad)) <= 1e-12
     # one class: no negatives under any strategy
     labels = np.zeros(5, dtype=np.intp)
-    snap = snapshot_from_predictions(rng.integers(0, 2, size=5), rng.integers(0, 2, size=5), 2)
-    check_pool_case(rng.normal(size=(10, 3)), labels, snap, strategy, sim)
+    preds = rng.integers(0, 2, size=10)
+    check_pool_case(rng.normal(size=(10, 3)), labels, preds, strategy, sim)
     # predictions equal to the labels: hard, soft and leaked keep no negatives
     labels = np.array([0, 1, 2, 0, 1, 2])
-    snap = snapshot_from_predictions(labels, labels, 3)
-    check_pool_case(rng.normal(size=(12, 3)), labels, snap, strategy, sim)
+    check_pool_case(rng.normal(size=(12, 3)), labels, np.tile(labels, 2), strategy, sim)
 
 
 @pytest.mark.parametrize("sim", SIMILARITIES)
@@ -100,7 +99,7 @@ def test_zero_latent_row_is_defined():
     pool = np.array([[0.0, 0.0], [1.0, 2.0], [0.5, -1.0], [2.0, 0.1]])
     t = Tensor(pool, requires_grad=True)
     w = LossWeights()
-    loss = supcon_batch(t, [0, 1], None, "global", w)
+    loss = supcon_batch(t, *selection_masks("global", [0, 1]), w)
     loss.backward()
     assert np.all(np.isfinite(t.grad))
     norms = np.linalg.norm(pool, axis=1)

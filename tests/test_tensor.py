@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ascl.errors import ContractError, DimensionError, DomainError, GraphStateError
-from ascl.tensor import Tensor, concat, log_softmax, pairwise_lp
+from ascl.tensor import Tensor, concat, cross_entropy, log_softmax, pairwise_lp
 from supcon_loop import gather_rows
 
 
@@ -147,6 +147,24 @@ class TestLogSumExp:
         assert abs(a - b) <= 1e-12 * max(1.0, abs(a))
 
 
+class TestLogSoftmax:
+    def test_rows_sum_to_one(self):
+        logits = Tensor(np.random.default_rng(6).normal(size=(8, 3)))
+        assert np.abs(np.exp(log_softmax(logits).data).sum(axis=1) - 1).max() < 1e-9
+
+    def test_stable_for_large_logits(self):
+        logp = log_softmax(Tensor([[1e3, -1e3, 0.0]])).data
+        assert np.isfinite(logp).all()
+        assert abs(np.exp(logp).sum() - 1) < 1e-9
+
+    def test_cross_entropy_is_negated_log_softmax_bitwise(self):
+        rng = np.random.default_rng(7)
+        logits = Tensor(np.concatenate([rng.normal(size=(20, 4)), [[1e3, -1e3, 0.0, 5.0]]]))
+        y = rng.integers(0, 4, size=21)
+        want = -log_softmax(logits).data[np.arange(21), y]
+        assert cross_entropy(logits, y).data.tobytes() == want.tobytes()
+
+
 class TestBackward:
     def test_sum_of_squares(self):
         x = Tensor([1.0, 2.0], requires_grad=True)
@@ -235,6 +253,8 @@ def _random_ops(rng):
          lambda: (rng.normal(size=(3, 4)), None)),
         ("log_softmax", lambda t, c: (log_softmax(t) * Tensor(c)).sum(), None,
          lambda: (rng.normal(size=(3, 4)), rng.normal(size=(3, 4)))),
+        ("cross_entropy", lambda t, c: cross_entropy(t, c).sum(), None,
+         lambda: (rng.normal(size=(3, 4)), rng.integers(0, 4, size=3))),
         ("transpose", lambda t, c: (t.transpose() @ Tensor(c)).sum(), None,
          lambda: (rng.normal(size=(3, 4)), rng.normal(size=(3, 2)))),
         ("concat", lambda t, c: (concat([t, Tensor(c)]) ** 2.0).sum(), None,

@@ -120,7 +120,7 @@ def test_sweep_records_the_failure_and_continues(tmp_path):
                      output_dir=str(tmp_path))
     rows = sweep(base, ["global"], [1.0, -1.0], [2.0])
     assert [(r["lambda_scl"], r["status"]) for r in rows] == [
-        (-1.0, "failed: ContractError: loss weights must be nonnegative"),
+        (-1.0, "failed: ConfigError: loss weights must be nonnegative"),
         (1.0, "ok"),
     ]
     assert rows[0]["nat_acc"] is None and rows[0]["rob_acc"] is None
