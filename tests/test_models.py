@@ -4,7 +4,10 @@ import struct
 import numpy as np
 import pytest
 
+import ascl.losses
+from ascl.data import Batch
 from ascl.errors import ConfigError, DimensionError, FormatError
+from ascl.losses import LossWeights, total_loss
 from ascl.models import MLPClassifier, ModelSpec, load_model, save_model
 from ascl.tensor import Tensor, log_softmax
 
@@ -105,6 +108,29 @@ class TestProjection:
         (m.project(m.encode(x)) ** 2.0).sum().backward()
         assert m.parameters[0].grad is not None
         assert np.abs(m.parameters[0].grad).sum() > 0
+
+
+class TestSnapshot:
+    """The natural/adversarial argmax predictions that feed the slot masks
+    are taken inside total_loss, from its one pair of forwards."""
+
+    def test_identical_inputs_identical_preds(self, monkeypatch):
+        m = MLPClassifier(small_spec(), seed=5)
+        rng = np.random.default_rng(5)
+        x = rng.uniform(size=(6, 3))
+        y = rng.integers(0, 3, size=6)
+        seen = []
+        real = ascl.losses.selection_masks
+
+        def recording(strategy, labels, preds=None):
+            seen.append(preds)
+            return real(strategy, labels, preds)
+
+        monkeypatch.setattr(ascl.losses, "selection_masks", recording)
+        total_loss(Batch(x, y, x.copy()), m, "hard", LossWeights())
+        (preds,) = seen
+        assert np.array_equal(preds[:6], preds[6:])
+        assert np.array_equal(preds[:6], np.argmax(m.forward(x).data, axis=1))
 
 
 class TestCheckpoint:
