@@ -1,13 +1,18 @@
 """Command-line entry point.
 
 Subcommands: train, evaluate, attack, divergence, selection-stats, sweep,
-make-data. Exit codes: 0 ok, 1 usage error, 2 runtime failure.
+make-data. Exit codes: 0 ok, 1 usage error, 2 runtime failure. A bad flag
+value is a usage error: each subcommand builds what its flags describe
+before it reads or writes a file. A malformed file, or a failure once the
+run is under way, is a runtime failure.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
+import itertools
 import sys
 
 import numpy as np
@@ -23,13 +28,9 @@ from .models import load_model
 from .training import SWEEP_COLUMNS, evaluate, sweep, train, write_csv
 
 
-class UsageError(Exception):
-    pass
-
-
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
-        raise UsageError(message)
+        raise ConfigError(message)
 
 
 def _add_run_overrides(p):
@@ -60,9 +61,18 @@ def _run_config(args) -> RunConfig:
     return config_from_dict(overrides, base=base)
 
 
-def _attack_cfg(args) -> AttackConfig:
-    return AttackConfig(epsilon=args.eps, eta=args.eta, steps=args.steps,
+def _attack_cfg(args, epsilon) -> AttackConfig:
+    return AttackConfig(epsilon=epsilon, eta=args.eta, steps=args.steps,
                         random_init=not args.no_random_init)
+
+
+@contextlib.contextmanager
+def _flag_values():
+    """A ValueError (ContractError too) while building from flags is a usage error."""
+    try:
+        yield
+    except ValueError as e:
+        raise ConfigError(str(e)) from e
 
 
 def build_parser():
@@ -139,20 +149,25 @@ def _cmd_train(args):
 
 
 def _cmd_evaluate(args):
+    with _flag_values():
+        cfg = _attack_cfg(args, args.eps)
+        attacks = tuple(a.strip() for a in args.attack.split(","))
+        for name in attacks:
+            attack_by_name(name)
     model = load_model(args.checkpoint)
     ds = load_dataset(args.data)
-    attacks = tuple(a.strip() for a in args.attack.split(","))
-    rows = evaluate(model, ds, _attack_cfg(args), attacks=attacks, seed=args.seed)
+    rows = evaluate(model, ds, cfg, attacks=attacks, seed=args.seed)
     for name, row in rows:
         print(f"attack={name} nat_acc={row.nat_acc:.4f} rob_acc={row.rob_acc:.4f}")
     return 0
 
 
 def _cmd_attack(args):
+    with _flag_values():
+        cfg = _attack_cfg(args, args.eps)
+        fn = attack_by_name(args.attack)
     model = load_model(args.checkpoint)
     ds = load_dataset(args.data)
-    cfg = _attack_cfg(args)
-    fn = attack_by_name(args.attack)
     x_adv = fn(model, ds.features, ds.labels, cfg, seed=args.seed)
     acc = float(np.mean(np.argmax(model.forward(x_adv).data, axis=1) == ds.labels))
     print(f"attack={args.attack} eps={cfg.epsilon:g} rob_acc={acc:.4f}")
@@ -164,17 +179,21 @@ def _cmd_attack(args):
 
 
 def _cmd_divergence(args):
+    with _flag_values():
+        grid = [float(v) for v in args.eps_grid.split(",")]
+        # divergence_sweep sets each row's epsilon; checking the least checks all
+        base = _attack_cfg(args, min(grid))
     model = load_model(args.checkpoint)
     ds = load_dataset(args.data)
-    grid = [float(v) for v in args.eps_grid.split(",")]
-    # divergence_sweep sets epsilon on every row
-    base = AttackConfig(eta=args.eta, steps=args.steps, random_init=not args.no_random_init)
     rows = divergence_sweep(model, ds, grid, base, seed=args.seed)
     _emit_csv(rows, DIVERGENCE_COLUMNS, args.out)
     return 0
 
 
 def _cmd_selection_stats(args):
+    if args.trials < 1 or args.batch_size < 2 or args.classes < 1:
+        raise ConfigError("selection-stats needs --trials >= 1, --batch-size >= 2 "
+                          "and --classes >= 1")
     rng = np.random.default_rng(args.seed)
     pos, neg = [], []
     for _ in range(args.trials):
@@ -192,21 +211,24 @@ def _cmd_selection_stats(args):
 
 def _cmd_sweep(args):
     cfg = _run_config(args)
-    rows = sweep(cfg,
-                 strategies=[s.strip() for s in args.strategies.split(",")],
-                 scl_grid=[float(v) for v in args.lambda_scl_grid.split(",")],
-                 vat_grid=[float(v) for v in args.lambda_vat_grid.split(",")],
-                 epochs=args.sweep_epochs)
+    with _flag_values():
+        strategies = [s.strip() for s in args.strategies.split(",")]
+        scl_grid = [float(v) for v in args.lambda_scl_grid.split(",")]
+        vat_grid = [float(v) for v in args.lambda_vat_grid.split(",")]
+        for s, a, b in itertools.product(strategies, scl_grid, vat_grid):
+            dataclasses.replace(cfg, strategy=s, lambda_scl=a, lambda_vat=b)
+    rows = sweep(cfg, strategies, scl_grid, vat_grid, epochs=args.sweep_epochs)
     _emit_csv(rows, SWEEP_COLUMNS, args.out)
     return 0
 
 
 def _cmd_make_data(args):
-    if args.kind == "blobs":
-        ds = make_blobs(args.classes, args.per_class, args.dims, args.spread,
-                        args.seed, split=args.split)
-    else:
-        ds = make_two_moons(args.size, args.noise, args.seed, split=args.split)
+    with _flag_values():
+        if args.kind == "blobs":
+            ds = make_blobs(args.classes, args.per_class, args.dims, args.spread,
+                            args.seed, split=args.split)
+        else:
+            ds = make_two_moons(args.size, args.noise, args.seed, split=args.split)
     if args.format == "bin":
         save_dataset(ds, args.out)
     else:
@@ -227,13 +249,8 @@ _COMMANDS = {
 
 
 def cli(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except UsageError as e:
-        print(f"usage error: {e}", file=sys.stderr)
-        return 1
-    try:
+        args = build_parser().parse_args(argv)
         return _COMMANDS[args.command](args)
     except ConfigError as e:
         print(f"usage error: {e}", file=sys.stderr)

@@ -225,7 +225,7 @@ def total_loss(batch, model: MLPClassifier, strategy, weights: LossWeights,
 
     scl_val = 0.0
     if weights.lambda_scl > 0:
-        pool = concat([model.project(z_nat), model.project(z_adv)], axis=0)
+        pool = concat([model.project(z_nat), model.project(z_adv)])
         scl = supcon_batch(pool, pos, neg, weights)
         scl_val = scl.item()
         total = total + weights.lambda_scl * scl

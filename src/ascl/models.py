@@ -67,31 +67,29 @@ class MLPClassifier:
         self.spec = spec
         rng = np.random.default_rng(seed)
         self._params = []
-        self._names = []
 
         self.hidden = []
         fan_in = spec.input_dim
-        for li, width in enumerate(spec.hidden_layers):
-            w = self._add(f"hidden{li}.w", _glorot(rng, fan_in, width))
-            b = self._add(f"hidden{li}.b", np.zeros((1, width)))
+        for width in spec.hidden_layers:
+            w = self._add(_glorot(rng, fan_in, width))
+            b = self._add(np.zeros((1, width)))
             self.hidden.append((w, b))
             fan_in = width
 
-        self.cls_w = self._add("classifier.w", _glorot(rng, fan_in, spec.num_classes))
-        self.cls_b = self._add("classifier.b", np.zeros((1, spec.num_classes)))
+        self.cls_w = self._add(_glorot(rng, fan_in, spec.num_classes))
+        self.cls_b = self._add(np.zeros((1, spec.num_classes)))
 
         # projection heads carry no bias
         self.proj = []
         if spec.projection == "linear":
-            self.proj.append(self._add("proj0.w", _glorot(rng, spec.latent_dim, spec.projection_dim)))
+            self.proj.append(self._add(_glorot(rng, spec.latent_dim, spec.projection_dim)))
         elif spec.projection == "two_layer":
-            self.proj.append(self._add("proj0.w", _glorot(rng, spec.latent_dim, spec.projection_mid)))
-            self.proj.append(self._add("proj1.w", _glorot(rng, spec.projection_mid, spec.projection_dim)))
+            self.proj.append(self._add(_glorot(rng, spec.latent_dim, spec.projection_mid)))
+            self.proj.append(self._add(_glorot(rng, spec.projection_mid, spec.projection_dim)))
 
-    def _add(self, name, arr):
+    def _add(self, arr):
         t = Tensor(np.asarray(arr, dtype=np.float64), requires_grad=True)
         self._params.append(t)
-        self._names.append(name)
         return t
 
     @property

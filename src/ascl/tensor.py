@@ -4,6 +4,13 @@ Ops record a computation graph as they run; calling ``backward()`` on a
 scalar root walks the graph once in reverse topological order and leaves
 the total derivative on every ``requires_grad`` leaf. Graphs are
 single-use: a second backward through any interior node raises.
+
+Each op states its forward value and one vector-Jacobian product (VJP)
+per input: a map from the output's gradient to that input's share.
+``backward`` alone routes: it calls the VJPs of the inputs that require
+grad, in input order, and accumulates. One broadcasting rule reduces
+what a VJP returns: sum the axes where the input has size 1 and the
+gradient does not, give a 0-d input the total, and leave the rest to ``+=``.
 """
 
 from __future__ import annotations
@@ -15,41 +22,17 @@ from .errors import ContractError, DimensionError, DomainError, GraphStateError
 __all__ = ["Tensor", "concat", "log_softmax", "cross_entropy", "pairwise_lp"]
 
 
-def _check_broadcast(sa, sb):
-    # scalars promote freely; otherwise ranks must agree and each dim
-    # must match or be 1
-    if sa == () or sb == ():
-        return
-    if len(sa) != len(sb):
-        raise DimensionError(f"rank mismatch: {sa} vs {sb}")
-    for da, db in zip(sa, sb):
-        if da != db and 1 not in (da, db):
-            raise DimensionError(f"shapes not broadcastable: {sa} vs {sb}")
-
-
-def _unbroadcast(g, shape):
-    """Reduce a broadcasted gradient back to the shape of its source."""
-    if g.shape == shape:
-        return g
-    if shape == ():
-        return g.sum()
-    axes = tuple(i for i, (ds, dg) in enumerate(zip(shape, g.shape)) if ds == 1 and dg != 1)
-    if axes:
-        g = g.sum(axis=axes, keepdims=True)
-    return g.reshape(shape)
-
-
 class Tensor:
     """A float64 array plus an optional gradient and graph linkage."""
 
-    __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward_fn", "_consumed")
+    __slots__ = ("data", "grad", "requires_grad", "_parents", "_vjps", "_consumed")
 
     def __init__(self, data, requires_grad: bool = False):
         self.data = np.asarray(data, dtype=np.float64)
         self.grad = None
         self.requires_grad = requires_grad
         self._parents = ()
-        self._backward_fn = None
+        self._vjps = ()
         self._consumed = False
 
     @property
@@ -67,18 +50,29 @@ class Tensor:
     # -- graph plumbing ----------------------------------------------------
 
     @staticmethod
-    def _make(data, parents, backward_fn):
+    def _make(data, parents, vjps):
+        """A node whose ``vjps[k]`` maps its gradient to ``parents[k]``'s."""
         out = Tensor(data)
-        if any(p.requires_grad for p in parents):
-            out.requires_grad = True
-            out._parents = tuple(parents)
-            out._backward_fn = backward_fn
+        # a plain loop: any() over a generator adds a frame per op
+        for p in parents:
+            if p.requires_grad:
+                out.requires_grad = True
+                out._parents = tuple(parents)
+                out._vjps = vjps
+                break
         return out
 
     def _accumulate(self, g):
-        # g may be any shape that broadcasts to this tensor's
+        """Add ``g`` to the gradient, reduced by the one broadcasting rule."""
+        shape = self.data.shape
+        if g.shape != shape:
+            if shape == ():
+                g = g.sum()
+            elif axes := tuple(i for i, (ds, dg) in enumerate(zip(shape, g.shape))
+                               if ds == 1 and dg != 1):
+                g = g.sum(axis=axes, keepdims=True)
         if self.grad is None:
-            self.grad = np.zeros(self.data.shape, dtype=np.float64)
+            self.grad = np.zeros(shape, dtype=np.float64)
         self.grad += g
 
     def backward(self):
@@ -115,8 +109,10 @@ class Tensor:
 
         self._accumulate(np.ones((), dtype=np.float64))
         for node in reversed(order):
-            if node._backward_fn is not None and node.grad is not None:
-                node._backward_fn(node.grad)
+            # a node with parents is reached from the root, so it holds a grad
+            for parent, vjp in zip(node._parents, node._vjps):
+                if parent.requires_grad:
+                    parent._accumulate(vjp(node.grad))
 
     # -- elementwise binary ops ---------------------------------------------
 
@@ -126,120 +122,76 @@ class Tensor:
             return other
         return Tensor(other)
 
-    def __add__(self, other):
+    def _operand(self, other):
+        """The right operand as a Tensor whose shape broadcasts with ours:
+        scalars promote freely; otherwise ranks agree and each dim matches
+        or is 1."""
         other = self._coerce(other)
-        _check_broadcast(self.shape, other.shape)
+        sa, sb = self.data.shape, other.data.shape
+        if sa == sb or sa == () or sb == ():
+            return other
+        if len(sa) != len(sb):
+            raise DimensionError(f"rank mismatch: {sa} vs {sb}")
+        for da, db in zip(sa, sb):
+            if da != db and 1 not in (da, db):
+                raise DimensionError(f"shapes not broadcastable: {sa} vs {sb}")
+        return other
 
-        def back(g):
-            if self.requires_grad:
-                self._accumulate(_unbroadcast(g, self.shape))
-            if other.requires_grad:
-                other._accumulate(_unbroadcast(g, other.shape))
-
-        return Tensor._make(self.data + other.data, (self, other), back)
+    def __add__(self, other):
+        other = self._operand(other)
+        return Tensor._make(self.data + other.data, (self, other), (lambda g: g, lambda g: g))
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        other = self._coerce(other)
-        _check_broadcast(self.shape, other.shape)
-
-        def back(g):
-            if self.requires_grad:
-                self._accumulate(_unbroadcast(g, self.shape))
-            if other.requires_grad:
-                other._accumulate(_unbroadcast(-g, other.shape))
-
-        return Tensor._make(self.data - other.data, (self, other), back)
-
-    def __rsub__(self, other):
-        return self._coerce(other).__sub__(self)
+        other = self._operand(other)
+        return Tensor._make(self.data - other.data, (self, other), (lambda g: g, lambda g: -g))
 
     def __mul__(self, other):
-        other = self._coerce(other)
-        _check_broadcast(self.shape, other.shape)
+        other = self._operand(other)
         a, b = self.data, other.data
-
-        def back(g):
-            if self.requires_grad:
-                self._accumulate(_unbroadcast(g * b, self.shape))
-            if other.requires_grad:
-                other._accumulate(_unbroadcast(g * a, other.shape))
-
-        return Tensor._make(a * b, (self, other), back)
+        return Tensor._make(a * b, (self, other), (lambda g: g * b, lambda g: g * a))
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        other = self._coerce(other)
-        _check_broadcast(self.shape, other.shape)
+        other = self._operand(other)
         if np.any(other.data == 0.0):
             raise DomainError("division by zero")
         a, b = self.data, other.data
-
-        def back(g):
-            if self.requires_grad:
-                self._accumulate(_unbroadcast(g / b, self.shape))
-            if other.requires_grad:
-                other._accumulate(_unbroadcast(-g * a / (b * b), other.shape))
-
-        return Tensor._make(a / b, (self, other), back)
-
-    def __rtruediv__(self, other):
-        return self._coerce(other).__truediv__(self)
+        return Tensor._make(a / b, (self, other),
+                            (lambda g: g / b, lambda g: -g * a / (b * b)))
 
     def __neg__(self):
-        def back(g):
-            if self.requires_grad:
-                self._accumulate(-g)
-
-        return Tensor._make(-self.data, (self,), back)
+        return Tensor._make(-self.data, (self,), (lambda g: -g,))
 
     def __pow__(self, exponent):
         e = float(exponent)
         if e != int(e) and np.any(self.data < 0.0):
             raise DomainError("fractional power of negative base")
         a = self.data
-        out_data = a ** e
 
-        def back(g):
-            if self.requires_grad:
-                with np.errstate(divide="ignore", invalid="ignore"):
-                    d = e * a ** (e - 1.0)
-                # kink convention at 0 for e < 1, mirroring sign(0) = 0
-                d = np.where(np.isfinite(d), d, 0.0)
-                self._accumulate(g * d)
+        def vjp(g):
+            with np.errstate(divide="ignore", invalid="ignore"):
+                d = e * a ** (e - 1.0)
+            # kink convention at 0 for e < 1, mirroring sign(0) = 0
+            return g * np.where(np.isfinite(d), d, 0.0)
 
-        return Tensor._make(out_data, (self,), back)
+        return Tensor._make(a ** e, (self,), (vjp,))
 
     # -- elementwise unary ops ----------------------------------------------
 
     def exp(self):
         out_data = np.exp(self.data)
-
-        def back(g):
-            if self.requires_grad:
-                self._accumulate(g * out_data)
-
-        return Tensor._make(out_data, (self,), back)
+        return Tensor._make(out_data, (self,), (lambda g: g * out_data,))
 
     def relu(self):
         a = self.data
-
-        def back(g):
-            if self.requires_grad:
-                self._accumulate(g * (a > 0.0))
-
-        return Tensor._make(np.maximum(a, 0.0), (self,), back)
+        return Tensor._make(np.maximum(a, 0.0), (self,), (lambda g: g * (a > 0.0),))
 
     def abs(self):
         a = self.data
-
-        def back(g):
-            if self.requires_grad:
-                self._accumulate(g * np.sign(a))
-
-        return Tensor._make(np.abs(a), (self,), back)
+        return Tensor._make(np.abs(a), (self,), (lambda g: g * np.sign(a),))
 
     def sqrt(self):
         return self.__pow__(0.5)
@@ -253,26 +205,14 @@ class Tensor:
         if self.shape[1] != other.shape[0]:
             raise DimensionError(f"inner dimensions disagree: {self.shape} @ {other.shape}")
         a, b = self.data, other.data
-
-        def back(g):
-            if self.requires_grad:
-                self._accumulate(g @ b.T)
-            if other.requires_grad:
-                other._accumulate(a.T @ g)
-
-        return Tensor._make(a @ b, (self, other), back)
+        return Tensor._make(a @ b, (self, other), (lambda g: g @ b.T, lambda g: a.T @ g))
 
     __matmul__ = matmul
 
     def transpose(self):
         if self.data.ndim != 2:
             raise DimensionError("transpose expects a 2-D tensor")
-
-        def back(g):
-            if self.requires_grad:
-                self._accumulate(g.T)
-
-        return Tensor._make(self.data.T, (self,), back)
+        return Tensor._make(self.data.T, (self,), (lambda g: g.T,))
 
     # -- reductions -------------------------------------------------------------
 
@@ -282,14 +222,8 @@ class Tensor:
 
     def sum(self, axis=None, keepdims: bool = False):
         self._check_axis(axis)
-
-        def back(g):
-            if self.requires_grad:
-                if axis is not None and not keepdims:
-                    g = np.expand_dims(g, axis)
-                self._accumulate(g)
-
-        return Tensor._make(self.data.sum(axis=axis, keepdims=keepdims), (self,), back)
+        vjp = (lambda g: g) if axis is None or keepdims else (lambda g: np.expand_dims(g, axis))
+        return Tensor._make(self.data.sum(axis=axis, keepdims=keepdims), (self,), (vjp,))
 
     def mean(self, axis=None, keepdims: bool = False):
         self._check_axis(axis)
@@ -306,12 +240,7 @@ class Tensor:
         out_full = m + np.log(total)
         out_data = out_full if keepdims else np.squeeze(out_full, axis=axis)
         soft = shifted / total
-
-        def back(g):
-            if self.requires_grad:
-                self._accumulate(soft * g.reshape(total.shape))
-
-        return Tensor._make(out_data, (self,), back)
+        return Tensor._make(out_data, (self,), (lambda g: soft * g.reshape(total.shape),))
 
 
 def log_softmax(logits: Tensor) -> Tensor:
@@ -329,24 +258,17 @@ def cross_entropy(logits: Tensor, labels) -> Tensor:
     return logits.log_sum_exp(axis=1) - (logits * Tensor(onehot)).sum(axis=1)
 
 
-def concat(tensors, axis: int = 0):
-    """Concatenate 2-D tensors along an axis; backward splits the gradient."""
+def concat(tensors):
+    """Stack 2-D tensors row-wise; backward hands each its rows of the gradient."""
     tensors = [Tensor._coerce(t) for t in tensors]
     if not tensors:
         raise ContractError("concat of empty list")
     for t in tensors:
         if t.data.ndim != 2:
             raise DimensionError("concat expects 2-D tensors")
-    sizes = [t.data.shape[axis] for t in tensors]
-    offsets = np.cumsum([0] + sizes)
-
-    def back(g):
-        for t, lo, hi in zip(tensors, offsets[:-1], offsets[1:]):
-            if t.requires_grad:
-                sl = (slice(lo, hi), slice(None)) if axis == 0 else (slice(None), slice(lo, hi))
-                t._accumulate(g[sl])
-
-    return Tensor._make(np.concatenate([t.data for t in tensors], axis=axis), tuple(tensors), back)
+    offsets = np.cumsum([0] + [t.data.shape[0] for t in tensors])
+    vjps = tuple((lambda g, lo=lo, hi=hi: g[lo:hi]) for lo, hi in zip(offsets[:-1], offsets[1:]))
+    return Tensor._make(np.concatenate([t.data for t in tensors]), tuple(tensors), vjps)
 
 
 def pairwise_lp(x, p: float):
@@ -367,13 +289,12 @@ def pairwise_lp(x, p: float):
     for col in a.T:
         out += np.abs(col[:, None] - col[None, :]) ** p
 
-    def back(g):
-        if x.requires_grad:
-            gs = g + g.T
-            grad = np.empty_like(a)
-            for k, col in enumerate(a.T):
-                d = col[:, None] - col[None, :]
-                grad[:, k] = p * (gs * np.sign(d) * np.abs(d) ** (p - 1)).sum(axis=1)
-            x._accumulate(grad)
+    def vjp(g):
+        gs = g + g.T
+        grad = np.empty_like(a)
+        for k, col in enumerate(a.T):
+            d = col[:, None] - col[None, :]
+            grad[:, k] = p * (gs * np.sign(d) * np.abs(d) ** (p - 1)).sum(axis=1)
+        return grad
 
-    return Tensor._make(out, (x,), back)
+    return Tensor._make(out, (x,), (vjp,))

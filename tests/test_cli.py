@@ -33,6 +33,34 @@ def test_missing_checkpoint_is_a_runtime_failure(files, tmp_path):
                 "--data", data]) == 2
 
 
+# the files named here do not exist: a flag value is checked before any
+# file is read or written, so each command is a usage error, not exit 2
+@pytest.mark.parametrize("argv", [
+    ["evaluate", "--attack", "foo"],
+    ["evaluate", "--eps", "-1"],
+    ["evaluate", "--steps", "3", "--eta", "0"],
+    ["attack", "--eps", "-1"],
+    ["divergence", "--eps-grid", "0,x"],
+    ["divergence", "--eps-grid", "0,-0.1"],
+    ["selection-stats", "--batch-size", "1"],
+    ["selection-stats", "--classes", "0"],
+    ["selection-stats", "--trials", "0"],
+    ["make-data", "--kind", "moons", "--size", "1"],
+    ["make-data", "--kind", "blobs", "--classes", "0"],
+    ["sweep", "--lambda-scl-grid", "x"],
+    ["sweep", "--lambda-vat-grid=-1"],
+    ["sweep", "--strategies", "foo"],
+], ids=" ".join)
+def test_bad_flag_value_is_a_usage_error(tmp_path, capsys, argv):
+    missing = ["--checkpoint", str(tmp_path / "m.ckpt"), "--data", str(tmp_path / "d.ds")]
+    extra = {"evaluate": missing, "attack": missing, "divergence": missing,
+             "make-data": ["--out", str(tmp_path / "out.ds")],
+             "sweep": ["--output-dir", str(tmp_path / "runs")]}
+    assert cli(argv + extra.get(argv[0], [])) == 1
+    assert capsys.readouterr().err.startswith("usage error: ")
+    assert list(tmp_path.iterdir()) == []
+
+
 @pytest.mark.parametrize("command,extra,eps,steps", [
     ("evaluate", [], 0.05, 50),
     ("attack", [], 0.05, 50),

@@ -261,6 +261,20 @@ def _random_ops(rng):
          lambda: (rng.normal(size=(3, 4)), rng.normal(size=(2, 4)))),
         ("sqrt", lambda t, c: t.sqrt().sum(), None,
          lambda: (rng.uniform(0.5, 2.0, size=(3, 4)), None)),
+        # the differentiated tensor is the broadcast side: backward sums
+        # its gradient over the axes it was broadcast along
+        ("sub_bcast", lambda t, c: ((Tensor(c) - t) ** 2.0).sum(), None,
+         lambda: (rng.normal(size=(1, 4)), rng.normal(size=(3, 4)))),
+        ("mul_bcast", lambda t, c: ((t * Tensor(c)) ** 2.0).sum(), None,
+         lambda: (rng.normal(size=(1, 4)), rng.normal(size=(3, 4)))),
+        ("div_bcast", lambda t, c: ((Tensor(c) / t) ** 2.0).sum(), None,
+         lambda: (rng.uniform(0.5, 2.0, size=(1, 4)), rng.normal(size=(3, 4)))),
+        ("mul_0d", lambda t, c: ((Tensor(c) * t) ** 2.0).sum(), None,
+         lambda: (np.array(rng.normal()), rng.normal(size=(3, 4)))),
+        ("neg", lambda t, c: ((-t) * Tensor(c)).sum(), None,
+         lambda: (rng.normal(size=(3, 4)), rng.normal(size=(3, 4)))),
+        ("sum1_keepdims", lambda t, c: (t.sum(axis=1, keepdims=True) ** 2.0).sum(), None,
+         lambda: (rng.normal(size=(3, 4)), None)),
     ]
 
 
