@@ -161,12 +161,13 @@ def attack_by_name(name):
 
 
 def robust_accuracy(model, features, labels, attack, cfg: AttackConfig,
-                    seed=0, batch_size=256):
+                    seed=0, batch_size=256, latents=None):
     """Fraction of samples still predicted correctly after the attack.
 
     ``attack`` is one of "none"/"pgd"/"mpgd" or a callable with the
     pgd_attack signature. Attacks run per batch; per-sample seeding keeps
-    the result independent of batch_size.
+    the result independent of batch_size. Each batch is encoded once; when
+    ``latents`` is a list, each batch's latent array is appended to it.
     """
     features = np.asarray(features, dtype=np.float64)
     labels = np.asarray(labels, dtype=np.intp)
@@ -178,7 +179,9 @@ def robust_accuracy(model, features, labels, attack, cfg: AttackConfig,
     for lo in range(0, features.shape[0], batch_size):
         xb = features[lo:lo + batch_size]
         yb = labels[lo:lo + batch_size]
-        x_adv = fn(model, xb, yb, cfg, seed=seed, index_base=lo)
-        preds = np.argmax(model.forward(x_adv).data, axis=1)
+        z = model.encode(fn(model, xb, yb, cfg, seed=seed, index_base=lo))
+        if latents is not None:
+            latents.append(z.data)
+        preds = np.argmax(model.classify(z).data, axis=1)
         correct += int((preds == yb).sum())
     return correct / features.shape[0]

@@ -17,7 +17,7 @@ import sys
 
 import numpy as np
 
-from .attacks import AttackConfig, attack_by_name
+from .attacks import AttackConfig, attack_by_name, robust_accuracy
 from .config import RunConfig, _parse_value, config_from_dict, parse_config_file
 from .data import Dataset, dataset_to_csv, load_dataset, make_blobs, make_two_moons, save_dataset
 from .divergence import SWEEP_COLUMNS as DIVERGENCE_COLUMNS
@@ -169,7 +169,7 @@ def _cmd_attack(args):
     model = load_model(args.checkpoint)
     ds = load_dataset(args.data)
     x_adv = fn(model, ds.features, ds.labels, cfg, seed=args.seed)
-    acc = float(np.mean(np.argmax(model.forward(x_adv).data, axis=1) == ds.labels))
+    acc = robust_accuracy(model, x_adv, ds.labels, "none", cfg)
     print(f"attack={args.attack} eps={cfg.epsilon:g} rob_acc={acc:.4f}")
     if args.out:
         save_dataset(Dataset(x_adv, ds.labels, ds.num_classes,

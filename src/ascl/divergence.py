@@ -1,6 +1,8 @@
 """Latent-space diagnostics: mean cosine distance from each anchor to its
 same-class pool (intra) and different-class pool (inter), and their
-ratio, computed over pooled natural+adversarial latents."""
+ratio, computed over pooled natural+adversarial latents. Slots follow
+the ``global`` masks of ``losses.selection_masks``; ``divergence_report``
+keeps the latents of ``robust_accuracy``'s passes, one encode per input."""
 
 from __future__ import annotations
 
@@ -10,6 +12,7 @@ import numpy as np
 
 from .attacks import AttackConfig, pgd_attack, robust_accuracy
 from .errors import ContractError
+from .losses import selection_masks
 
 __all__ = [
     "DivergenceReport",
@@ -30,6 +33,7 @@ class DivergenceReport:
     d_a_plus: float | None
     d_a_minus: float | None
     r_div: float | None
+    nat_acc: float
     rob_acc: float
     layer_name: str = "penultimate"
     n_samples: int = 0
@@ -41,30 +45,30 @@ def _pooled(z, labels, z_adv):
     if z.ndim != 2 or labels.shape != (z.shape[0],):
         raise ContractError("latents must be (N, h) with matching labels")
     if z_adv is None:
-        return z, labels, np.arange(z.shape[0])
+        return z, labels
     z_adv = np.asarray(z_adv, dtype=np.float64)
     if z_adv.shape != z.shape:
         raise ContractError("adversarial latents must match natural latents")
-    pool = np.concatenate([z, z_adv])
-    src = np.concatenate([np.arange(z.shape[0])] * 2)
-    return pool, np.concatenate([labels, labels]), src
+    return np.concatenate([z, z_adv]), labels
 
 
 def absolute_divergences(z, labels, z_adv=None, block_rows=None):
     """Mean anchor-to-positive and anchor-to-negative cosine distances.
 
-    Every pooled slot serves as anchor; its positives are all slots from
-    *other* source samples with the same label, negatives those with a
-    different label. Anchors with an empty set are skipped on that side;
-    a side with no anchor left (one class only, say) is None.
+    Every pooled slot ``a`` serves as anchor; its positives and negatives
+    are row ``a % N`` of the ``global`` selection masks: slots of *other*
+    samples with the same label, and those with a different label.
+    Anchors with an empty set are skipped on that side; a side with no
+    anchor left (one class only, say) is None.
     An all-zero latent is at distance 1 from every slot, as it has
     similarity 0 in the contrastive loss.
     Anchors are taken ``block_rows`` at a time (default: all at once), so
     no temporary outgrows a (block_rows, pool) block; the result does not
     depend on the block size.
     """
-    pool, slot_labels, src = _pooled(z, labels, z_adv)
-    m = pool.shape[0]
+    pool, labels = _pooled(z, labels, z_adv)
+    m, n = pool.shape[0], labels.shape[0]
+    masks = [mask[:, :m] for mask in selection_masks("global", labels)]
     norms = np.linalg.norm(pool, axis=1)
     unit = pool / np.where(norms > 0, norms, 1.0)[:, None]
     step = block_rows or max(m, 1)
@@ -76,11 +80,11 @@ def absolute_divergences(z, labels, z_adv=None, block_rows=None):
         rows = slice(lo, lo + step)
         dist = unit[rows] @ unit.T
         np.subtract(1.0, dist, out=dist)
-        other = src[rows, None] != src[None, :]
-        same = slot_labels[rows, None] == slot_labels[None, :]
-        for side, mask in enumerate((other & same, other & ~same)):
-            sums[side, rows] = dist.sum(axis=1, where=mask)
-            counts[side, rows] = mask.sum(axis=1)
+        src = np.arange(lo, min(lo + step, m)) % n
+        for side, mask in enumerate(masks):
+            block = mask[src]
+            sums[side, rows] = dist.sum(axis=1, where=block)
+            counts[side, rows] = block.sum(axis=1)
 
     means = []
     for side in range(2):
@@ -103,38 +107,30 @@ def divergence_report(model, features, labels, attack_cfg: AttackConfig | None,
                       seed=0, batch_size=128) -> DivergenceReport:
     """Divergences of the model's penultimate latents over a dataset.
 
-    With an attack config, one PGD pass gives the adversarial latents, pooled
-    with the natural ones, and ``rob_acc``, the accuracy on exactly those
-    inputs; without one (or at epsilon 0), the pool is benign-only and
-    ``rob_acc`` is natural accuracy. Inputs are encoded and attacked in
-    mini-batches, each sample on its own attack stream; no result depends
-    on ``batch_size``.
+    One ``robust_accuracy`` pass without attack gives the natural latents
+    and ``nat_acc``. With an attack config at epsilon > 0, one PGD pass
+    gives the adversarial latents, pooled with the natural ones, and
+    ``rob_acc``, the accuracy on exactly those inputs; otherwise the pool
+    is benign-only and ``rob_acc`` is ``nat_acc``. Inputs are encoded and
+    attacked in mini-batches, each sample on its own attack stream; no
+    result depends on ``batch_size``.
     """
-    features = np.asarray(features, dtype=np.float64)
-    labels = np.asarray(labels, dtype=np.intp)
-    if features.shape[0] == 0:
-        raise ContractError("divergence report on an empty dataset")
     attacked = attack_cfg is not None and attack_cfg.epsilon > 0
-    adv_parts = []
-
-    def attack_and_encode(model, x, y, cfg, seed=0, index_base=0):
-        x_adv = pgd_attack(model, x, y, cfg, seed=seed, index_base=index_base)
-        adv_parts.append(model.encode(x_adv).data)
-        return x_adv
-
-    rob_acc = robust_accuracy(model, features, labels,
-                              attack_and_encode if attacked else "none", attack_cfg,
-                              seed=seed, batch_size=batch_size)
-    z = np.concatenate([model.encode(features[lo:lo + batch_size]).data
-                        for lo in range(0, features.shape[0], batch_size)])
+    z, z_adv = [], []
+    nat_acc = robust_accuracy(model, features, labels, "none", attack_cfg,
+                              batch_size=batch_size, latents=z)
+    rob_acc = robust_accuracy(model, features, labels, pgd_attack, attack_cfg, seed=seed,
+                              batch_size=batch_size, latents=z_adv) if attacked else nat_acc
     d_plus, d_minus = absolute_divergences(
-        z, labels, np.concatenate(adv_parts) if attacked else None, block_rows=batch_size)
+        np.concatenate(z), labels, np.concatenate(z_adv) if attacked else None,
+        block_rows=batch_size)
     return DivergenceReport(
         d_a_plus=d_plus,
         d_a_minus=d_minus,
         r_div=relative_divergence(d_plus, d_minus),
+        nat_acc=nat_acc,
         rob_acc=rob_acc,
-        n_samples=int(features.shape[0]),
+        n_samples=len(labels),
     )
 
 

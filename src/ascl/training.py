@@ -16,7 +16,7 @@ from .attacks import AttackConfig, pgd_attack, robust_accuracy
 from .config import RunConfig
 from .data import Batch, Dataset, iter_batches
 from .divergence import divergence_report
-from .errors import ContractError, TrainingAborted
+from .errors import TrainingAborted
 from .losses import total_loss
 from .models import MLPClassifier, save_model
 
@@ -154,11 +154,6 @@ class TrainResult:
     summary: dict
 
 
-def _natural_accuracy(model, ds: Dataset):
-    preds = np.argmax(model.forward(ds.features).data, axis=1)
-    return float((preds == ds.labels).mean())
-
-
 def train(cfg: RunConfig, quiet=True) -> TrainResult:
     """Full run: epoch loop with the lr schedule, per-epoch cheap
     evaluation, metrics CSV, final checkpoint and summary JSON."""
@@ -209,7 +204,7 @@ def train(cfg: RunConfig, quiet=True) -> TrainResult:
 
     eval_cfg = cfg.eval_attack()
     final = {
-        "nat_acc": _natural_accuracy(model, test_ds),
+        "nat_acc": robust_accuracy(model, test_ds.features, test_ds.labels, "none", eval_cfg),
         "rob_acc": robust_accuracy(model, test_ds.features, test_ds.labels, "pgd",
                                    eval_cfg, seed=(cfg.seed, _S_FINAL_EVAL))
         if cfg.epochs > 0 else None,
@@ -230,11 +225,11 @@ def train(cfg: RunConfig, quiet=True) -> TrainResult:
 
 
 def _eval_row(model, test_ds, cfg: RunConfig, epoch, started) -> MetricsRow:
-    """Test row of one epoch: one pass of the training attack gives both
-    ``rob_acc`` (robust accuracy under the training attack) and d+/d-."""
+    """Test row of one epoch: one ``divergence_report`` gives ``nat_acc``,
+    ``rob_acc`` (under the training attack) and d+/d-."""
     report = divergence_report(model, test_ds.features, test_ds.labels,
                                cfg.train_attack(), seed=(cfg.seed, _S_EPOCH_EVAL, epoch))
-    return MetricsRow(epoch=epoch, split="test", nat_acc=_natural_accuracy(model, test_ds),
+    return MetricsRow(epoch=epoch, split="test", nat_acc=report.nat_acc,
                       rob_acc=report.rob_acc,
                       d_a_plus=report.d_a_plus, d_a_minus=report.d_a_minus,
                       r_div=report.r_div,
@@ -244,15 +239,11 @@ def _eval_row(model, test_ds, cfg: RunConfig, epoch, started) -> MetricsRow:
 def evaluate(model, dataset: Dataset, eval_cfg: AttackConfig,
              attacks=("none", "pgd", "mpgd"), seed=0):
     """One metrics row per attack; robust accuracy under each."""
-    if len(dataset) == 0:
-        raise ContractError("evaluate on an empty dataset")
-    nat = _natural_accuracy(model, dataset)
+    nat = robust_accuracy(model, dataset.features, dataset.labels, "none", eval_cfg)
     rows = []
     for name in attacks:
-        rob = robust_accuracy(model, dataset.features, dataset.labels, name,
-                              eval_cfg, seed=seed)
-        rows.append((name, MetricsRow(epoch=0, split=dataset.split,
-                                      nat_acc=nat, rob_acc=rob)))
+        rob = robust_accuracy(model, dataset.features, dataset.labels, name, eval_cfg, seed=seed)
+        rows.append((name, MetricsRow(epoch=0, split=dataset.split, nat_acc=nat, rob_acc=rob)))
     return rows
 
 

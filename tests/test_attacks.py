@@ -22,9 +22,14 @@ class LinearLogistic:
         self.w = np.asarray(w, dtype=np.float64)
         self.b = np.asarray(b, dtype=np.float64)
 
+    def encode(self, x):
+        return x if isinstance(x, Tensor) else Tensor(x)
+
+    def classify(self, z):
+        return z @ Tensor(self.w) + Tensor(self.b.reshape(1, -1))
+
     def forward(self, x):
-        t = x if isinstance(x, Tensor) else Tensor(x)
-        return t @ Tensor(self.w) + Tensor(self.b.reshape(1, -1))
+        return self.classify(self.encode(x))
 
 
 @pytest.fixture(scope="module")
@@ -40,12 +45,12 @@ def toy_batch():
 
 
 @pytest.fixture(scope="module")
-def trained_moons():
+def trained_moons(tmp_path_factory):
     cfg = RunConfig(dataset="moons", data_size=120, data_noise=0.12, epochs=8,
                     batch_size=40, hidden_layers=(16, 16), lambda_scl=0.0,
                     lambda_vat=0.0, train_eps=0.08, train_eta=0.02, train_steps=5,
                     eval_eps=0.08, eval_eta=0.02, eval_steps=10, eval_every=0,
-                    seed=5, output_dir="/tmp/ascl_test_attacks_run")
+                    seed=5, output_dir=str(tmp_path_factory.mktemp("attacks_run")))
     result = train(cfg)
     _, test = cfg.build_datasets()
     return result.model, test

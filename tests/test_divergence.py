@@ -1,4 +1,5 @@
 import io
+import time
 from collections import Counter
 
 import numpy as np
@@ -6,12 +7,13 @@ import pytest
 
 import ascl.attacks
 import ascl.divergence
-from ascl.attacks import AttackConfig, pgd_attack
+from ascl.attacks import AttackConfig, pgd_attack, robust_accuracy
 from ascl.config import RunConfig
 from ascl.divergence import (SWEEP_COLUMNS, absolute_divergences, divergence_report,
                              divergence_sweep, relative_divergence)
 from ascl.errors import DomainError
-from ascl.training import train, write_csv
+from ascl.models import MLPClassifier
+from ascl.training import _eval_row, evaluate, train, write_csv
 
 
 def cosine_distance(z_a, z_b) -> float:
@@ -180,12 +182,12 @@ class TestRelativeDivergence:
 
 
 @pytest.fixture(scope="module")
-def trained_for_sweep():
+def trained_for_sweep(tmp_path_factory):
     cfg = RunConfig(dataset="moons", data_size=100, data_noise=0.12, epochs=6,
                     batch_size=50, hidden_layers=(16, 16), lambda_scl=0.0,
                     lambda_vat=0.0, train_eps=0.08, train_eta=0.02, train_steps=5,
                     eval_eps=0.08, eval_eta=0.02, eval_steps=10, eval_every=0,
-                    seed=6, output_dir="/tmp/ascl_test_div_run")
+                    seed=6, output_dir=str(tmp_path_factory.mktemp("div_run")))
     result = train(cfg)
     _, test = cfg.build_datasets()
     return result.model, test
@@ -255,3 +257,51 @@ class TestSweep:
         for block_rows in (1, 5, 22):
             got = absolute_divergences(z, labels, z_adv, block_rows=block_rows)
             assert got == pytest.approx(whole, rel=1e-12)
+
+
+class TestOneEncodePerInput:
+    def test_report_and_epoch_row_encode_each_input_once(self, trained_for_sweep,
+                                                         monkeypatch):
+        model, test = trained_for_sweep
+        n = len(test)
+        encoded = []
+        real_encode = MLPClassifier.encode
+
+        def counting_encode(self, x):
+            z = real_encode(self, x)
+            encoded.append(z.shape[0])
+            return z
+
+        def no_forward_attack(model, x, y, cfg, seed=0, index_base=0):
+            return np.clip(np.asarray(x) + cfg.epsilon / 2, 0.0, 1.0)
+
+        monkeypatch.setattr(MLPClassifier, "encode", counting_encode)
+        monkeypatch.setattr(ascl.divergence, "pgd_attack", no_forward_attack)
+        cfg = RunConfig(train_eps=0.08, train_eta=0.02, train_steps=3)
+        divergence_report(model, test.features, test.labels, cfg.train_attack(), seed=1)
+        assert sum(encoded) == 2 * n
+        encoded.clear()
+        _eval_row(model, test, cfg, 0, time.monotonic())
+        assert sum(encoded) == 2 * n
+
+    def test_natural_accuracy_agrees_across_callers(self, trained_for_sweep):
+        model, test = trained_for_sweep
+        x, y = test.features, test.labels
+        cfg = AttackConfig(epsilon=0.08, eta=0.02, steps=3)
+        nat = robust_accuracy(model, x, y, "none", cfg)
+        report = divergence_report(model, x, y, cfg, seed=1)
+        [(_, none_row)] = evaluate(model, test, cfg, attacks=("none",))
+        [zero_row] = divergence_sweep(model, test, [0.0], cfg)
+        assert report.nat_acc == nat
+        assert none_row.nat_acc == none_row.rob_acc == nat
+        assert zero_row["robust_acc"] == nat
+
+    def test_latents_are_the_attacked_inputs_encodings(self, trained_for_sweep):
+        model, test = trained_for_sweep
+        x, y = test.features, test.labels
+        cfg = AttackConfig(epsilon=0.08, eta=0.02, steps=3)
+        latents = []
+        acc = robust_accuracy(model, x, y, "pgd", cfg, seed=2, latents=latents)
+        assert acc == robust_accuracy(model, x, y, "pgd", cfg, seed=2)
+        x_adv = pgd_attack(model, x, y, cfg, seed=2)
+        assert np.array_equal(np.concatenate(latents), model.encode(x_adv).data)
