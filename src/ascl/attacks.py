@@ -37,8 +37,11 @@ class AttackConfig:
     clip_range: tuple = (0.0, 1.0)
 
     def __post_init__(self):
-        if self.epsilon < 0:
+        # written so that NaN fails them
+        if not self.epsilon >= 0:
             raise ContractError("epsilon must be nonnegative")
+        if self.steps < 0:
+            raise ContractError("steps must be nonnegative")
         if self.steps > 0 and not self.eta > 0:
             raise ContractError("eta must be positive when steps > 0")
         if not self.clip_range[0] < self.clip_range[1]:

@@ -62,6 +62,8 @@ def _run_config(args) -> RunConfig:
 
 
 def _attack_cfg(args, epsilon) -> AttackConfig:
+    if args.seed < 0:
+        raise ConfigError("seed must be nonnegative")
     return AttackConfig(epsilon=epsilon, eta=args.eta, steps=args.steps,
                         random_init=not args.no_random_init)
 
@@ -181,8 +183,8 @@ def _cmd_attack(args):
 def _cmd_divergence(args):
     with _flag_values():
         grid = [float(v) for v in args.eps_grid.split(",")]
-        # divergence_sweep sets each row's epsilon; checking the least checks all
-        base = _attack_cfg(args, min(grid))
+        # divergence_sweep sets each row's epsilon, so each value is checked here
+        base = [_attack_cfg(args, eps) for eps in grid][0]
     model = load_model(args.checkpoint)
     ds = load_dataset(args.data)
     rows = divergence_sweep(model, ds, grid, base, seed=args.seed)

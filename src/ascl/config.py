@@ -4,10 +4,11 @@ config-file keys, plus the ``key = value`` file parser."""
 from __future__ import annotations
 
 import dataclasses
+import math
 from dataclasses import dataclass
 
 from .attacks import AttackConfig
-from .data import load_dataset, make_blobs, make_two_moons
+from .data import check_blobs, check_moons, load_dataset, make_blobs, make_two_moons
 from .errors import ConfigError, ContractError
 from .losses import STRATEGIES, LossWeights
 from .models import ModelSpec
@@ -71,13 +72,23 @@ class RunConfig:
             epochs = [e for e, _ in self.schedule]
             if epochs[0] != 0 or any(a >= b for a, b in zip(epochs, epochs[1:])):
                 raise ConfigError("schedule epochs must start at 0 and strictly increase")
+        rates = (self.lr, *(v for _, v in self.schedule))
+        if not all(math.isfinite(v) and v > 0 for v in rates):
+            raise ConfigError("lr and schedule rates must be finite and positive")
+        if self.seed < 0 or self.data_seed < 0:
+            raise ConfigError("seed and data_seed must be nonnegative")
         self.hidden_layers = tuple(int(w) for w in self.hidden_layers)
-        # LossWeights and AttackConfig own these checks; building them here
-        # rejects a bad value before a run writes anything
+        # LossWeights, AttackConfig and the generators own these checks;
+        # running them here rejects a bad value before a run writes anything
         try:
             self.loss_weights()
             self.train_attack()
             self.eval_attack()
+            if self.dataset == "moons":
+                check_moons(self.data_size, self.data_noise)
+            elif self.dataset == "blobs":
+                check_blobs(self.data_classes, self.data_per_class, self.data_dims,
+                            self.data_spread)
         except ContractError as e:
             raise ConfigError(str(e)) from e
 

@@ -75,11 +75,20 @@ def _squash_unit(x):
     return np.where(flat, 0.5, out)
 
 
+def check_blobs(num_classes, per_class, dims, spread):
+    if not (num_classes >= 1 and per_class >= 1 and dims >= 1 and spread >= 0):
+        raise ContractError("blob parameters must be positive (spread nonnegative)")
+
+
+def check_moons(size, noise):
+    if not (size >= 2 and noise >= 0):
+        raise ContractError("size must be >= 2 and noise nonnegative")
+
+
 def make_blobs(num_classes, per_class, dims, spread, seed, split="train", name="blobs") -> Dataset:
     """Gaussian clusters around mutually equidistant seeded centers,
     squashed into the unit cube. Deterministic per seed."""
-    if num_classes < 1 or per_class < 1 or dims < 1 or spread < 0:
-        raise ContractError("blob parameters must be positive (spread nonnegative)")
+    check_blobs(num_classes, per_class, dims, spread)
     rng = np.random.default_rng(seed)
     if num_classes <= dims:
         # random rotation of unit basis vectors: pairwise distance sqrt(2)
@@ -100,8 +109,7 @@ def make_blobs(num_classes, per_class, dims, spread, seed, split="train", name="
 def make_two_moons(size, noise, seed, split="train", name="moons") -> Dataset:
     """Two interleaved half-circles in the unit square; labels split
     ceil(size/2) / floor(size/2)."""
-    if size < 2 or noise < 0:
-        raise ContractError("size must be >= 2 and noise nonnegative")
+    check_moons(size, noise)
     rng = np.random.default_rng(seed)
     n_out = (size + 1) // 2
     n_in = size // 2

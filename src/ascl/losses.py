@@ -64,7 +64,7 @@ class LossWeights:
     similarity: str = "cosine"
 
     def __post_init__(self):
-        if self.lambda_scl < 0 or self.lambda_vat < 0:
+        if not (self.lambda_scl >= 0 and self.lambda_vat >= 0):
             raise ContractError("loss weights must be nonnegative")
         if not self.tau > 0:
             raise ContractError("temperature must be positive")

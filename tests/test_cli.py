@@ -50,15 +50,49 @@ def test_missing_checkpoint_is_a_runtime_failure(files, tmp_path):
     ["sweep", "--lambda-scl-grid", "x"],
     ["sweep", "--lambda-vat-grid=-1"],
     ["sweep", "--strategies", "foo"],
+    # NaN fails every range check, and a negative count or seed is rejected
+    ["train", "--lambda-scl", "nan"],
+    ["train", "--lambda-vat", "nan"],
+    ["train", "--lr", "nan"],
+    ["train", "--lr", "-1"],
+    ["train", "--lr", "0"],
+    ["train", "--schedule", "0:-0.5"],
+    ["train", "--train-steps", "-2"],
+    ["train", "--train-eps", "nan"],
+    ["train", "--eval-eps", "nan"],
+    ["train", "--seed", "-1"],
+    ["train", "--data-seed", "-1"],
+    ["train", "--data-size", "1"],
+    ["train", "--data-noise", "-1"],
+    ["train", "--dataset", "blobs", "--data-classes", "0"],
+    ["train", "--dataset", "blobs", "--data-spread", "-1"],
+    ["evaluate", "--steps", "-3"],
+    ["evaluate", "--eps", "nan"],
+    ["evaluate", "--seed", "-1"],
+    ["attack", "--eps", "nan"],
+    ["divergence", "--eps-grid", "0,nan"],
 ], ids=" ".join)
 def test_bad_flag_value_is_a_usage_error(tmp_path, capsys, argv):
     missing = ["--checkpoint", str(tmp_path / "m.ckpt"), "--data", str(tmp_path / "d.ds")]
     extra = {"evaluate": missing, "attack": missing, "divergence": missing,
              "make-data": ["--out", str(tmp_path / "out.ds")],
-             "sweep": ["--output-dir", str(tmp_path / "runs")]}
+             "sweep": ["--output-dir", str(tmp_path / "runs")],
+             "train": ["--output-dir", str(tmp_path / "runs"), "--epochs", "1"]}
     assert cli(argv + extra.get(argv[0], [])) == 1
     assert capsys.readouterr().err.startswith("usage error: ")
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("command", ["train", "evaluate"])
+def test_malformed_dataset_file_is_a_runtime_failure(files, tmp_path, command):
+    _, _, _, ckpt = files
+    bad = tmp_path / "bad.ds"
+    bad.write_bytes(b"not a dataset")
+    run = tmp_path / "run"
+    argv = {"train": ["train", "--dataset", str(bad), "--epochs", "1", "--output-dir", str(run)],
+            "evaluate": ["evaluate", "--checkpoint", ckpt, "--data", str(bad)]}[command]
+    assert cli(argv) == 2
+    assert not run.exists()
 
 
 @pytest.mark.parametrize("command,extra,eps,steps", [
