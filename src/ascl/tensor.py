@@ -189,10 +189,6 @@ class Tensor:
         a = self.data
         return Tensor._make(np.maximum(a, 0.0), (self,), (lambda g: g * (a > 0.0),))
 
-    def abs(self):
-        a = self.data
-        return Tensor._make(np.abs(a), (self,), (lambda g: g * np.sign(a),))
-
     def sqrt(self):
         return self.__pow__(0.5)
 

@@ -14,6 +14,12 @@ from ascl.losses import LossWeights, SelectionResult, _parse_similarity
 from ascl.tensor import Tensor
 
 
+def tensor_abs(t: Tensor) -> Tensor:
+    """Elementwise |t|, with gradient sign(t) (0 at 0)."""
+    a = t.data
+    return Tensor._make(np.abs(a), (t,), (lambda g: g * np.sign(a),))
+
+
 def similarity_rows(weights, rows: Tensor, anchor: Tensor) -> Tensor:
     """Similarity of each row of ``rows`` (K, h) to ``anchor`` (1, h) -> (K, 1)."""
     kind, p = _parse_similarity(weights.similarity)
@@ -26,7 +32,7 @@ def similarity_rows(weights, rows: Tensor, anchor: Tensor) -> Tensor:
         an = (anchor * anchor).sum(axis=1, keepdims=True).sqrt()
         return dots / (rn * an)
     diff = rows - anchor
-    return -((diff.abs() ** p).sum(axis=1, keepdims=True) ** (1.0 / p))
+    return -((tensor_abs(diff) ** p).sum(axis=1, keepdims=True) ** (1.0 / p))
 
 
 def gather_rows(t: Tensor, idx) -> Tensor:

@@ -1,5 +1,6 @@
-"""Every name a module imports is used or re-exported, and every
-``__all__`` entry names something the module defines or imports."""
+"""Every name a module imports is used or re-exported, every ``__all__``
+entry names something the module defines or imports, and every private
+function, class and method in ``src/ascl`` is referenced there."""
 
 import ast
 from pathlib import Path
@@ -48,3 +49,33 @@ def test_imports_are_used_and_all_resolves(path):
               if name not in used and name not in exported]
     assert unused == []
     assert exported - _defined(tree) == set()
+
+
+def _is_private(name):
+    return name.startswith("_") and not name.endswith("__")
+
+
+def _private_definitions(tree):
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and _is_private(node.name):
+            yield node.lineno, node.name
+        if isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if isinstance(item, ast.FunctionDef) and _is_private(item.name):
+                    yield item.lineno, item.name
+
+
+def test_private_definitions_are_referenced():
+    trees = {path.name: ast.parse(path.read_text()) for path in MODULES}
+    referenced = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                referenced.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                referenced.add(node.attr)
+            elif isinstance(node, ast.alias):
+                referenced.add(node.name)
+    unreferenced = [f"{name}:{line} {fn}" for name, tree in trees.items()
+                    for line, fn in _private_definitions(tree) if fn not in referenced]
+    assert unreferenced == []
