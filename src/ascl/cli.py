@@ -183,8 +183,9 @@ def _cmd_attack(args):
 def _cmd_divergence(args):
     with _flag_values():
         grid = [float(v) for v in args.eps_grid.split(",")]
-        # divergence_sweep sets each row's epsilon, so each value is checked here
-        base = [_attack_cfg(args, eps) for eps in grid][0]
+        # divergence_sweep replaces base's epsilon per row; check every grid value
+        for eps in grid:
+            base = _attack_cfg(args, eps)
     model = load_model(args.checkpoint)
     ds = load_dataset(args.data)
     rows = divergence_sweep(model, ds, grid, base, seed=args.seed)
@@ -193,9 +194,9 @@ def _cmd_divergence(args):
 
 
 def _cmd_selection_stats(args):
-    if args.trials < 1 or args.batch_size < 2 or args.classes < 1:
-        raise ConfigError("selection-stats needs --trials >= 1, --batch-size >= 2 "
-                          "and --classes >= 1")
+    if args.trials < 1 or args.batch_size < 2 or args.classes < 1 or args.seed < 0:
+        raise ConfigError("selection-stats needs --trials >= 1, --batch-size >= 2, "
+                          "--classes >= 1 and --seed >= 0")
     rng = np.random.default_rng(args.seed)
     pos, neg = [], []
     for _ in range(args.trials):

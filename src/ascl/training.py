@@ -238,13 +238,13 @@ def _eval_row(model, test_ds, cfg: RunConfig, epoch, started) -> MetricsRow:
 
 def evaluate(model, dataset: Dataset, eval_cfg: AttackConfig,
              attacks=("none", "pgd", "mpgd"), seed=0):
-    """One metrics row per attack; robust accuracy under each."""
-    nat = robust_accuracy(model, dataset.features, dataset.labels, "none", eval_cfg)
-    rows = []
-    for name in attacks:
-        rob = robust_accuracy(model, dataset.features, dataset.labels, name, eval_cfg, seed=seed)
-        rows.append((name, MetricsRow(epoch=0, split=dataset.split, nat_acc=nat, rob_acc=rob)))
-    return rows
+    """One metrics row per attack; robust accuracy under each. Each distinct
+    attack, "none" included, scores the dataset once."""
+    accs = {name: robust_accuracy(model, dataset.features, dataset.labels, name, eval_cfg,
+                                  seed=seed)
+            for name in dict.fromkeys(("none", *attacks))}
+    return [(name, MetricsRow(epoch=0, split=dataset.split, nat_acc=accs["none"],
+                              rob_acc=accs[name])) for name in attacks]
 
 
 SWEEP_COLUMNS = ("strategy", "lambda_scl", "lambda_vat", "nat_acc", "rob_acc", "status")

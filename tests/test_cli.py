@@ -45,6 +45,7 @@ def test_missing_checkpoint_is_a_runtime_failure(files, tmp_path):
     ["selection-stats", "--batch-size", "1"],
     ["selection-stats", "--classes", "0"],
     ["selection-stats", "--trials", "0"],
+    ["selection-stats", "--seed", "-1"],
     ["make-data", "--kind", "moons", "--size", "1"],
     ["make-data", "--kind", "blobs", "--classes", "0"],
     ["sweep", "--lambda-scl-grid", "x"],

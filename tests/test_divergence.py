@@ -260,7 +260,7 @@ class TestSweep:
 
 
 class TestOneEncodePerInput:
-    def test_report_and_epoch_row_encode_each_input_once(self, trained_for_sweep,
+    def test_evaluations_encode_each_input_once_per_view(self, trained_for_sweep,
                                                          monkeypatch):
         model, test = trained_for_sweep
         n = len(test)
@@ -277,11 +277,15 @@ class TestOneEncodePerInput:
 
         monkeypatch.setattr(MLPClassifier, "encode", counting_encode)
         monkeypatch.setattr(ascl.divergence, "pgd_attack", no_forward_attack)
+        monkeypatch.setattr(ascl.attacks, "pgd_attack", no_forward_attack)
         cfg = RunConfig(train_eps=0.08, train_eta=0.02, train_steps=3)
         divergence_report(model, test.features, test.labels, cfg.train_attack(), seed=1)
         assert sum(encoded) == 2 * n
         encoded.clear()
         _eval_row(model, test, cfg, 0, time.monotonic())
+        assert sum(encoded) == 2 * n
+        encoded.clear()
+        evaluate(model, test, cfg.train_attack(), attacks=("none", "pgd"))
         assert sum(encoded) == 2 * n
 
     def test_natural_accuracy_agrees_across_callers(self, trained_for_sweep):
