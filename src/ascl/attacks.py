@@ -187,4 +187,7 @@ def robust_accuracy(model, features, labels, attack, cfg: AttackConfig,
             latents.append(z.data)
         preds = np.argmax(model.classify(z).data, axis=1)
         correct += int((preds == yb).sum())
+        # free the batch's graph before the next batch's attack: held across
+        # it, glibc trimmed and re-faulted the attack's heap pages every step
+        del z
     return correct / features.shape[0]
