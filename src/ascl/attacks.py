@@ -49,9 +49,10 @@ class AttackConfig:
 
 
 def _seed_parts(seed):
-    if isinstance(seed, (int, np.integer)):
-        return (int(seed),)
-    return tuple(int(s) for s in seed)
+    parts = (int(seed),) if isinstance(seed, (int, np.integer)) else tuple(int(s) for s in seed)
+    if not all(0 <= p < 2**64 for p in parts):
+        raise ContractError("attack seed parts must lie in [0, 2**64)")
+    return parts
 
 
 def project_linf(x_adv, x_orig, epsilon, clip_range=(0.0, 1.0)):

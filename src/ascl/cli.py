@@ -62,8 +62,8 @@ def _run_config(args) -> RunConfig:
 
 
 def _attack_cfg(args, epsilon) -> AttackConfig:
-    if args.seed < 0:
-        raise ConfigError("seed must be nonnegative")
+    if not 0 <= args.seed < 2**64:
+        raise ConfigError("seed must lie in [0, 2**64)")
     return AttackConfig(epsilon=epsilon, eta=args.eta, steps=args.steps,
                         random_init=not args.no_random_init)
 

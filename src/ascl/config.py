@@ -75,8 +75,8 @@ class RunConfig:
         rates = (self.lr, *(v for _, v in self.schedule))
         if not all(math.isfinite(v) and v > 0 for v in rates):
             raise ConfigError("lr and schedule rates must be finite and positive")
-        if self.seed < 0 or self.data_seed < 0:
-            raise ConfigError("seed and data_seed must be nonnegative")
+        if not (0 <= self.seed < 2**64 and 0 <= self.data_seed < 2**64):
+            raise ConfigError("seed and data_seed must lie in [0, 2**64)")
         self.hidden_layers = tuple(int(w) for w in self.hidden_layers)
         # LossWeights, AttackConfig and the generators own these checks;
         # running them here rejects a bad value before a run writes anything

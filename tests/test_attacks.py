@@ -176,6 +176,13 @@ class TestPGD:
         rest = pgd_attack(toy_model, x[7:], y[7:], cfg, seed=9, index_base=7)
         assert whole.tobytes() == np.concatenate([first, rest]).tobytes()
 
+    @pytest.mark.parametrize("seed", [-1, 2**64, (3, -1), (3, 2**64)])
+    def test_seed_part_outside_64_bits_is_a_contract_error(self, toy_model, toy_batch, seed):
+        x, y = toy_batch
+        with pytest.raises(ContractError, match="seed"):
+            pgd_attack(toy_model, x, y, AttackConfig(epsilon=0.05, eta=0.01, steps=1),
+                       seed=seed)
+
     def test_targets_contract(self):
         # targeted exactly when targets are given: one step descends the
         # cross-entropy of the targets, whatever the true labels are

@@ -72,6 +72,12 @@ def test_missing_checkpoint_is_a_runtime_failure(files, tmp_path):
     ["evaluate", "--seed", "-1"],
     ["attack", "--eps", "nan"],
     ["divergence", "--eps-grid", "0,nan"],
+    # an attack seed part must fit the random start's 64-bit key
+    ["train", "--seed", str(2**64)],
+    ["train", "--data-seed", str(2**64)],
+    ["evaluate", "--seed", str(2**64)],
+    ["attack", "--seed", str(2**64)],
+    ["divergence", "--eps-grid", "0,0.1", "--seed", str(2**64)],
 ], ids=" ".join)
 def test_bad_flag_value_is_a_usage_error(tmp_path, capsys, argv):
     missing = ["--checkpoint", str(tmp_path / "m.ckpt"), "--data", str(tmp_path / "d.ds")]
