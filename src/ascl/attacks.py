@@ -5,9 +5,12 @@ PGD ascends the cross-entropy of the true labels, or, when ``targets``
 are given, descends the cross-entropy of the targets; nothing else
 selects the targeted mode. At epsilon 0 every attack returns its input.
 
-Determinism contract: the random start for sample ``i`` is drawn from a
-stream seeded by ``(*seed, i)``, so serial and per-sample-parallel
-evaluation agree bitwise. Targeted runs reuse the same start.
+Determinism contract: the random start of sample ``i`` is a
+counter-based hash of ``(*seed, i)`` and the feature index (SplitMix64,
+in the counter-based style of Salmon et al., SC 2011), computed for the
+whole batch at once. No sample's start depends on the others in its
+batch, so any batching, serial or per-sample-parallel evaluation agree
+bitwise. Targeted runs reuse the same start.
 """
 
 from __future__ import annotations
@@ -55,6 +58,39 @@ def _seed_parts(seed):
     return parts
 
 
+_GAMMA = np.uint64(0x9E3779B97F4A7C15)
+
+
+def _mix64(z):
+    """SplitMix64 finaliser (Steele, Lea & Flood, OOPSLA 2014): a bijection
+    of uint64 values that scatters every input bit over the output."""
+    z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
+    z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
+    return z ^ (z >> np.uint64(31))
+
+
+def _random_start(seed, index_base, shape, epsilon):
+    """Uniform noise in [-epsilon, epsilon) of ``shape``, counter-based.
+
+    Row ``i`` is a pure function of ``(*seed, index_base + i)`` and the
+    column index: the seed parts and their count fold into a 64-bit key,
+    the key mixed with the row index starts a SplitMix64 sequence, and the
+    top 53 bits of its ``j``-th output give column ``j``.
+    """
+    parts = _seed_parts(seed)
+    n, d = shape[0], int(np.prod(shape[1:]))
+    # uint64 arithmetic wraps by design; numpy warns on scalar wraparound
+    with np.errstate(over="ignore"):
+        key = _mix64(np.uint64(len(parts)))
+        for p in parts:
+            key = _mix64(key ^ np.uint64(p))
+        rows = _mix64(key ^ np.arange(index_base, index_base + n, dtype=np.uint64))
+        cols = np.arange(1, d + 1, dtype=np.uint64) * _GAMMA
+        bits = _mix64(rows[:, None] + cols) >> np.uint64(11)
+    u = bits * 2.0**-53
+    return (epsilon * (2.0 * u - 1.0)).reshape(shape)
+
+
 def project_linf(x_adv, x_orig, epsilon, clip_range=(0.0, 1.0)):
     """Clamp x_adv into the epsilon ball around x_orig, then into clip_range."""
     if epsilon < 0:
@@ -81,8 +117,11 @@ def pgd_attack(model, x, y, cfg: AttackConfig, seed=0, targets=None, index_base=
     Targeted, exactly when ``targets`` is given: descend cross-entropy
     toward ``targets``. At epsilon 0 the input comes back unchanged, with
     no gradient pass. Model weights and the input batch are never mutated.
-    ``index_base`` offsets the per-sample stream index so that splitting a
-    dataset into batches does not change any sample's random start.
+    With ``cfg.random_init``, the start is ``x`` plus uniform noise in the
+    ball, projected; row ``i``'s noise is a hash of
+    ``(*seed, index_base + i)`` and the feature index (``_random_start``),
+    so splitting a dataset into batches does not change any sample's start.
+    Each seed part must lie in [0, 2**64).
     """
     x = np.array(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.intp)
@@ -95,11 +134,7 @@ def pgd_attack(model, x, y, cfg: AttackConfig, seed=0, targets=None, index_base=
     goal = np.asarray(targets, dtype=np.intp) if targeted else y
 
     if cfg.random_init:
-        parts = _seed_parts(seed)
-        noise = np.empty_like(x)
-        for i in range(x.shape[0]):
-            rng = np.random.default_rng((*parts, index_base + i))
-            noise[i] = rng.uniform(-cfg.epsilon, cfg.epsilon, size=x.shape[1:])
+        noise = _random_start(seed, index_base, x.shape, cfg.epsilon)
         x_adv = project_linf(x + noise, x, cfg.epsilon, cfg.clip_range)
     else:
         x_adv = x.copy()

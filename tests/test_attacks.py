@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
+from scipy.stats import kstest
 
-from ascl.attacks import (AttackConfig, attack_by_name, multi_targeted_pgd,
+from ascl.attacks import (AttackConfig, _random_start, attack_by_name, multi_targeted_pgd,
                           pgd_attack, project_linf, robust_accuracy)
 from ascl.config import RunConfig
 from ascl.errors import ContractError
@@ -176,6 +177,15 @@ class TestPGD:
         rest = pgd_attack(toy_model, x[7:], y[7:], cfg, seed=9, index_base=7)
         assert whole.tobytes() == np.concatenate([first, rest]).tobytes()
 
+    def test_builds_no_random_generator(self, toy_model, toy_batch, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("pgd_attack constructed a numpy generator")
+
+        monkeypatch.setattr(np.random, "default_rng", refuse)
+        x, y = toy_batch
+        x_adv = pgd_attack(toy_model, x, y, AttackConfig(epsilon=0.05, eta=0.01, steps=2), seed=4)
+        assert not np.array_equal(x_adv, x)
+
     @pytest.mark.parametrize("seed", [-1, 2**64, (3, -1), (3, 2**64)])
     def test_seed_part_outside_64_bits_is_a_contract_error(self, toy_model, toy_batch, seed):
         x, y = toy_batch
@@ -196,6 +206,76 @@ class TestPGD:
         x_adv = pgd_attack(LinearLogistic(w, b), x, y, cfg, targets=t)
         grad = (_softmax(x @ w + b) - np.eye(3)[t]) @ w.T
         assert np.array_equal(x_adv, project_linf(x - cfg.eta * np.sign(grad), x, cfg.epsilon))
+
+
+_M64 = 2**64 - 1
+
+
+def _mix64_reference(z):
+    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _M64
+    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _M64
+    return z ^ (z >> 31)
+
+
+def _random_start_reference(seed, index_base, n, d, epsilon):
+    """The random start one entry at a time, in Python integers."""
+    parts = (seed,) if isinstance(seed, int) else tuple(seed)
+    key = _mix64_reference(len(parts))
+    for p in parts:
+        key = _mix64_reference(key ^ p)
+    out = np.empty((n, d))
+    for i in range(n):
+        row = _mix64_reference(key ^ (index_base + i))
+        for j in range(d):
+            u = (_mix64_reference((row + (j + 1) * 0x9E3779B97F4A7C15) & _M64) >> 11) * 2.0**-53
+            out[i, j] = epsilon * (2.0 * u - 1.0)
+    return out
+
+
+class TestRandomStart:
+    """The counter-based PGD random start: one hash per entry, keyed by
+    ``(*seed, index_base + i)`` and the column."""
+
+    def test_known_answer(self):
+        # integer-only hash: these values do not depend on the BLAS build
+        got = _random_start((3, 7), 5, (2, 3), 1.0)
+        assert got.ravel().tolist() == [
+            -0.9316861660744953, -0.34097699213492083, 0.27925633008870365,
+            -0.1431691729188227, 0.1596467652678717, -0.5280414552580692]
+
+    @pytest.mark.parametrize("seed,index_base", [((3, 7), 5), (0, 0), ((2**64 - 1, 1), 1000)])
+    def test_matches_per_entry_reference(self, seed, index_base):
+        got = _random_start(seed, index_base, (5, 3), 0.07)
+        assert got.tobytes() == _random_start_reference(seed, index_base, 5, 3, 0.07).tobytes()
+
+    def test_values_lie_in_the_ball_and_are_uniform(self):
+        eps = 0.05
+        noise = _random_start(11, 0, (1000, 8), eps)
+        assert noise.shape == (1000, 8)
+        assert np.abs(noise).max() <= eps
+        assert kstest(noise.ravel(), "uniform", args=(-eps, 2 * eps)).pvalue > 0.01
+
+    def test_uneven_split_equals_whole_batch(self):
+        whole = _random_start((4, 2), 10, (64, 3), 0.1)
+        parts = [_random_start((4, 2), 10 + lo, (hi - lo, 3), 0.1)
+                 for lo, hi in ((0, 1), (1, 63), (63, 64))]
+        assert whole.tobytes() == np.concatenate(parts).tobytes()
+
+    def test_int_seed_equals_one_part_tuple(self):
+        assert (_random_start(3, 0, (8, 2), 0.1).tobytes()
+                == _random_start((3,), 0, (8, 2), 0.1).tobytes()
+                == _random_start(np.int64(3), 0, (8, 2), 0.1).tobytes())
+
+    def test_distinct_seeds_give_distinct_streams(self):
+        seeds = [1, 2, (1, 2), (2, 1), (1, 0), (0, 1), (1, 0, 0), (0,)]
+        streams = {_random_start(s, 0, (16, 2), 0.1).tobytes() for s in seeds}
+        assert len(streams) == len(seeds)
+
+    def test_epsilon_only_scales(self):
+        a = _random_start(5, 3, (32, 4), 0.03) / 0.03
+        b = _random_start(5, 3, (32, 4), 0.5) / 0.5
+        # one rounding in each product and each quotient
+        np.testing.assert_allclose(a, b, rtol=2**-50, atol=0)
 
 
 class TestMultiTargeted:

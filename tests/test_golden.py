@@ -38,25 +38,25 @@ EVAL_ATTACK = dict(epsilon=0.08, eta=0.02, steps=5)
 
 GOLDEN = {
     "at_moons": {
-        "checkpoint": "5ae7d6b5379ec36b59fe1a05b82cd0c8baa5c6fa2ecbe5a2738c1bdb8b9e4512",
-        "metrics": "620106df1c9f611e137cfa6a8f696b0d01fa1eeb1b8f6f416c35a0c0b931dce3",
-        "final": "bb3c4ecb21824c46a1026638ef77316355993dcdd274af66ed08fe85577c4136",
+        "checkpoint": "b448e1cba4b2493550d5a082bb25dd14b1629dfbc31b2f2d53979f53b7c62276",
+        "metrics": "e68fe67a93928357f94046f96b369c50489bde483f3251945d3241cb97c42a7d",
+        "final": "c72911addf71136fd5b85f91685e4101226d8f8c44978e1b228abe20d78c305d",
         "evaluate": "339a8831ad6bd215887515ac9753c9dd50c5f70ec1ff17dcd141d952365d6052",
-        "divergence": "26e4b5163fa012199624b10d897fcf7bc072bd66a76b1e7263ecd2962b7782f1",
+        "divergence": "da33f9cb1f8f1744173966d3b164d7aed704986aaa998332c19d1dba08cd12fe",
     },
     "hard_lp2_linear": {
-        "checkpoint": "6b9fae02ee16360c109977c3539cd18cdba06f77ade9ee966204a5ec37d70c70",
-        "metrics": "9c6a00c1ea57d9121d0b636b29a50431582d1db0d45105f5c190410f5cd1cc59",
-        "final": "3148def108b21a01b65ab3c1d1bbd48843a1215ebf633f8954921495147df2e3",
-        "evaluate": "0bdb1213ef809ee5b53beb88b917397d807cc236c54d828f202e4a8386290d7f",
-        "divergence": "21de835f538fdabbca90af906b5027ecb11822f98fc59c589ccd465343665615",
+        "checkpoint": "7d89c76935bc246aba5d04f1063ddb74e1501e16ec4b4779e977a4a154c5df5f",
+        "metrics": "f2c13ea659e4dc80bb97bba32511134f85934f5804dd68c96cbe330f847b9140",
+        "final": "2507f3677e92f8973029a0f65661a3ddb9e289764d69f96d9557ad3380aef936",
+        "evaluate": "a5e5d441ba99213497bb82b5159843a579ae580735aeee6f22fb467712b19385",
+        "divergence": "ad5f949ed47cd84ce4e4aef975e6a5d05b5c31b68c0dabbb9a933087da1ee269",
     },
     "leaked_cosine": {
-        "checkpoint": "51d77b981ee29aa62a1cabb951481825f25c01d607adeaa48edc88d28dd75a5d",
-        "metrics": "927caff98163353a40bc006c7db0dd4f3fa1011e8ac1a1b8050cdcd10273f804",
-        "final": "c92b3d627d5b357946b5ab401fa6764c604f8df341c0b07d9561bb18da61c149",
-        "evaluate": "78a39f060fcc309aeaf476fbbf7230c24fe75dfbb24fb19acb0b90b36da7b39c",
-        "divergence": "7a0e0203c0c8c6a966d6ec4edd10306a179713c730b805730df217e44257fbac",
+        "checkpoint": "dcaa74750b6c22a6d0231a3dd2207a47b1c88e43620059e2135c5517ff56c4bd",
+        "metrics": "495b81247542f1cf367d4d4286b6115e29d8032cd983460add5045988a76ef18",
+        "final": "74879caf42fe7a37e46654d62c1d575d4f6892c5670c9cb94919b6c85aec3cec",
+        "evaluate": "ff9ab01c67db72a2ed44edd0df2e30a8a69f5990f6fe553f694ec7d52f0627df",
+        "divergence": "28628f971205e0918847c6ee7efa016ebc68def507331a09e861c4e69327a3aa",
     },
 }
 
