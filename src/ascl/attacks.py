@@ -63,10 +63,14 @@ _GAMMA = np.uint64(0x9E3779B97F4A7C15)
 
 def _mix64(z):
     """SplitMix64 finaliser (Steele, Lea & Flood, OOPSLA 2014): a bijection
-    of uint64 values that scatters every input bit over the output."""
-    z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
-    z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
-    return z ^ (z >> np.uint64(31))
+    of uint64 values that scatters every input bit over the output. An
+    array argument is overwritten."""
+    z ^= z >> np.uint64(30)
+    z *= np.uint64(0xBF58476D1CE4E5B9)
+    z ^= z >> np.uint64(27)
+    z *= np.uint64(0x94D049BB133111EB)
+    z ^= z >> np.uint64(31)
+    return z
 
 
 def _random_start(seed, index_base, shape, epsilon):
@@ -117,11 +121,9 @@ def pgd_attack(model, x, y, cfg: AttackConfig, seed=0, targets=None, index_base=
     Targeted, exactly when ``targets`` is given: descend cross-entropy
     toward ``targets``. At epsilon 0 the input comes back unchanged, with
     no gradient pass. Model weights and the input batch are never mutated.
-    With ``cfg.random_init``, the start is ``x`` plus uniform noise in the
-    ball, projected; row ``i``'s noise is a hash of
-    ``(*seed, index_base + i)`` and the feature index (``_random_start``),
-    so splitting a dataset into batches does not change any sample's start.
-    Each seed part must lie in [0, 2**64).
+    The random start of row ``i`` hashes ``(*seed, index_base + i)``
+    (``_random_start``), so splitting a dataset into batches does not
+    change any sample's start. Each seed part must lie in [0, 2**64).
     """
     x = np.array(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.intp)
