@@ -72,8 +72,11 @@ class Tensor:
                                if ds == 1 and dg != 1):
                 g = g.sum(axis=axes, keepdims=True)
         if self.grad is None:
-            self.grad = np.zeros(shape, dtype=np.float64)
-        self.grad += g
+            # a copy, since a VJP may hand on its input array or share one
+            # between parents; zeros then += only where g still broadcasts
+            self.grad = np.array(g, dtype=np.float64) if g.shape == shape else g + np.zeros(shape)
+        else:
+            self.grad += g
 
     def backward(self):
         """Propagate d(root)/d(leaf) to every requires_grad leaf.

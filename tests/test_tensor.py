@@ -225,6 +225,16 @@ class TestBackward:
         (y + y).backward()
         assert x.grad == pytest.approx(12.0)
 
+    def test_parents_sharing_one_vjp_array_get_their_own_grads(self):
+        # add's VJP hands the same array to both parents; x then gets a
+        # second contribution, which must not reach y's gradient
+        x = Tensor(np.ones(3), requires_grad=True)
+        y = Tensor(np.ones(3), requires_grad=True)
+        c = np.array([1.0, 2.0, 3.0])
+        (((x + y) * Tensor(c)).sum() + (x * 3.0).sum()).backward()
+        assert np.array_equal(x.grad, c + 3.0)
+        assert np.array_equal(y.grad, c)
+
 
 def _random_ops(rng):
     """(name, tensor fn, numpy fn, data strategy) for the FD sweep."""
