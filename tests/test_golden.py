@@ -2,8 +2,11 @@
 
 A change that keeps behaviour must keep every hash below: the checkpoint,
 the metrics CSV without its wall-time column, the ``final`` block of
-``summary.json``, the ``evaluate`` rows and the ``ascl divergence`` CSV
-over a grid that includes epsilon 0.
+``summary.json``, the ``evaluate`` rows, the ``ascl divergence`` CSV
+over a grid that includes epsilon 0, and the attacked test inputs that
+PGD and multi-targeted PGD return. The ``evaluate`` rows hold
+accuracies only, so the ``attacks`` pin is what sees a change in the
+attacks that flips no prediction.
 
 The hashes belong to the numpy and BLAS build they were recorded with
 (numpy 2.4.6, scipy-openblas 0.3.31, x86-64). Another build may sum in
@@ -20,6 +23,7 @@ from pathlib import Path
 import pytest
 
 import ascl
+from ascl.attacks import multi_targeted_pgd, pgd_attack
 from ascl.cli import cli
 from ascl.data import save_dataset
 
@@ -43,6 +47,7 @@ GOLDEN = {
         "final": "c72911addf71136fd5b85f91685e4101226d8f8c44978e1b228abe20d78c305d",
         "evaluate": "339a8831ad6bd215887515ac9753c9dd50c5f70ec1ff17dcd141d952365d6052",
         "divergence": "da33f9cb1f8f1744173966d3b164d7aed704986aaa998332c19d1dba08cd12fe",
+        "attacks": "2b61fd2cfc157c996f94a60664559dab6a503cceb88bfbeae0c3a54dccabc544",
     },
     "hard_lp2_linear": {
         "checkpoint": "7d89c76935bc246aba5d04f1063ddb74e1501e16ec4b4779e977a4a154c5df5f",
@@ -50,6 +55,7 @@ GOLDEN = {
         "final": "2507f3677e92f8973029a0f65661a3ddb9e289764d69f96d9557ad3380aef936",
         "evaluate": "a5e5d441ba99213497bb82b5159843a579ae580735aeee6f22fb467712b19385",
         "divergence": "ad5f949ed47cd84ce4e4aef975e6a5d05b5c31b68c0dabbb9a933087da1ee269",
+        "attacks": "a63cef6e985f80122366b8a9a3905d44d655399d69faa228e4452763da415fec",
     },
     "leaked_cosine": {
         "checkpoint": "dcaa74750b6c22a6d0231a3dd2207a47b1c88e43620059e2135c5517ff56c4bd",
@@ -57,6 +63,7 @@ GOLDEN = {
         "final": "74879caf42fe7a37e46654d62c1d575d4f6892c5670c9cb94919b6c85aec3cec",
         "evaluate": "ff9ab01c67db72a2ed44edd0df2e30a8a69f5990f6fe553f694ec7d52f0627df",
         "divergence": "28628f971205e0918847c6ee7efa016ebc68def507331a09e861c4e69327a3aa",
+        "attacks": "f23f1f7a470f74d700741f56aaa3ed85a2a12e5a5e8e6898e524186475ed4410",
     },
 }
 
@@ -76,8 +83,10 @@ def _golden_hashes(name, tmp_path):
     cfg = ascl.RunConfig(output_dir=str(tmp_path / "run"), **_COMMON, **CONFIGS[name])
     result = ascl.train(cfg)
     _, test = cfg.build_datasets()
-    rows = ascl.evaluate(result.model, test, ascl.AttackConfig(**EVAL_ATTACK),
-                         attacks=("none", "pgd", "mpgd"), seed=3)
+    eval_cfg = ascl.AttackConfig(**EVAL_ATTACK)
+    rows = ascl.evaluate(result.model, test, eval_cfg, attacks=("none", "pgd", "mpgd"), seed=3)
+    attacked = b"".join(fn(result.model, test.features, test.labels, eval_cfg, seed=3).tobytes()
+                        for fn in (pgd_attack, multi_targeted_pgd))
     data_path = tmp_path / "test.ds"
     save_dataset(test, data_path)
     csv_path = tmp_path / "divergence.csv"
@@ -90,6 +99,7 @@ def _golden_hashes(name, tmp_path):
         "final": _sha(json.dumps(result.summary["final"], sort_keys=True)),
         "evaluate": _sha(repr([(a, r.nat_acc, r.rob_acc) for a, r in rows])),
         "divergence": _sha(csv_path.read_bytes()),
+        "attacks": _sha(attacked),
     }
 
 
