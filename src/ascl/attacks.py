@@ -106,11 +106,21 @@ def project_linf(x_adv, x_orig, epsilon, clip_range=(0.0, 1.0)):
     return np.clip(out, lo, hi)
 
 
+def _ball_clamp(x, epsilon, clip_range):
+    """``v -> project_linf(v, x, epsilon, clip_range)`` for x in ``clip_range``,
+    bounds computed once. Ties go to ``v``, so it is equal bit for bit, save
+    that project_linf gives +0.0 for a v of -0.0 on a +0.0 ball bound (or
+    x of -0.0 at epsilon 0); no PGD iterate is such a v."""
+    lo = np.maximum(clip_range[0], x - epsilon)
+    hi = np.minimum(clip_range[1], x + epsilon)
+    return lambda v: np.minimum(hi, np.maximum(lo, v))
+
+
 def _input_gradient(model, x_adv, labels):
-    """Gradient of summed cross-entropy against ``labels`` at x_adv; fresh
-    graph per call."""
+    """Gradient of summed cross-entropy against ``labels`` at x_adv, from a
+    backward toward the input alone; fresh graph per call."""
     xt = Tensor(x_adv, requires_grad=True)
-    cross_entropy(model.forward(xt), labels).sum().backward()
+    cross_entropy(model.forward(xt), labels).sum().backward(inputs=(xt,))
     return xt.grad
 
 
@@ -124,6 +134,7 @@ def pgd_attack(model, x, y, cfg: AttackConfig, seed=0, targets=None, index_base=
     The random start of row ``i`` hashes ``(*seed, index_base + i)``
     (``_random_start``), so splitting a dataset into batches does not
     change any sample's start. Each seed part must lie in [0, 2**64).
+    Iterates are projected by ``_ball_clamp``, which equals ``project_linf``.
     """
     x = np.array(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.intp)
@@ -135,9 +146,9 @@ def pgd_attack(model, x, y, cfg: AttackConfig, seed=0, targets=None, index_base=
     targeted = targets is not None
     goal = np.asarray(targets, dtype=np.intp) if targeted else y
 
+    project = _ball_clamp(x, cfg.epsilon, cfg.clip_range)
     if cfg.random_init:
-        noise = _random_start(seed, index_base, x.shape, cfg.epsilon)
-        x_adv = project_linf(x + noise, x, cfg.epsilon, cfg.clip_range)
+        x_adv = project(x + _random_start(seed, index_base, x.shape, cfg.epsilon))
     else:
         x_adv = x.copy()
 
@@ -147,7 +158,7 @@ def pgd_attack(model, x, y, cfg: AttackConfig, seed=0, targets=None, index_base=
             break
         step = cfg.eta * np.sign(grad)
         x_adv = x_adv - step if targeted else x_adv + step
-        x_adv = project_linf(x_adv, x, cfg.epsilon, cfg.clip_range)
+        x_adv = project(x_adv)
     return x_adv
 
 

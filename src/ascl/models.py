@@ -10,7 +10,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .errors import ConfigError, DimensionError, FormatError
-from .tensor import Tensor
+from .tensor import Tensor, affine
 
 __all__ = [
     "ModelSpec",
@@ -106,12 +106,12 @@ class MLPClassifier:
         """Forward through the hidden stack; returns the penultimate activation."""
         h = self._as_batch(x, self.spec.input_dim, "encode")
         for w, b in self.hidden:
-            h = (h @ w + b).relu()
+            h = affine(h, w, b).relu()
         return h
 
     def classify(self, z) -> Tensor:
         z = self._as_batch(z, self.spec.latent_dim, "classify")
-        return z @ self.cls_w + self.cls_b
+        return affine(z, self.cls_w, self.cls_b)
 
     def forward(self, x) -> Tensor:
         return self.classify(self.encode(x))

@@ -11,6 +11,8 @@ per input: a map from the output's gradient to that input's share.
 grad, in input order, and accumulates. One broadcasting rule reduces
 what a VJP returns: sum the axes where the input has size 1 and the
 gradient does not, give a 0-d input the total, and leave the rest to ``+=``.
+``backward(inputs=...)`` runs only the VJPs toward the given leaves, and the
+coarse nodes ``affine`` and ``cross_entropy`` round like their compositions.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ import numpy as np
 
 from .errors import ContractError, DimensionError, DomainError, GraphStateError
 
-__all__ = ["Tensor", "concat", "log_softmax", "cross_entropy", "pairwise_lp"]
+__all__ = ["Tensor", "affine", "concat", "log_softmax", "cross_entropy", "pairwise_lp"]
 
 
 class Tensor:
@@ -78,14 +80,18 @@ class Tensor:
         else:
             self.grad += g
 
-    def backward(self):
-        """Propagate d(root)/d(leaf) to every requires_grad leaf.
+    def backward(self, inputs=None):
+        """Propagate d(root)/d(leaf) to every requires_grad leaf, or only to
+        those in ``inputs``, skipping VJPs toward nodes that lead to none.
 
         The root must be a scalar. Every interior node visited is marked
         consumed; reusing one in a later backward raises GraphStateError.
         """
         if self.data.ndim != 0:
             raise ContractError(f"backward() root must be scalar, got shape {self.shape}")
+        if inputs is not None and not all(t.requires_grad for t in inputs):
+            raise ContractError("backward() inputs must require grad")
+        wanted = None if inputs is None else {id(t) for t in inputs}
 
         order = []
         seen = set()
@@ -94,6 +100,9 @@ class Tensor:
             node, expanded = stack.pop()
             if expanded:
                 order.append(node)
+                # parents come first in ``order``, so their marks are final
+                if wanted is not None and any(id(p) in wanted for p in node._parents):
+                    wanted.add(id(node))
                 continue
             if id(node) in seen:
                 continue
@@ -114,7 +123,7 @@ class Tensor:
         for node in reversed(order):
             # a node with parents is reached from the root, so it holds a grad
             for parent, vjp in zip(node._parents, node._vjps):
-                if parent.requires_grad:
+                if parent.requires_grad and (wanted is None or id(parent) in wanted):
                     parent._accumulate(vjp(node.grad))
 
     # -- elementwise binary ops ---------------------------------------------
@@ -232,14 +241,17 @@ class Tensor:
     def log_sum_exp(self, axis=None, keepdims: bool = False):
         """log(sum(exp(x))) computed with a max shift, overflow-free."""
         self._check_axis(axis)
-        a = self.data
-        m = a.max(axis=axis, keepdims=True) if a.size else a
-        shifted = np.exp(a - m)
-        total = shifted.sum(axis=axis, keepdims=True)
-        out_full = m + np.log(total)
+        out_full, soft = _lse_softmax(self.data, axis)
         out_data = out_full if keepdims else np.squeeze(out_full, axis=axis)
-        soft = shifted / total
-        return Tensor._make(out_data, (self,), (lambda g: soft * g.reshape(total.shape),))
+        return Tensor._make(out_data, (self,), (lambda g: soft * g.reshape(out_full.shape),))
+
+
+def _lse_softmax(a, axis):
+    """log(sum(exp(a))) with the reduced axis kept, and softmax(a)."""
+    m = a.max(axis=axis, keepdims=True) if a.size else a
+    shifted = np.exp(a - m)
+    total = shifted.sum(axis=axis, keepdims=True)
+    return m + np.log(total), shifted / total
 
 
 def log_softmax(logits: Tensor) -> Tensor:
@@ -247,14 +259,30 @@ def log_softmax(logits: Tensor) -> Tensor:
     return logits - logits.log_sum_exp(axis=1, keepdims=True)
 
 
+def affine(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
+    """``x @ w + b`` as one node, for 2-D ``x`` and ``w`` and a bias that
+    broadcasts as the right operand of ``+``, such as a ``(1, k)`` row."""
+    a, m = x.data, w.data
+    if a.ndim != 2 or m.ndim != 2 or a.shape[1] != m.shape[0]:
+        raise DimensionError(f"affine expects (N, d) @ (d, k), got {a.shape} @ {m.shape}")
+    xw = Tensor(a @ m)
+    xw._operand(b)
+    return Tensor._make(xw.data + b.data, (x, w, b),
+                        (lambda g: g @ m.T, lambda g: a.T @ g, lambda g: g))
+
+
 def cross_entropy(logits: Tensor, labels) -> Tensor:
     """Per-row cross-entropy of a 2-D logit tensor against integer labels, (N,).
 
-    ``lse - z_y`` equals ``-log_softmax(logits)[y]`` bit for bit, since
-    float subtraction is antisymmetric, and records fewer graph nodes.
+    One node for ``log_sum_exp - (z * onehot).sum(1)``, which equals
+    ``-log_softmax(logits)[y]`` bit for bit. Its VJP keeps that graph's two
+    products apart; ``(soft - onehot) * g`` would round differently.
     """
+    logits._check_axis(1)
+    lse, soft = _lse_softmax(logits.data, 1)
     onehot = np.eye(logits.shape[1])[np.asarray(labels, dtype=np.intp)]
-    return logits.log_sum_exp(axis=1) - (logits * Tensor(onehot)).sum(axis=1)
+    return Tensor._make(lse[:, 0] - (logits.data * onehot).sum(axis=1), (logits,),
+                        (lambda g: soft * g[:, None] - onehot * g[:, None],))
 
 
 def concat(tensors):

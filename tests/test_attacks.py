@@ -1,9 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.stats import kstest
 
-from ascl.attacks import (AttackConfig, _random_start, attack_by_name, multi_targeted_pgd,
-                          pgd_attack, project_linf, robust_accuracy)
+from ascl.attacks import (AttackConfig, _ball_clamp, _input_gradient, _random_start,
+                          attack_by_name, multi_targeted_pgd, pgd_attack, project_linf,
+                          robust_accuracy)
 from ascl.config import RunConfig
 from ascl.errors import ContractError
 from ascl.models import MLPClassifier, ModelSpec
@@ -206,6 +209,115 @@ class TestPGD:
         x_adv = pgd_attack(LinearLogistic(w, b), x, y, cfg, targets=t)
         grad = (_softmax(x @ w + b) - np.eye(3)[t]) @ w.T
         assert np.array_equal(x_adv, project_linf(x - cfg.eta * np.sign(grad), x, cfg.epsilon))
+
+
+def _bitwise_equal(a, b):
+    return np.array_equal(a, b) and np.array_equal(np.signbit(a), np.signbit(b))
+
+
+def _numpy_input_gradient(model, x, labels):
+    """Input gradient of summed cross-entropy through the MLP, forward and
+    backward written out in numpy with the engine's float ops: the floor
+    that ``_input_gradient`` is measured against."""
+    h, pre = x, []
+    for w, b in model.hidden:
+        a = h @ w.data + b.data
+        pre.append(a)
+        h = np.maximum(a, 0.0)
+    z = h @ model.cls_w.data + model.cls_b.data
+    shifted = np.exp(z - z.max(axis=1, keepdims=True))
+    g = shifted / shifted.sum(axis=1, keepdims=True)
+    g[np.arange(len(labels)), labels] -= 1.0
+    g = g @ model.cls_w.data.T
+    for (w, _), a in zip(reversed(model.hidden), reversed(pre)):
+        g = (g * (a > 0.0)) @ w.data.T
+    return g
+
+
+class TestInputGradient:
+    @pytest.mark.parametrize("hidden,classes", [((32, 32), 10), ((8,), 2), ((8, 6, 5), 3)])
+    def test_equals_numpy_oracle_bitwise(self, hidden, classes):
+        model = MLPClassifier(ModelSpec(input_dim=16, hidden_layers=hidden, num_classes=classes),
+                              seed=len(hidden))
+        rng = np.random.default_rng(classes)
+        x = rng.uniform(size=(50, 16))
+        y = rng.integers(0, classes, size=50)
+        assert _bitwise_equal(_input_gradient(model, x, y), _numpy_input_gradient(model, x, y))
+        assert all(p.grad is None for p in model.parameters)
+
+
+def _reference_pgd(model, x, y, cfg, seed=0, targets=None):
+    """``pgd_attack`` written with ``project_linf`` at every projection."""
+    x = np.array(x, dtype=np.float64)
+    x_adv = x.copy()
+    if cfg.random_init:
+        noise = _random_start(seed, 0, x.shape, cfg.epsilon)
+        x_adv = project_linf(x + noise, x, cfg.epsilon, cfg.clip_range)
+    for _ in range(cfg.steps):
+        grad = _input_gradient(model, x_adv, y if targets is None else targets)
+        step = cfg.eta * np.sign(grad)
+        x_adv = project_linf(x_adv + step if targets is None else x_adv - step,
+                             x, cfg.epsilon, cfg.clip_range)
+    return x_adv
+
+
+_CLIPS = [(0.0, 1.0), (-0.0, 1.0), (-1.0, 0.0), (-1.0, -0.0), (-0.5, 0.5)]
+
+
+@st.composite
+def _in_clip(draw, shape_max=12):
+    """A clip range, epsilon and x inside it, with entries on its bounds
+    and at both zeros when the range holds them."""
+    lo, hi = draw(st.sampled_from(_CLIPS))
+    eps = draw(st.one_of(st.just(0.0), st.sampled_from([0.25, 0.5, 1.0, 3.0]),
+                         st.floats(1e-6, 5.0)))
+    on = st.sampled_from([v for v in (lo, hi, 0.0, -0.0, eps, -eps) if lo <= v <= hi])
+    inside = st.floats(lo, hi).map(lambda v: min(max(v, lo), hi))
+    x = draw(st.lists(st.one_of(on, inside), min_size=1, max_size=shape_max))
+    return lo, hi, eps, np.array(x)
+
+
+class TestBallClamp:
+    @settings(max_examples=300, deadline=None)
+    @given(_in_clip(), st.data())
+    def test_equals_project_linf(self, case, data):
+        lo, hi, eps, x = case
+        offset = st.one_of(st.floats(-1e6, 1e6), st.sampled_from([0.0, -0.0, eps, -eps]))
+        v = x + np.array(data.draw(st.lists(offset, min_size=len(x), max_size=len(x))))
+        v = np.where(np.array(data.draw(st.lists(st.booleans(), min_size=len(x),
+                                                 max_size=len(x)))), -0.0, v)
+        want = project_linf(v, x, eps, (lo, hi))
+        got = _ball_clamp(x, eps, (lo, hi))(v)
+        assert np.array_equal(got, want)
+        # signs of zero agree too, except where a v of -0.0 meets a ball
+        # bound of +0.0, or x is -0.0 at epsilon 0: project_linf gives +0.0
+        neg_zero = (got == 0) & np.signbit(got)
+        excused = neg_zero & ~np.signbit(want) & (np.signbit(v) & (v == 0)
+                                                  | (eps == 0) & np.signbit(x))
+        assert np.array_equal(np.signbit(got) & ~excused, np.signbit(want) & ~excused)
+
+    @settings(max_examples=150, deadline=None)
+    @given(_in_clip(shape_max=6), st.integers(0, 4), st.booleans(), st.booleans(),
+           st.sampled_from([0.25, 1.0, 4.0]), st.integers(0, 3))
+    def test_pgd_equals_the_project_linf_loop(self, case, steps, random_init, targeted,
+                                              eta_scale, zero_rows):
+        # zero weight rows give exact zero gradients, and with them steps of
+        # either zero and iterates of -0.0 where x holds one
+        lo, hi, eps, x = case
+        if eps == 0:
+            return
+        rng = np.random.default_rng(len(x) + steps)
+        d = len(x)
+        w = rng.normal(size=(d, 3))
+        w[:min(zero_rows, d)] = 0.0
+        model = LinearLogistic(w, rng.normal(size=3))
+        xb = np.stack([x, x[::-1]])
+        y = np.array([0, 2])
+        targets = np.array([1, 0]) if targeted else None
+        cfg = AttackConfig(epsilon=eps, eta=eps / eta_scale, steps=steps,
+                           random_init=random_init, clip_range=(lo, hi))
+        got = pgd_attack(model, xb, y, cfg, seed=5, targets=targets)
+        assert _bitwise_equal(got, _reference_pgd(model, xb, y, cfg, seed=5, targets=targets))
 
 
 _M64 = 2**64 - 1

@@ -5,7 +5,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ascl.errors import ContractError, DimensionError, DomainError, GraphStateError
-from ascl.tensor import Tensor, concat, cross_entropy, log_softmax, pairwise_lp
+from ascl.models import MLPClassifier, ModelSpec
+from ascl.tensor import Tensor, affine, concat, cross_entropy, log_softmax, pairwise_lp
 from supcon_loop import gather_rows, tensor_abs
 
 
@@ -234,6 +235,96 @@ class TestBackward:
         (((x + y) * Tensor(c)).sum() + (x * 3.0).sum()).backward()
         assert np.array_equal(x.grad, c + 3.0)
         assert np.array_equal(y.grad, c)
+
+
+def _bitwise_equal(a, b):
+    return np.array_equal(a, b) and np.array_equal(np.signbit(a), np.signbit(b))
+
+
+def _grads(build, arrays, weights):
+    """Forward value and the grad of every input after backward through
+    ``(build(*inputs) * weights).sum()``."""
+    inputs = [Tensor(a, requires_grad=True) for a in arrays]
+    out = build(*inputs)
+    (out * Tensor(weights)).sum().backward()
+    return [out.data] + [t.grad for t in inputs]
+
+
+class TestBackwardInputs:
+    @pytest.fixture()
+    def model_and_batch(self):
+        model = MLPClassifier(ModelSpec(input_dim=5, hidden_layers=(7, 6), num_classes=4), seed=2)
+        rng = np.random.default_rng(2)
+        return model, rng.normal(size=(9, 5)), rng.integers(0, 4, size=9)
+
+    def test_requested_leaf_matches_full_backward_and_others_stay_none(self, model_and_batch):
+        model, x, y = model_and_batch
+        full = Tensor(x, requires_grad=True)
+        cross_entropy(model.forward(full), y).sum().backward()
+        assert all(p.grad is not None for p in model.parameters)
+        model.zero_grad()
+
+        only = Tensor(x, requires_grad=True)
+        cross_entropy(model.forward(only), y).sum().backward(inputs=(only,))
+        assert _bitwise_equal(only.grad, full.grad)
+        assert all(p.grad is None for p in model.parameters)
+
+    def test_requested_parameter_only(self, model_and_batch):
+        model, x, y = model_and_batch
+        cross_entropy(model.forward(Tensor(x)), y).sum().backward()
+        want = [p.grad for p in model.parameters]
+        model.zero_grad()
+
+        xt = Tensor(x, requires_grad=True)
+        w = model.hidden[0][0]
+        cross_entropy(model.forward(xt), y).sum().backward(inputs=(w,))
+        assert _bitwise_equal(w.grad, want[0])
+        assert xt.grad is None
+        assert all(p.grad is None for p in model.parameters if p is not w)
+
+    def test_consumed_graph_still_raises(self):
+        x = Tensor(2.0, requires_grad=True)
+        out = x * x
+        out.backward(inputs=(x,))
+        with pytest.raises(GraphStateError):
+            out.backward(inputs=(x,))
+
+    def test_input_without_grad_is_a_contract_error(self):
+        x = Tensor(2.0, requires_grad=True)
+        with pytest.raises(ContractError):
+            (x * x).backward(inputs=(x, Tensor(1.0)))
+
+
+class TestCoarseNodes:
+    @pytest.mark.parametrize("seed", range(4))
+    def test_affine_equals_matmul_plus_bias_bitwise(self, seed):
+        rng = np.random.default_rng(seed)
+        arrays = [rng.normal(size=(6, 4)), rng.normal(size=(4, 3)), rng.normal(size=(1, 3))]
+        weights = rng.normal(size=(6, 3))
+        got = _grads(affine, arrays, weights)
+        want = _grads(lambda x, w, b: x @ w + b, arrays, weights)
+        assert all(_bitwise_equal(a, b) for a, b in zip(got, want))
+
+    def test_affine_contracts(self):
+        with pytest.raises(DimensionError):
+            affine(Tensor(np.ones((2, 3))), Tensor(np.ones((2, 3))), Tensor(np.ones((1, 3))))
+        with pytest.raises(DimensionError):
+            affine(Tensor(np.ones((2, 3))), Tensor(np.ones((3, 4))), Tensor(np.ones((1, 3))))
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_cross_entropy_equals_its_composition_bitwise(self, seed):
+        rng = np.random.default_rng(seed)
+        # the last rows underflow softmax entries to exactly 0
+        logits = np.concatenate([rng.normal(scale=3.0, size=(8, 5)),
+                                 [[800.0, 0.0, -5.0, 1.0, 2.0], [-800.0, 0.0, 3.0, 1.0, 2.0]]])
+        y = rng.integers(0, 5, size=10)
+        onehot = np.eye(5)[y]
+        # mixed signs, including both zeros, reach every branch of the VJP
+        weights = np.concatenate([rng.normal(size=6), [0.0, -0.0, -1.0, 1.0]])
+        got = _grads(lambda z: cross_entropy(z, y), [logits], weights)
+        want = _grads(lambda z: z.log_sum_exp(axis=1) - (z * Tensor(onehot)).sum(axis=1),
+                      [logits], weights)
+        assert all(_bitwise_equal(a, b) for a, b in zip(got, want))
 
 
 def _random_ops(rng):
