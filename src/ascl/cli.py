@@ -19,7 +19,7 @@ import numpy as np
 
 from .attacks import AttackConfig, attack_by_name, robust_accuracy
 from .config import RunConfig, _parse_value, config_from_dict, parse_config_file
-from .data import Dataset, dataset_to_csv, load_dataset, make_blobs, make_two_moons, save_dataset
+from .data import Dataset, load_dataset, make_blobs, make_two_moons, save_dataset
 from .divergence import SWEEP_COLUMNS as DIVERGENCE_COLUMNS
 from .divergence import divergence_sweep
 from .errors import ConfigError
@@ -118,7 +118,6 @@ def build_parser():
     p = sub.add_parser("make-data", help="generate and save a synthetic dataset")
     p.add_argument("--kind", required=True, choices=("blobs", "moons"))
     p.add_argument("--out", required=True)
-    p.add_argument("--format", default="bin", choices=("bin", "csv"))
     p.add_argument("--split", default="train", choices=("train", "test"))
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--classes", type=int, default=10)
@@ -232,10 +231,7 @@ def _cmd_make_data(args):
                             args.seed, split=args.split)
         else:
             ds = make_two_moons(args.size, args.noise, args.seed, split=args.split)
-    if args.format == "bin":
-        save_dataset(ds, args.out)
-    else:
-        dataset_to_csv(ds, args.out)
+    save_dataset(ds, args.out)
     print(f"wrote {args.out} ({len(ds)} samples, {ds.dim} dims, {ds.num_classes} classes)")
     return 0
 

@@ -3,7 +3,6 @@ format. Features always live in [0, 1]."""
 
 from __future__ import annotations
 
-import csv
 import struct
 from dataclasses import dataclass
 
@@ -18,7 +17,6 @@ __all__ = [
     "make_two_moons",
     "save_dataset",
     "load_dataset",
-    "dataset_to_csv",
     "iter_batches",
 ]
 
@@ -167,14 +165,6 @@ def load_dataset(path) -> Dataset:
                        split=_SPLITS[split_code])
     except ContractError as e:
         raise FormatError(f"invalid payload after byte {header_end}: {e}") from e
-
-
-def dataset_to_csv(ds: Dataset, path):
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow([f"f{i}" for i in range(ds.dim)] + ["label"])
-        for row, lab in zip(ds.features, ds.labels):
-            writer.writerow([f"{v:.17g}" for v in row] + [int(lab)])
 
 
 def iter_batches(ds: Dataset, batch_size, rng=None):
