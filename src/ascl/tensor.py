@@ -260,14 +260,14 @@ def log_softmax(logits: Tensor) -> Tensor:
 
 
 def affine(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
-    """``x @ w + b`` as one node, for 2-D ``x`` and ``w`` and a bias that
-    broadcasts as the right operand of ``+``, such as a ``(1, k)`` row."""
+    """``x @ w + b`` as one node, for ``x`` (N, d), ``w`` (d, k) and a bias
+    of shape (1, k), broadcast over rows, or (N, k)."""
     a, m = x.data, w.data
-    if a.ndim != 2 or m.ndim != 2 or a.shape[1] != m.shape[0]:
-        raise DimensionError(f"affine expects (N, d) @ (d, k), got {a.shape} @ {m.shape}")
-    xw = Tensor(a @ m)
-    xw._operand(b)
-    return Tensor._make(xw.data + b.data, (x, w, b),
+    if (a.ndim != 2 or m.ndim != 2 or a.shape[1] != m.shape[0]
+            or b.shape not in ((1, m.shape[1]), (a.shape[0], m.shape[1]))):
+        raise DimensionError(f"affine expects (N, d) @ (d, k) + (1, k), got "
+                             f"{a.shape} @ {m.shape} + {b.shape}")
+    return Tensor._make(a @ m + b.data, (x, w, b),
                         (lambda g: g @ m.T, lambda g: a.T @ g, lambda g: g))
 
 

@@ -296,20 +296,22 @@ class TestBackwardInputs:
 
 
 class TestCoarseNodes:
-    @pytest.mark.parametrize("seed", range(4))
-    def test_affine_equals_matmul_plus_bias_bitwise(self, seed):
+    @pytest.mark.parametrize("seed,bias_rows", [(0, 1), (1, 1), (2, 1), (3, 6)])
+    def test_affine_equals_matmul_plus_bias_bitwise(self, seed, bias_rows):
         rng = np.random.default_rng(seed)
-        arrays = [rng.normal(size=(6, 4)), rng.normal(size=(4, 3)), rng.normal(size=(1, 3))]
+        arrays = [rng.normal(size=(6, 4)), rng.normal(size=(4, 3)),
+                  rng.normal(size=(bias_rows, 3))]
         weights = rng.normal(size=(6, 3))
         got = _grads(affine, arrays, weights)
         want = _grads(lambda x, w, b: x @ w + b, arrays, weights)
         assert all(_bitwise_equal(a, b) for a, b in zip(got, want))
 
-    def test_affine_contracts(self):
+    @pytest.mark.parametrize("x,w,b", [((2, 3), (2, 3), (1, 3)), ((3,), (3, 4), (1, 4)),
+                                       ((2, 3), (3, 4), (1, 3)), ((2, 3), (3, 4), (4,)),
+                                       ((2, 3), (3, 4), (3, 4))])
+    def test_affine_contracts(self, x, w, b):
         with pytest.raises(DimensionError):
-            affine(Tensor(np.ones((2, 3))), Tensor(np.ones((2, 3))), Tensor(np.ones((1, 3))))
-        with pytest.raises(DimensionError):
-            affine(Tensor(np.ones((2, 3))), Tensor(np.ones((3, 4))), Tensor(np.ones((1, 3))))
+            affine(*(Tensor(np.ones(shape)) for shape in (x, w, b)))
 
     @pytest.mark.parametrize("seed", range(4))
     def test_cross_entropy_equals_its_composition_bitwise(self, seed):
