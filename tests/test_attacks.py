@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.stats import kstest
 
@@ -272,7 +272,7 @@ def _in_clip(draw, shape_max=12):
     eps = draw(st.one_of(st.just(0.0), st.sampled_from([0.25, 0.5, 1.0, 3.0]),
                          st.floats(1e-6, 5.0)))
     on = st.sampled_from([v for v in (lo, hi, 0.0, -0.0, eps, -eps) if lo <= v <= hi])
-    inside = st.floats(lo, hi).map(lambda v: min(max(v, lo), hi))
+    inside = st.floats(lo, hi)
     x = draw(st.lists(st.one_of(on, inside), min_size=1, max_size=shape_max))
     return lo, hi, eps, np.array(x)
 
@@ -304,8 +304,7 @@ class TestBallClamp:
         # zero weight rows give exact zero gradients, and with them steps of
         # either zero and iterates of -0.0 where x holds one
         lo, hi, eps, x = case
-        if eps == 0:
-            return
+        assume(eps > 0)  # at epsilon 0 pgd_attack returns x without a step
         rng = np.random.default_rng(len(x) + steps)
         d = len(x)
         w = rng.normal(size=(d, 3))
