@@ -15,13 +15,12 @@ from .divergence import DivergenceReport, absolute_divergences, divergence_sweep
 from .losses import LossWeights, selection_stats, total_loss
 from .models import MLPClassifier, ModelSpec, load_model, save_model
 from .tensor import Tensor, concat
-from .training import evaluate, sweep, train
+from .training import evaluate, train
 
 __all__ = [
     "AttackConfig", "Batch", "Dataset", "DivergenceReport", "LossWeights",
     "MLPClassifier", "ModelSpec", "RunConfig", "Tensor", "absolute_divergences", "concat",
     "divergence_sweep", "evaluate", "load_model", "make_blobs", "make_two_moons",
     "multi_targeted_pgd", "parse_config_file", "pgd_attack", "project_linf",
-    "robust_accuracy", "save_model", "selection_stats", "sweep",
-    "total_loss", "train",
+    "robust_accuracy", "save_model", "selection_stats", "total_loss", "train",
 ]

@@ -139,7 +139,7 @@ def pgd_attack(model, x, y, cfg: AttackConfig, seed=0, targets=None, index_base=
     x = np.array(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.intp)
     lo, hi = cfg.clip_range
-    if np.any(x < lo) or np.any(x > hi):
+    if not np.all((x >= lo) & (x <= hi)):
         raise ContractError("input batch lies outside clip_range")
     if cfg.epsilon == 0:
         return x

@@ -1,6 +1,6 @@
 """Command-line entry point.
 
-Subcommands: train, evaluate, attack, divergence, selection-stats, sweep,
+Subcommands: train, evaluate, attack, divergence, selection-stats,
 make-data. Exit codes: 0 ok, 1 usage error, 2 runtime failure. A bad flag
 value is a usage error: each subcommand builds what its flags describe
 before it reads or writes a file. A malformed file, or a failure once the
@@ -12,7 +12,6 @@ from __future__ import annotations
 import argparse
 import contextlib
 import dataclasses
-import itertools
 import sys
 
 import numpy as np
@@ -20,23 +19,16 @@ import numpy as np
 from .attacks import AttackConfig, attack_by_name, robust_accuracy
 from .config import RunConfig, _parse_value, config_from_dict, parse_config_file
 from .data import Dataset, load_dataset, make_blobs, make_two_moons, save_dataset
-from .divergence import SWEEP_COLUMNS as DIVERGENCE_COLUMNS
-from .divergence import divergence_sweep
+from .divergence import SWEEP_COLUMNS, divergence_sweep
 from .errors import ConfigError
 from .losses import STRATEGIES, selection_stats
 from .models import load_model
-from .training import SWEEP_COLUMNS, evaluate, sweep, train, write_csv
+from .training import evaluate, train, write_csv
 
 
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         raise ConfigError(message)
-
-
-def _add_run_overrides(p):
-    # every RunConfig key doubles as a --key flag (dashes for underscores)
-    for f in dataclasses.fields(RunConfig):
-        p.add_argument(f"--{f.name.replace('_', '-')}", dest=f.name, default=None)
 
 
 def _add_attack_args(p, steps, eps=True):
@@ -55,7 +47,7 @@ def _run_config(args) -> RunConfig:
     base = parse_config_file(args.config) if args.config else RunConfig()
     overrides = {}
     for f in dataclasses.fields(RunConfig):
-        v = getattr(args, f.name, None)
+        v = getattr(args, f.name)
         if v is not None:
             overrides[f.name] = _parse_value(f.name, v)
     return config_from_dict(overrides, base=base)
@@ -83,7 +75,9 @@ def build_parser():
 
     p = sub.add_parser("train", help="train a model from a config and/or flags")
     p.add_argument("--config", default=None)
-    _add_run_overrides(p)
+    # every RunConfig key doubles as a --key flag (dashes for underscores)
+    for f in dataclasses.fields(RunConfig):
+        p.add_argument(f"--{f.name.replace('_', '-')}", dest=f.name, default=None)
 
     p = sub.add_parser("evaluate", help="robust accuracy of a checkpoint under attacks")
     _add_attack_args(p, steps=50)
@@ -106,15 +100,6 @@ def build_parser():
     p.add_argument("--trials", type=int, default=1000)
     p.add_argument("--seed", type=int, default=0)
 
-    p = sub.add_parser("sweep", help="grid of runs over strategy and loss weights")
-    p.add_argument("--config", default=None)
-    p.add_argument("--strategies", default="global")
-    p.add_argument("--lambda-scl-grid", default="1")
-    p.add_argument("--lambda-vat-grid", default="2")
-    p.add_argument("--sweep-epochs", type=int, default=None)
-    p.add_argument("--out", default=None, help="summary csv path (default stdout)")
-    _add_run_overrides(p)
-
     p = sub.add_parser("make-data", help="generate and save a synthetic dataset")
     p.add_argument("--kind", required=True, choices=("blobs", "moons"))
     p.add_argument("--out", required=True)
@@ -127,16 +112,6 @@ def build_parser():
     p.add_argument("--size", type=int, default=200)
     p.add_argument("--noise", type=float, default=0.1)
     return parser
-
-
-def _emit_csv(rows, columns, out):
-    """Write the rows to the ``--out`` path, or to stdout without one."""
-    if out:
-        with open(out, "w", newline="") as fh:
-            write_csv(rows, columns, fh)
-        print(f"wrote {out}")
-    else:
-        write_csv(rows, columns, sys.stdout)
 
 
 def _cmd_train(args):
@@ -173,8 +148,7 @@ def _cmd_attack(args):
     acc = robust_accuracy(model, x_adv, ds.labels, "none", cfg)
     print(f"attack={args.attack} eps={cfg.epsilon:g} rob_acc={acc:.4f}")
     if args.out:
-        save_dataset(Dataset(x_adv, ds.labels, ds.num_classes,
-                             name=ds.name + "_adv", split=ds.split), args.out)
+        save_dataset(Dataset(x_adv, ds.labels, ds.num_classes, split=ds.split), args.out)
         print(f"wrote {args.out}")
     return 0
 
@@ -188,7 +162,12 @@ def _cmd_divergence(args):
     model = load_model(args.checkpoint)
     ds = load_dataset(args.data)
     rows = divergence_sweep(model, ds, grid, base, seed=args.seed)
-    _emit_csv(rows, DIVERGENCE_COLUMNS, args.out)
+    if args.out:
+        with open(args.out, "w", newline="") as fh:
+            write_csv(rows, SWEEP_COLUMNS, fh)
+        print(f"wrote {args.out}")
+    else:
+        write_csv(rows, SWEEP_COLUMNS, sys.stdout)
     return 0
 
 
@@ -211,19 +190,6 @@ def _cmd_selection_stats(args):
     return 0
 
 
-def _cmd_sweep(args):
-    cfg = _run_config(args)
-    with _flag_values():
-        strategies = [s.strip() for s in args.strategies.split(",")]
-        scl_grid = [float(v) for v in args.lambda_scl_grid.split(",")]
-        vat_grid = [float(v) for v in args.lambda_vat_grid.split(",")]
-        for s, a, b in itertools.product(strategies, scl_grid, vat_grid):
-            dataclasses.replace(cfg, strategy=s, lambda_scl=a, lambda_vat=b)
-    rows = sweep(cfg, strategies, scl_grid, vat_grid, epochs=args.sweep_epochs)
-    _emit_csv(rows, SWEEP_COLUMNS, args.out)
-    return 0
-
-
 def _cmd_make_data(args):
     with _flag_values():
         if args.kind == "blobs":
@@ -242,7 +208,6 @@ _COMMANDS = {
     "attack": _cmd_attack,
     "divergence": _cmd_divergence,
     "selection-stats": _cmd_selection_stats,
-    "sweep": _cmd_sweep,
     "make-data": _cmd_make_data,
 }
 

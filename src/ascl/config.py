@@ -49,6 +49,7 @@ class RunConfig:
     eval_eta: float = 0.0125
     eval_steps: int = 250
 
+    # lr is the epoch-0 rate; schedule lists later (epoch, rate) changes
     lr: float = 1e-3
     schedule: tuple = ()
 
@@ -68,10 +69,12 @@ class RunConfig:
         if self.strategy not in STRATEGIES:
             raise ConfigError(f"strategy must be one of {STRATEGIES}")
         self.schedule = tuple((int(e), float(v)) for e, v in self.schedule)
-        if self.schedule:
-            epochs = [e for e, _ in self.schedule]
-            if epochs[0] != 0 or any(a >= b for a, b in zip(epochs, epochs[1:])):
-                raise ConfigError("schedule epochs must start at 0 and strictly increase")
+        epochs = [e for e, _ in self.schedule]
+        if epochs and epochs[0] < 1:
+            raise ConfigError("schedule lists changes from epoch 1 on; set the epoch-0 "
+                              "rate with lr (--lr)")
+        if any(a >= b for a, b in zip(epochs, epochs[1:])):
+            raise ConfigError("schedule epochs must strictly increase")
         rates = (self.lr, *(v for _, v in self.schedule))
         if not all(math.isfinite(v) and v > 0 for v in rates):
             raise ConfigError("lr and schedule rates must be finite and positive")
@@ -93,9 +96,6 @@ class RunConfig:
             raise ConfigError(str(e)) from e
 
     # -- derived objects ---------------------------------------------------
-
-    def effective_schedule(self):
-        return self.schedule if self.schedule else ((0, self.lr),)
 
     def loss_weights(self) -> LossWeights:
         return LossWeights(lambda_scl=self.lambda_scl, lambda_vat=self.lambda_vat,

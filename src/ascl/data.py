@@ -1,5 +1,6 @@
 """Desk-scale datasets: seeded synthetic generators and an on-disk
-format. Features always live in [0, 1]."""
+format. A dataset is its features, labels, class count and split, and the
+file stores exactly these. Features always live in [0, 1], so none is NaN."""
 
 from __future__ import annotations
 
@@ -29,7 +30,6 @@ class Dataset:
     features: np.ndarray
     labels: np.ndarray
     num_classes: int
-    name: str = "dataset"
     split: str = "train"
 
     def __post_init__(self):
@@ -39,7 +39,7 @@ class Dataset:
             raise ContractError("features must be a nonempty (M, D) array")
         if self.labels.shape != (self.features.shape[0],):
             raise ContractError("labels must align with features")
-        if np.any(self.features < 0.0) or np.any(self.features > 1.0):
+        if not np.all((self.features >= 0.0) & (self.features <= 1.0)):
             raise ContractError("features must lie in [0, 1]")
         if np.any(self.labels < 0) or np.any(self.labels >= self.num_classes):
             raise ContractError("labels must lie in [0, num_classes)")
@@ -83,7 +83,7 @@ def check_moons(size, noise):
         raise ContractError("size must be >= 2 and noise nonnegative")
 
 
-def make_blobs(num_classes, per_class, dims, spread, seed, split="train", name="blobs") -> Dataset:
+def make_blobs(num_classes, per_class, dims, spread, seed, split="train") -> Dataset:
     """Gaussian clusters around mutually equidistant seeded centers,
     squashed into the unit cube. Deterministic per seed."""
     check_blobs(num_classes, per_class, dims, spread)
@@ -101,10 +101,10 @@ def make_blobs(num_classes, per_class, dims, spread, seed, split="train", name="
         for c in range(num_classes)
     ])
     labels = np.repeat(np.arange(num_classes), per_class)
-    return Dataset(_squash_unit(feats), labels, num_classes, name=name, split=split)
+    return Dataset(_squash_unit(feats), labels, num_classes, split=split)
 
 
-def make_two_moons(size, noise, seed, split="train", name="moons") -> Dataset:
+def make_two_moons(size, noise, seed, split="train") -> Dataset:
     """Two interleaved half-circles in the unit square; labels split
     ceil(size/2) / floor(size/2)."""
     check_moons(size, noise)
@@ -117,7 +117,7 @@ def make_two_moons(size, noise, seed, split="train", name="moons") -> Dataset:
     inner = np.stack([1.0 - np.cos(t_in), 0.5 - np.sin(t_in)], axis=1)
     feats = np.concatenate([outer, inner]) + noise * rng.standard_normal((size, 2))
     labels = np.concatenate([np.zeros(n_out, dtype=np.intp), np.ones(n_in, dtype=np.intp)])
-    return Dataset(_squash_unit(feats), labels, 2, name=name, split=split)
+    return Dataset(_squash_unit(feats), labels, 2, split=split)
 
 
 # -- on-disk format --------------------------------------------------------
@@ -159,19 +159,15 @@ def load_dataset(path) -> Dataset:
             f"payload size mismatch: have {len(blob)} bytes, header implies {expected}"
             f" (first missing byte at {min(len(blob), expected)})")
     records = np.frombuffer(blob, dtype=record, count=m, offset=header_end)
-    name = str(path).rsplit("/", 1)[-1].rsplit(".", 1)[0]
     try:
-        return Dataset(records["x"].copy(), records["y"], c, name=name,
-                       split=_SPLITS[split_code])
+        return Dataset(records["x"].copy(), records["y"], c, split=_SPLITS[split_code])
     except ContractError as e:
         raise FormatError(f"invalid payload after byte {header_end}: {e}") from e
 
 
-def iter_batches(ds: Dataset, batch_size, rng=None):
-    """Yield (x, y) batches; shuffled when an rng is given."""
-    order = np.arange(len(ds))
-    if rng is not None:
-        rng.shuffle(order)
+def iter_batches(ds: Dataset, batch_size, rng):
+    """Yield (x, y) batches in an order shuffled by ``rng``."""
+    order = rng.permutation(len(ds))
     for lo in range(0, len(ds), batch_size):
         idx = order[lo:lo + batch_size]
         yield ds.features[idx], ds.labels[idx]

@@ -214,8 +214,10 @@ def total_loss(batch, model: MLPClassifier, strategy, weights: LossWeights,
     ``batch`` carries (x, y, x_adv). Terms with zero weight are skipped, so
     at lambda_scl = lambda_vat = 0 the result is exactly the AT loss.
     """
-    z_nat, logits_nat = model.forward_with_latent(batch.x)
-    z_adv, logits_adv = model.forward_with_latent(batch.x_adv)
+    z_nat = model.encode(batch.x)
+    logits_nat = model.classify(z_nat)
+    z_adv = model.encode(batch.x_adv)
+    logits_adv = model.classify(z_adv)
     preds = np.argmax(np.concatenate([logits_nat.data, logits_adv.data]), axis=1)
     pos, neg = selection_masks(strategy, batch.y, preds)
     mean_pos, mean_neg = _mean_counts(pos, neg)

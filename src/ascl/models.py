@@ -116,10 +116,6 @@ class MLPClassifier:
     def forward(self, x) -> Tensor:
         return self.classify(self.encode(x))
 
-    def forward_with_latent(self, x):
-        z = self.encode(x)
-        return z, self.classify(z)
-
     def project(self, z) -> Tensor:
         """Map the latent into the contrastive space per the configured head."""
         z = self._as_batch(z, self.spec.latent_dim, "project")

@@ -1,4 +1,4 @@
-"""Training loop, the Adam optimizer, metrics logging, evaluation, and sweeps."""
+"""Training loop, the Adam optimizer, metrics logging and evaluation."""
 
 from __future__ import annotations
 
@@ -7,7 +7,7 @@ import json
 import math
 import os
 import time
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -31,7 +31,6 @@ __all__ = [
     "train",
     "TrainResult",
     "evaluate",
-    "sweep",
     "write_csv",
 ]
 
@@ -63,9 +62,8 @@ class Adam:
             p.data = p.data - self.lr * mhat / (np.sqrt(vhat) + self.eps)
 
 
-def lr_at(schedule, epoch):
-    """Last scheduled rate at or before this epoch."""
-    lr = schedule[0][1]
+def lr_at(lr, schedule, epoch):
+    """Last scheduled rate at or before this epoch; ``lr`` until the first."""
     for e, v in schedule:
         if e <= epoch:
             lr = v
@@ -150,7 +148,6 @@ class TrainResult:
     model: MLPClassifier
     metrics_path: str
     checkpoint_path: str
-    summary_path: str
     summary: dict
 
 
@@ -160,19 +157,17 @@ def train(cfg: RunConfig, quiet=True) -> TrainResult:
     train_ds, test_ds = cfg.build_datasets()
     spec = cfg.model_spec(train_ds.dim, train_ds.num_classes)
     model = MLPClassifier(spec, seed=(cfg.seed, _S_INIT))
-    schedule = cfg.effective_schedule()
-    opt = Adam(model.parameters, lr=schedule[0][1])
+    opt = Adam(model.parameters, lr=cfg.lr)
 
     os.makedirs(cfg.output_dir, exist_ok=True)
     metrics_path = os.path.join(cfg.output_dir, "metrics.csv")
     checkpoint_path = os.path.join(cfg.output_dir, "model.ckpt")
-    summary_path = os.path.join(cfg.output_dir, "summary.json")
     writer = MetricsWriter(metrics_path)
     started = time.monotonic()
 
     try:
         for epoch in range(cfg.epochs):
-            opt.lr = lr_at(schedule, epoch)
+            opt.lr = lr_at(cfg.lr, cfg.schedule, epoch)
             shuffle_rng = np.random.default_rng((cfg.seed, _S_SHUFFLE, epoch))
             sums, steps = {}, 0
             for step, (x, y) in enumerate(iter_batches(train_ds, cfg.batch_size,
@@ -216,12 +211,11 @@ def train(cfg: RunConfig, quiet=True) -> TrainResult:
         "metrics": metrics_path,
         "build_id": f"ascl-{__version__}",
     }
-    with open(summary_path, "w") as fh:
+    with open(os.path.join(cfg.output_dir, "summary.json"), "w") as fh:
         json.dump(summary, fh, indent=2, sort_keys=True)
         fh.write("\n")
     return TrainResult(model=model, metrics_path=metrics_path,
-                       checkpoint_path=checkpoint_path, summary_path=summary_path,
-                       summary=summary)
+                       checkpoint_path=checkpoint_path, summary=summary)
 
 
 def _eval_row(model, test_ds, cfg: RunConfig, epoch, started) -> MetricsRow:
@@ -245,33 +239,6 @@ def evaluate(model, dataset: Dataset, eval_cfg: AttackConfig,
             for name in dict.fromkeys(("none", *attacks))}
     return [(name, MetricsRow(epoch=0, split=dataset.split, nat_acc=accs["none"],
                               rob_acc=accs[name])) for name in attacks]
-
-
-SWEEP_COLUMNS = ("strategy", "lambda_scl", "lambda_vat", "nat_acc", "rob_acc", "status")
-
-
-def sweep(base_cfg: RunConfig, strategies, scl_grid, vat_grid, epochs=None):
-    """Train one run per (strategy, lambda_scl, lambda_vat) cell; failures
-    are recorded and the sweep continues. Rows come back sorted."""
-    cells = sorted((s, float(a), float(b))
-                   for s in strategies for a in scl_grid for b in vat_grid)
-    rows = []
-    for strategy, lam_scl, lam_vat in cells:
-        cell_dir = os.path.join(base_cfg.output_dir,
-                                f"sweep_{strategy}_scl{lam_scl:g}_vat{lam_vat:g}")
-        row = {"strategy": strategy, "lambda_scl": lam_scl, "lambda_vat": lam_vat,
-               "nat_acc": None, "rob_acc": None, "status": "ok"}
-        try:
-            cell_cfg = replace(base_cfg, strategy=strategy, lambda_scl=lam_scl,
-                               lambda_vat=lam_vat, output_dir=cell_dir,
-                               epochs=epochs if epochs is not None else base_cfg.epochs)
-            result = train(cell_cfg)
-            row["nat_acc"] = result.summary["final"]["nat_acc"]
-            row["rob_acc"] = result.summary["final"]["rob_acc"]
-        except Exception as e:  # per-cell isolation
-            row["status"] = f"failed: {type(e).__name__}: {e}"
-        rows.append(row)
-    return rows
 
 
 def write_csv(rows, columns, fh):

@@ -154,6 +154,14 @@ class TestPGD:
             assert np.abs(x_adv - x).max() <= eps + 1e-12
             assert x_adv.min() >= 0.0 and x_adv.max() <= 1.0
 
+    @pytest.mark.parametrize("bad", [-0.01, 1.01, np.nan])
+    def test_input_outside_clip_range_is_a_contract_error(self, toy_model, toy_batch, bad):
+        x, y = toy_batch
+        x = x.copy()
+        x[3, 1] = bad
+        with pytest.raises(ContractError, match="outside clip_range"):
+            pgd_attack(toy_model, x, y, AttackConfig(epsilon=0.05, eta=0.01, steps=3), seed=1)
+
     def test_purity(self, toy_model, toy_batch):
         x, y = toy_batch
         x_before = x.copy()

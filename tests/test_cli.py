@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -48,9 +50,8 @@ def test_missing_checkpoint_is_a_runtime_failure(files, tmp_path):
     ["selection-stats", "--seed", "-1"],
     ["make-data", "--kind", "moons", "--size", "1"],
     ["make-data", "--kind", "blobs", "--classes", "0"],
-    ["sweep", "--lambda-scl-grid", "x"],
-    ["sweep", "--lambda-vat-grid=-1"],
-    ["sweep", "--strategies", "foo"],
+    # an unknown subcommand
+    ["sweep"],
     # NaN fails every range check, and a negative count or seed is rejected
     ["train", "--lambda-scl", "nan"],
     ["train", "--lambda-vat", "nan"],
@@ -58,6 +59,8 @@ def test_missing_checkpoint_is_a_runtime_failure(files, tmp_path):
     ["train", "--lr", "-1"],
     ["train", "--lr", "0"],
     ["train", "--schedule", "0:-0.5"],
+    # the epoch-0 rate is --lr; a schedule lists later changes only
+    ["train", "--schedule", "0:0.001"],
     ["train", "--train-steps", "-2"],
     ["train", "--train-eps", "nan"],
     ["train", "--eval-eps", "nan"],
@@ -100,6 +103,17 @@ def test_malformed_dataset_file_is_a_runtime_failure(files, tmp_path, command):
             "evaluate": ["evaluate", "--checkpoint", ckpt, "--data", str(bad)]}[command]
     assert cli(argv) == 2
     assert not run.exists()
+
+
+def test_nan_feature_in_a_dataset_file_is_a_runtime_failure(files, tmp_path, capsys):
+    _, _, data, ckpt = files
+    blob = bytearray(Path(data).read_bytes())
+    # the first feature of the first record follows the 21-byte header
+    blob[21:29] = np.float64(np.nan).tobytes()
+    bad = tmp_path / "nan.ds"
+    bad.write_bytes(bytes(blob))
+    assert cli(["evaluate", "--checkpoint", ckpt, "--data", str(bad)]) == 2
+    assert capsys.readouterr().err.startswith("error: FormatError: ")
 
 
 @pytest.mark.parametrize("command,extra,eps,steps", [

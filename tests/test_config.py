@@ -9,7 +9,7 @@ from ascl.errors import ConfigError
 NON_DEFAULT = RunConfig(dataset="blobs", data_classes=4, data_dims=6, hidden_layers=(16, 8, 4),
                         projection="two_layer", strategy="leaked", lambda_scl=0.5, tau=0.1,
                         similarity="lp:2", nat_ce=False, use_vat=False, train_eps=0.03,
-                        eval_steps=20, schedule=((0, 0.1), (5, 0.01), (8, 0.001)),
+                        eval_steps=20, lr=0.1, schedule=((5, 0.01), (8, 0.001)),
                         epochs=9, batch_size=32, seed=7, output_dir="runs/other",
                         eval_every=3)
 REMOVED = {"augment_flip": "true", "augment_shift": "0.1", "image_shape": "4,4",
@@ -34,7 +34,7 @@ def test_config_file_parses_back_equal(tmp_path):
     path.write_text("\n".join(lines), encoding="utf-8")
     parsed = parse_config_file(path)
     assert parsed == NON_DEFAULT
-    assert parsed.schedule == ((0, 0.1), (5, 0.01), (8, 0.001))
+    assert (parsed.lr, parsed.schedule) == (0.1, ((5, 0.01), (8, 0.001)))
     assert parsed.hidden_layers == (16, 8, 4)
 
 
@@ -47,6 +47,15 @@ def test_bad_bool_is_rejected(tmp_path):
                 "--output-dir", str(tmp_path / "run")]) == 1
     assert cli(["train", "--use-vat", "maybe", "--epochs", "0",
                 "--output-dir", str(tmp_path / "run")]) == 1
+
+
+@pytest.mark.parametrize("schedule,match", [
+    (((0, 1e-3),), "--lr"), (((-1, 1e-3),), "--lr"),
+    (((3, 1e-3), (3, 1e-4)), "strictly increase"), (((3, 1e-3), (2, 1e-4)), "strictly increase"),
+])
+def test_schedule_lists_only_later_strictly_increasing_epochs(schedule, match):
+    with pytest.raises(ConfigError, match=match):
+        RunConfig(schedule=schedule)
 
 
 @pytest.mark.parametrize("key", sorted(REMOVED))

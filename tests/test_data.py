@@ -3,8 +3,8 @@ import struct
 import numpy as np
 import pytest
 
-from ascl.data import DATASET_MAGIC, load_dataset, make_blobs, save_dataset
-from ascl.errors import FormatError
+from ascl.data import DATASET_MAGIC, Dataset, load_dataset, make_blobs, save_dataset
+from ascl.errors import ContractError, FormatError
 
 HEADER = 8 + struct.calcsize("<IIIB")
 
@@ -28,7 +28,7 @@ def test_round_trip_is_bitwise(blob, tmp_path):
     back = load_dataset(path)
     assert back.features.tobytes() == ds.features.tobytes()
     assert np.array_equal(back.labels, ds.labels)
-    assert (back.num_classes, back.split, back.name) == (3, "test", "blobs")
+    assert (back.num_classes, back.split) == (3, "test")
     save_dataset(back, tmp_path / "again.ds")
     assert (tmp_path / "again.ds").read_bytes() == data
     assert len(data) == HEADER + 12 * (8 * 5 + 4)
@@ -73,4 +73,17 @@ def test_label_out_of_range(blob, tmp_path):
     at = HEADER + 8 * 5
     edited = data[:at] + struct.pack("<I", 3) + data[at + 4:]
     with pytest.raises(FormatError, match="labels must lie in"):
+        _load(tmp_path, edited)
+
+
+def test_nan_feature_is_a_contract_error():
+    # NaN compares false both ways, so it must fail a check written as "all in range"
+    with pytest.raises(ContractError, match=r"features must lie in \[0, 1\]"):
+        Dataset(np.array([[0.5, np.nan], [0.2, 0.3]]), [0, 1], 2)
+
+
+def test_nan_feature_in_a_file_is_a_format_error(blob, tmp_path):
+    _, _, data = blob
+    edited = data[:HEADER] + struct.pack("<d", np.nan) + data[HEADER + 8:]
+    with pytest.raises(FormatError, match=r"features must lie in \[0, 1\]"):
         _load(tmp_path, edited)

@@ -315,8 +315,8 @@ class TestTotalLoss:
         model, batch = self._setup()
         w = LossWeights(lambda_scl=0.0, lambda_vat=0.0)
         bd = total_loss(batch, model, "global", w)
-        z, logits_nat = model.forward_with_latent(batch.x)
-        _, logits_adv = model.forward_with_latent(batch.x_adv)
+        logits_nat = model.classify(model.encode(batch.x))
+        logits_adv = model.classify(model.encode(batch.x_adv))
         at = at_loss(logits_nat, logits_adv, batch.y)
         assert bd.total.item() == at.item()
         assert bd.scl == 0.0 and bd.vat == 0.0

@@ -10,10 +10,11 @@ import pytest
 
 import ascl.attacks
 import ascl.divergence
+import ascl.training
 from ascl.cli import cli
 from ascl.config import RunConfig
 from ascl.data import Dataset, make_blobs, save_dataset
-from ascl.training import SWEEP_COLUMNS, sweep, train
+from ascl.training import train
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
 
@@ -70,6 +71,22 @@ def test_zero_test_latents_do_not_stop_the_epoch_evaluation(tmp_path):
             assert math.isfinite(float(row[key]))
 
 
+def test_lr_sets_epoch_0_and_the_schedule_the_later_epochs(tmp_path, monkeypatch):
+    rates = []
+    real = ascl.training.Adam.step
+
+    def recording(self):
+        rates.append(self.lr)
+        real(self)
+
+    monkeypatch.setattr(ascl.training.Adam, "step", recording)
+    cfg = RunConfig(dataset="moons", data_size=20, hidden_layers=(4,), epochs=4, batch_size=10,
+                    train_steps=1, eval_steps=1, eval_every=0, lr=0.5,
+                    schedule=((2, 1e-3), (3, 1e-4)), output_dir=str(tmp_path))
+    train(cfg)
+    assert rates == [0.5] * 4 + [1e-3] * 2 + [1e-4] * 2
+
+
 def _test_rows(metrics_path):
     with open(metrics_path) as fh:
         return [r for r in csv.DictReader(fh.readlines()[1:]) if r["split"] == "test"]
@@ -112,17 +129,3 @@ def test_one_class_test_split_leaves_the_divergences_empty(tmp_path):
         assert row["d_a_minus"] == "" and row["r_div"] == ""
         assert math.isfinite(float(row["d_a_plus"]))
         assert 0.0 <= float(row["rob_acc"]) <= 1.0
-
-
-def test_sweep_records_the_failure_and_continues(tmp_path):
-    base = RunConfig(dataset="moons", data_size=20, hidden_layers=(4,), epochs=1,
-                     batch_size=10, train_steps=1, eval_steps=1, eval_every=0,
-                     output_dir=str(tmp_path))
-    rows = sweep(base, ["global"], [1.0, -1.0], [2.0])
-    assert [(r["lambda_scl"], r["status"]) for r in rows] == [
-        (-1.0, "failed: ConfigError: loss weights must be nonnegative"),
-        (1.0, "ok"),
-    ]
-    assert rows[0]["nat_acc"] is None and rows[0]["rob_acc"] is None
-    assert rows[1]["nat_acc"] is not None and rows[1]["rob_acc"] is not None
-    assert all(set(r) == set(SWEEP_COLUMNS) for r in rows)
