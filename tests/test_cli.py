@@ -50,8 +50,10 @@ def test_missing_checkpoint_is_a_runtime_failure(files, tmp_path):
     ["selection-stats", "--seed", "-1"],
     ["make-data", "--kind", "moons", "--size", "1"],
     ["make-data", "--kind", "blobs", "--classes", "0"],
-    # an unknown subcommand
-    ["sweep"],
+    # sweep is not a subcommand: its former flag cases are usage errors too
+    ["sweep", "--lambda-scl-grid", "x"],
+    ["sweep", "--lambda-vat-grid=-1"],
+    ["sweep", "--strategies", "foo"],
     # NaN fails every range check, and a negative count or seed is rejected
     ["train", "--lambda-scl", "nan"],
     ["train", "--lambda-vat", "nan"],
@@ -86,7 +88,6 @@ def test_bad_flag_value_is_a_usage_error(tmp_path, capsys, argv):
     missing = ["--checkpoint", str(tmp_path / "m.ckpt"), "--data", str(tmp_path / "d.ds")]
     extra = {"evaluate": missing, "attack": missing, "divergence": missing,
              "make-data": ["--out", str(tmp_path / "out.ds")],
-             "sweep": ["--output-dir", str(tmp_path / "runs")],
              "train": ["--output-dir", str(tmp_path / "runs"), "--epochs", "1"]}
     assert cli(argv + extra.get(argv[0], [])) == 1
     assert capsys.readouterr().err.startswith("usage error: ")
