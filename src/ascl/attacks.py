@@ -118,10 +118,9 @@ def _ball_clamp(x, epsilon, clip_range):
 
 def _input_gradient(model, x_adv, labels):
     """Gradient of summed cross-entropy against ``labels`` at x_adv, from a
-    backward toward the input alone; fresh graph per call."""
+    backward toward the input alone."""
     xt = Tensor(x_adv, requires_grad=True)
-    cross_entropy(model.forward(xt), labels).sum().backward(inputs=(xt,))
-    return xt.grad
+    return cross_entropy(model.forward(xt), labels).sum().backward((xt,))[0]
 
 
 def pgd_attack(model, x, y, cfg: AttackConfig, seed=0, targets=None, index_base=0):
@@ -223,8 +222,8 @@ def robust_accuracy(model, features, labels, attack, cfg: AttackConfig,
     """
     features = np.asarray(features, dtype=np.float64)
     labels = np.asarray(labels, dtype=np.intp)
-    if features.shape[0] == 0:
-        raise ContractError("robust_accuracy on an empty dataset")
+    if features.shape[0] == 0 or not np.all(np.isfinite(features)):
+        raise ContractError("robust_accuracy needs a non-empty dataset of finite features")
     fn = attack_by_name(attack) if isinstance(attack, str) else attack
 
     correct = 0

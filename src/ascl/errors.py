@@ -13,10 +13,6 @@ class ContractError(ValueError):
     """A documented precondition was violated by the caller."""
 
 
-class GraphStateError(RuntimeError):
-    """A computation graph was reused after being consumed by backward."""
-
-
 class ConfigError(ValueError):
     """Invalid model or run configuration."""
 

@@ -125,10 +125,6 @@ class MLPClassifier:
             return z @ self.proj[0]
         return (z @ self.proj[0]).relu() @ self.proj[1]
 
-    def zero_grad(self):
-        for p in self._params:
-            p.grad = None
-
 
 # -- checkpoint io -------------------------------------------------------------
 #

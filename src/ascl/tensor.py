@@ -1,41 +1,40 @@
 """Dense float64 tensors with reverse-mode automatic differentiation.
 
-Ops record a computation graph as they run; calling ``backward()`` on a
-scalar root walks the graph once in reverse topological order and leaves
-the total derivative on every ``requires_grad`` leaf. Graphs are
-single-use: a second backward through any interior node raises.
+Ops record a computation graph as they run; ``root.backward(inputs)`` on a
+scalar root walks the graph once in reverse topological order and returns
+d(root)/d(input) for each of ``inputs``. Gradients live only in that walk:
+no tensor keeps gradient state, so a graph can be walked again, and a
+caller that wants the sum of two walks adds their results.
 
 Each op states its forward value and one vector-Jacobian product (VJP)
 per input: a map from the output's gradient to that input's share.
-``backward`` alone routes: it calls the VJPs of the inputs that require
-grad, in input order, and accumulates. One broadcasting rule reduces
-what a VJP returns: sum the axes where the input has size 1 and the
-gradient does not, give a 0-d input the total, and leave the rest to ``+=``.
-``backward(inputs=...)`` runs only the VJPs toward the given leaves, and the
-coarse nodes ``affine`` and ``cross_entropy`` round like their compositions.
+``backward`` alone routes: it calls the VJPs toward nodes that lead to a
+requested input, in input order, and accumulates. One broadcasting rule
+reduces what a VJP returns: sum the axes where the input has size 1 and
+the gradient does not, give a 0-d input the total, and leave the rest to
+``+``. The coarse nodes ``affine`` and ``cross_entropy`` round like their
+compositions.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .errors import ContractError, DimensionError, DomainError, GraphStateError
+from .errors import ContractError, DimensionError, DomainError
 
 __all__ = ["Tensor", "affine", "concat", "log_softmax", "cross_entropy", "pairwise_lp"]
 
 
 class Tensor:
-    """A float64 array plus an optional gradient and graph linkage."""
+    """A float64 array plus graph linkage."""
 
-    __slots__ = ("data", "grad", "requires_grad", "_parents", "_vjps", "_consumed")
+    __slots__ = ("data", "requires_grad", "_parents", "_vjps")
 
     def __init__(self, data, requires_grad: bool = False):
         self.data = np.asarray(data, dtype=np.float64)
-        self.grad = None
         self.requires_grad = requires_grad
         self._parents = ()
         self._vjps = ()
-        self._consumed = False
 
     @property
     def shape(self):
@@ -64,34 +63,29 @@ class Tensor:
                 break
         return out
 
-    def _accumulate(self, g):
-        """Add ``g`` to the gradient, reduced by the one broadcasting rule."""
+    def _reduce(self, g):
+        """``g`` reduced to this tensor's shape by the one broadcasting rule."""
         shape = self.data.shape
         if g.shape != shape:
             if shape == ():
-                g = g.sum()
-            elif axes := tuple(i for i, (ds, dg) in enumerate(zip(shape, g.shape))
-                               if ds == 1 and dg != 1):
-                g = g.sum(axis=axes, keepdims=True)
-        if self.grad is None:
-            # a copy, since a VJP may hand on its input array or share one
-            # between parents; zeros then += only where g still broadcasts
-            self.grad = np.array(g, dtype=np.float64) if g.shape == shape else g + np.zeros(shape)
-        else:
-            self.grad += g
+                return g.sum()
+            if axes := tuple(i for i, (ds, dg) in enumerate(zip(shape, g.shape))
+                             if ds == 1 and dg != 1):
+                return g.sum(axis=axes, keepdims=True)
+        return g
 
-    def backward(self, inputs=None):
-        """Propagate d(root)/d(leaf) to every requires_grad leaf, or only to
-        those in ``inputs``, skipping VJPs toward nodes that lead to none.
-
-        The root must be a scalar. Every interior node visited is marked
-        consumed; reusing one in a later backward raises GraphStateError.
+    def backward(self, inputs):
+        """d(root)/d(t) for each ``t`` in ``inputs``, as a list; ``None`` for
+        one the root does not reach. Only VJPs toward nodes that lead to an
+        input run. The root must be a scalar, and each input require grad.
+        Returned arrays may share memory with each other: do not write to them.
         """
         if self.data.ndim != 0:
             raise ContractError(f"backward() root must be scalar, got shape {self.shape}")
-        if inputs is not None and not all(t.requires_grad for t in inputs):
+        if not all(t.requires_grad for t in inputs):
             raise ContractError("backward() inputs must require grad")
-        wanted = None if inputs is None else {id(t) for t in inputs}
+        requested = {id(t) for t in inputs}
+        wanted = set(requested)
 
         order = []
         seen = set()
@@ -101,7 +95,7 @@ class Tensor:
             if expanded:
                 order.append(node)
                 # parents come first in ``order``, so their marks are final
-                if wanted is not None and any(id(p) in wanted for p in node._parents):
+                if any(id(p) in wanted for p in node._parents):
                     wanted.add(id(node))
                 continue
             if id(node) in seen:
@@ -112,19 +106,22 @@ class Tensor:
                 if id(p) not in seen:
                     stack.append((p, False))
 
-        for node in order:
-            if node._parents and node._consumed:
-                raise GraphStateError("backward on a consumed graph; rebuild the graph per step")
-        for node in order:
-            if node._parents:
-                node._consumed = True
-
-        self._accumulate(np.ones((), dtype=np.float64))
+        grads = {id(self): np.ones((), dtype=np.float64)}
         for node in reversed(order):
-            # a node with parents is reached from the root, so it holds a grad
+            # a node's gradient is complete here; keep only the requested ones
+            g = grads.get(id(node)) if id(node) in requested else grads.pop(id(node), None)
+            if g is None:
+                continue
             for parent, vjp in zip(node._parents, node._vjps):
-                if parent.requires_grad and (wanted is None or id(parent) in wanted):
-                    parent._accumulate(vjp(node.grad))
+                if id(parent) in wanted:
+                    d = parent._reduce(vjp(g))
+                    if id(parent) in grads:
+                        grads[id(parent)] = grads[id(parent)] + d
+                    else:
+                        # zeros + d only where d still broadcasts
+                        shape = parent.data.shape
+                        grads[id(parent)] = d if d.shape == shape else d + np.zeros(shape)
+        return [grads.get(id(t)) for t in inputs]
 
     # -- elementwise binary ops ---------------------------------------------
 

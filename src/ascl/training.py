@@ -37,29 +37,31 @@ __all__ = [
 # rng stream tags, combined with the run seed as (seed, tag, ...)
 _S_INIT, _S_SHUFFLE, _S_ATTACK, _S_EPOCH_EVAL, _S_FINAL_EVAL = range(5)
 
+# Adam's moment decay rates and denominator guard (Kingma & Ba's defaults)
+_BETA1, _BETA2, _EPS = 0.9, 0.999, 1e-8
+
 
 class Adam:
-    def __init__(self, params, lr=1e-3, beta1=0.9, beta2=0.999, eps=1e-8):
+    def __init__(self, params, lr):
         self.params = list(params)
         self.lr = lr
-        self.beta1, self.beta2, self.eps = beta1, beta2, eps
         self.m = [np.zeros_like(p.data) for p in self.params]
         self.v = [np.zeros_like(p.data) for p in self.params]
         self.t = 0
 
-    def step(self):
+    def step(self, grads):
+        """One update from ``grads`` in ``params`` order, skipping a ``None``."""
         self.t += 1
-        b1, b2 = self.beta1, self.beta2
-        for p, m, v in zip(self.params, self.m, self.v):
-            if p.grad is None:
+        for p, g, m, v in zip(self.params, grads, self.m, self.v):
+            if g is None:
                 continue
-            m *= b1
-            m += (1 - b1) * p.grad
-            v *= b2
-            v += (1 - b2) * p.grad ** 2
-            mhat = m / (1 - b1 ** self.t)
-            vhat = v / (1 - b2 ** self.t)
-            p.data = p.data - self.lr * mhat / (np.sqrt(vhat) + self.eps)
+            m *= _BETA1
+            m += (1 - _BETA1) * g
+            v *= _BETA2
+            v += (1 - _BETA2) * g ** 2
+            mhat = m / (1 - _BETA1 ** self.t)
+            vhat = v / (1 - _BETA2 ** self.t)
+            p.data = p.data - self.lr * mhat / (np.sqrt(vhat) + _EPS)
 
 
 def lr_at(lr, schedule, epoch):
@@ -134,9 +136,7 @@ def train_step(model, optimizer, x, y, cfg: RunConfig, step_seed):
     if not math.isfinite(total_val):
         raise TrainingAborted(
             f"non-finite loss (at={bd.at}, scl={bd.scl}, vat={bd.vat})")
-    model.zero_grad()
-    bd.total.backward()
-    optimizer.step()
+    optimizer.step(bd.total.backward(optimizer.params))
     return {
         "loss_at": bd.at, "loss_scl": bd.scl, "loss_vat": bd.vat,
         "loss_total": total_val, "mean_pos": bd.mean_pos, "mean_neg": bd.mean_neg,

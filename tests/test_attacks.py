@@ -12,6 +12,7 @@ from ascl.errors import ContractError
 from ascl.models import MLPClassifier, ModelSpec
 from ascl.tensor import Tensor
 from ascl.training import train
+from vjp_spy import count_vjps_toward
 
 
 def _softmax(logits):
@@ -141,9 +142,8 @@ class TestPGD:
             logits = toy_model.forward(xt)
             loss = -((logits - logits.log_sum_exp(axis=1, keepdims=True))
                      * Tensor(onehot)).sum()
-            loss.backward()
-            cur = project_linf(cur + cfg.eta * np.sign(xt.grad), x, cfg.epsilon)
-        toy_model.zero_grad()
+            grad = loss.backward((xt, *toy_model.parameters))[0]
+            cur = project_linf(cur + cfg.eta * np.sign(grad), x, cfg.epsilon)
         assert got.tobytes() == cur.tobytes()
 
     def test_ball_and_clip_constraints(self, toy_model, toy_batch):
@@ -244,14 +244,16 @@ def _numpy_input_gradient(model, x, labels):
 
 class TestInputGradient:
     @pytest.mark.parametrize("hidden,classes", [((32, 32), 10), ((8,), 2), ((8, 6, 5), 3)])
-    def test_equals_numpy_oracle_bitwise(self, hidden, classes):
+    def test_equals_numpy_oracle_bitwise(self, hidden, classes, monkeypatch):
         model = MLPClassifier(ModelSpec(input_dim=16, hidden_layers=hidden, num_classes=classes),
                               seed=len(hidden))
         rng = np.random.default_rng(classes)
         x = rng.uniform(size=(50, 16))
         y = rng.integers(0, classes, size=50)
+        calls = count_vjps_toward(monkeypatch, model.parameters)
         assert _bitwise_equal(_input_gradient(model, x, y), _numpy_input_gradient(model, x, y))
-        assert all(p.grad is None for p in model.parameters)
+        # no parameter VJP runs
+        assert calls == []
 
 
 def _reference_pgd(model, x, y, cfg, seed=0, targets=None):
@@ -445,6 +447,17 @@ class TestRobustAccuracy:
         cfg = AttackConfig(epsilon=0.1, eta=0.03, steps=3)
         acc = robust_accuracy(model, x, y, "pgd", cfg, seed=0)
         assert acc == (y == 0).mean()
+
+    @pytest.mark.parametrize("attack", ["none", "pgd", "mpgd"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_features_are_a_contract_error(self, attack, bad):
+        # argmax of NaN logits is class 0, so rows labelled 0 would count as correct
+        model = MLPClassifier(ModelSpec(input_dim=3, hidden_layers=(4,), num_classes=2), seed=0)
+        x = np.full((4, 3), 0.5)
+        x[:, 1] = bad
+        with pytest.raises(ContractError, match="finite"):
+            robust_accuracy(model, x, np.zeros(4, dtype=int), attack,
+                            AttackConfig(epsilon=0.05, eta=0.01, steps=2))
 
     def test_empty_dataset(self, toy_model):
         with pytest.raises(ContractError):

@@ -1,8 +1,15 @@
 """The benchmark's tracer patches program attributes by name. Installing
 and uninstalling it must find every one of them and put each back, so a
-rename in ``ascl`` that would break ``bench/run.py --trace 1`` fails here."""
+rename in ``ascl`` that would break ``bench/run.py --trace 1`` fails here.
+Its wrappers must also pass every return value through, or a traced run
+computes something else."""
 
 from pathlib import Path
+
+import ascl.training
+from ascl.attacks import _input_gradient
+from ascl.config import RunConfig
+from ascl.models import MLPClassifier
 
 BENCH = str(Path(__file__).resolve().parent.parent / "bench")
 
@@ -20,3 +27,34 @@ def test_tracer_installs_and_restores_every_attribute(monkeypatch):
     finally:
         tracer.uninstall()
     assert all(getattr(owner, attr) is fn for owner, attr, fn in originals)
+
+
+def _input_gradient_and_one_step():
+    """Bytes of an input gradient, then of every weight after one training step."""
+    cfg = RunConfig(dataset="moons", data_size=20, hidden_layers=(4,), batch_size=10,
+                    train_steps=2)
+    train_ds, _ = cfg.build_datasets()
+    model = MLPClassifier(cfg.model_spec(train_ds.dim, train_ds.num_classes), seed=1)
+    x, y = train_ds.features[:10], train_ds.labels[:10]
+    out = [_input_gradient(model, x, y).tobytes()]
+    # looked up on the module, where the tracer patches it
+    ascl.training.train_step(model, ascl.training.Adam(model.parameters, lr=cfg.lr), x, y, cfg,
+                             step_seed=(1,))
+    return out + [p.data.tobytes() for p in model.parameters]
+
+
+def test_traced_gradients_and_step_equal_untraced(monkeypatch):
+    monkeypatch.syspath_prepend(BENCH)
+    from spans import Tracer
+
+    want = _input_gradient_and_one_step()
+    tracer = Tracer()
+    try:
+        tracer.install()
+        got = _input_gradient_and_one_step()
+    finally:
+        tracer.uninstall()
+    assert got == want
+    assert tracer.calls("training.optimizer_step") == 1
+    # the input gradient, the step's PGD-2 and the step's own backward
+    assert tracer.calls("tensor.backward") == 4

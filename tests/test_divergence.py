@@ -11,8 +11,8 @@ from ascl.attacks import AttackConfig, pgd_attack, robust_accuracy
 from ascl.config import RunConfig
 from ascl.divergence import (SWEEP_COLUMNS, absolute_divergences, divergence_report,
                              divergence_sweep, relative_divergence)
-from ascl.errors import DomainError
-from ascl.models import MLPClassifier
+from ascl.errors import ContractError, DomainError
+from ascl.models import MLPClassifier, ModelSpec
 from ascl.training import _eval_row, evaluate, train, write_csv
 
 
@@ -250,6 +250,13 @@ class TestSweep:
         for batch_size in (n, n // 2, 7):
             r = divergence_report(model, x, y, cfg, seed=3, batch_size=batch_size)
             assert (r.d_a_plus, r.d_a_minus) == pytest.approx(exact, rel=1e-12)
+
+    @pytest.mark.parametrize("attack_cfg", [None, AttackConfig(epsilon=0.05, eta=0.01, steps=2)])
+    def test_nan_features_are_a_contract_error(self, attack_cfg):
+        # unchecked, the benign-only report would read nat_acc 1.0 (NaN logits argmax to 0)
+        model = MLPClassifier(ModelSpec(input_dim=3, hidden_layers=(4,), num_classes=2), seed=0)
+        with pytest.raises(ContractError, match="finite"):
+            divergence_report(model, np.full((4, 3), np.nan), np.zeros(4, dtype=int), attack_cfg)
 
     def test_block_rows_do_not_change_divergences(self):
         z, z_adv, labels = random_pool(np.random.default_rng(8), 11, 3)

@@ -391,12 +391,10 @@ class TestTotalLoss:
             return total_loss(batch, model, "global", w).total.item()
 
         bd = total_loss(batch, model, "global", w)
-        model.zero_grad()
-        bd.total.backward()
         h = 1e-5
         checked = 0
-        for p in model.parameters:
-            g = p.grad if p.grad is not None else np.zeros_like(p.data)
+        for p, g in zip(model.parameters, bd.total.backward(model.parameters)):
+            g = g if g is not None else np.zeros_like(p.data)
             flat = list(np.ndindex(*p.data.shape))
             for idx in flat[:: max(1, len(flat) // 6)]:
                 orig = p.data[idx]

@@ -4,10 +4,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ascl.errors import ContractError, DimensionError, DomainError, GraphStateError
+from ascl.errors import ContractError, DimensionError, DomainError
 from ascl.models import MLPClassifier, ModelSpec
 from ascl.tensor import Tensor, affine, concat, cross_entropy, log_softmax, pairwise_lp
 from supcon_loop import gather_rows, tensor_abs
+from vjp_spy import count_vjps_toward
 
 
 def fd_gradient(fn, x, h=1e-5):
@@ -54,8 +55,7 @@ class TestElementwise:
     def test_broadcast_gradient_sums(self):
         b = Tensor(np.ones((1, 3)), requires_grad=True)
         out = (Tensor(np.ones((4, 3))) + b).sum()
-        out.backward()
-        assert np.array_equal(b.grad, np.full((1, 3), 4.0))
+        assert np.array_equal(out.backward((b,))[0], np.full((1, 3), 4.0))
 
     def test_no_nan_after_finite_ops(self):
         rng = np.random.default_rng(0)
@@ -86,9 +86,9 @@ class TestMatmul:
         b0 = rng.normal(size=(3, 3))
 
         a = Tensor(a0, requires_grad=True)
-        (a @ Tensor(b0)).sum().backward()
+        (g,) = (a @ Tensor(b0)).sum().backward((a,))
         fd = fd_gradient(lambda v: (v @ b0).sum(), a0, h=1e-6)
-        rel = np.abs(a.grad - fd) / (np.abs(a.grad) + 1e-8)
+        rel = np.abs(g - fd) / (np.abs(g) + 1e-8)
         assert rel.max() < 1e-6
 
     def test_associativity(self):
@@ -169,39 +169,39 @@ class TestLogSoftmax:
 class TestBackward:
     def test_sum_of_squares(self):
         x = Tensor([1.0, 2.0], requires_grad=True)
-        (x * x).sum().backward()
-        assert np.array_equal(x.grad, [2.0, 4.0])
+        assert np.array_equal((x * x).sum().backward((x,))[0], [2.0, 4.0])
 
     def test_constant_function(self):
         x = Tensor([1.0, 2.0], requires_grad=True)
-        (x * 0.0).sum().backward()
-        assert np.array_equal(x.grad, [0.0, 0.0])
+        assert np.array_equal((x * 0.0).sum().backward((x,))[0], [0.0, 0.0])
 
     def test_non_scalar_root(self):
         x = Tensor([1.0, 2.0], requires_grad=True)
         with pytest.raises(ContractError):
-            (x * x).backward()
+            (x * x).backward((x,))
 
-    def test_consumed_graph(self):
-        x = Tensor(2.0, requires_grad=True)
-        out = x * x
-        out.backward()
-        with pytest.raises(GraphStateError):
-            out.backward()
+    def test_walking_one_graph_twice_gives_equal_gradients(self):
+        model = MLPClassifier(ModelSpec(input_dim=3, hidden_layers=(5,), num_classes=3), seed=1)
+        rng = np.random.default_rng(1)
+        xt = Tensor(rng.uniform(size=(6, 3)), requires_grad=True)
+        inputs = (xt, *model.parameters)
+        root = cross_entropy(model.forward(xt), rng.integers(0, 3, size=6)).sum()
+        first = root.backward(inputs)
+        second = root.backward(inputs)
+        assert all(_bitwise_equal(a, b) for a, b in zip(first, second))
 
-    def test_consumed_interior_node(self):
-        x = Tensor(2.0, requires_grad=True)
+    def test_two_roots_over_a_shared_interior_node(self):
+        x = Tensor([1.5, -2.0, 0.25], requires_grad=True)
         mid = x * x
-        (mid * 1.0).backward()
-        with pytest.raises(GraphStateError):
-            (mid * 2.0).backward()
+        r1 = (mid * 3.0).sum()
+        r2 = (mid * -0.5).sum()
+        for root, want in [(r1, 6.0 * x.data), (r2, -x.data), (r1, 6.0 * x.data)]:
+            assert np.array_equal(root.backward((x,))[0], want)
 
     def test_leaves_survive_consumption(self):
         x = Tensor(2.0, requires_grad=True)
-        (x * x).backward()
-        x.grad = None
-        (x * 3.0).backward()
-        assert x.grad == 3.0
+        (x * x).backward((x,))
+        assert (x * 3.0).backward((x,))[0] == 3.0
 
     def test_independent_subgraph_linearity(self):
         rng = np.random.default_rng(5)
@@ -210,21 +210,17 @@ class TestBackward:
 
         a = Tensor(a0, requires_grad=True)
         b = Tensor(b0, requires_grad=True)
-        ((a * a).sum() + (b.exp()).sum()).backward()
-        joint_a, joint_b = a.grad.copy(), b.grad.copy()
+        joint_a, joint_b = ((a * a).sum() + (b.exp()).sum()).backward((a, b))
 
         a2 = Tensor(a0, requires_grad=True)
-        (a2 * a2).sum().backward()
         b2 = Tensor(b0, requires_grad=True)
-        b2.exp().sum().backward()
-        assert np.array_equal(joint_a, a2.grad)
-        assert np.array_equal(joint_b, b2.grad)
+        assert np.array_equal(joint_a, (a2 * a2).sum().backward((a2,))[0])
+        assert np.array_equal(joint_b, b2.exp().sum().backward((b2,))[0])
 
     def test_diamond_accumulation(self):
         x = Tensor(3.0, requires_grad=True)
         y = x * x
-        (y + y).backward()
-        assert x.grad == pytest.approx(12.0)
+        assert (y + y).backward((x,))[0] == pytest.approx(12.0)
 
     def test_parents_sharing_one_vjp_array_get_their_own_grads(self):
         # add's VJP hands the same array to both parents; x then gets a
@@ -232,9 +228,14 @@ class TestBackward:
         x = Tensor(np.ones(3), requires_grad=True)
         y = Tensor(np.ones(3), requires_grad=True)
         c = np.array([1.0, 2.0, 3.0])
-        (((x + y) * Tensor(c)).sum() + (x * 3.0).sum()).backward()
-        assert np.array_equal(x.grad, c + 3.0)
-        assert np.array_equal(y.grad, c)
+        gx, gy = (((x + y) * Tensor(c)).sum() + (x * 3.0).sum()).backward((x, y))
+        assert np.array_equal(gx, c + 3.0)
+        assert np.array_equal(gy, c)
+
+    def test_input_the_root_does_not_reach_gets_none(self):
+        x = Tensor(2.0, requires_grad=True)
+        other = Tensor(1.0, requires_grad=True)
+        assert (x * x).backward((other, x))[0] is None
 
 
 def _bitwise_equal(a, b):
@@ -242,12 +243,11 @@ def _bitwise_equal(a, b):
 
 
 def _grads(build, arrays, weights):
-    """Forward value and the grad of every input after backward through
+    """Forward value and the gradient of every input from a backward through
     ``(build(*inputs) * weights).sum()``."""
     inputs = [Tensor(a, requires_grad=True) for a in arrays]
     out = build(*inputs)
-    (out * Tensor(weights)).sum().backward()
-    return [out.data] + [t.grad for t in inputs]
+    return [out.data] + (out * Tensor(weights)).sum().backward(inputs)
 
 
 class TestBackwardInputs:
@@ -257,42 +257,47 @@ class TestBackwardInputs:
         rng = np.random.default_rng(2)
         return model, rng.normal(size=(9, 5)), rng.integers(0, 4, size=9)
 
-    def test_requested_leaf_matches_full_backward_and_others_stay_none(self, model_and_batch):
+    def test_requested_leaf_matches_full_backward_and_others_stay_none(self, model_and_batch,
+                                                                       monkeypatch):
         model, x, y = model_and_batch
+        calls = count_vjps_toward(monkeypatch, model.parameters)
         full = Tensor(x, requires_grad=True)
-        cross_entropy(model.forward(full), y).sum().backward()
-        assert all(p.grad is not None for p in model.parameters)
-        model.zero_grad()
+        want = cross_entropy(model.forward(full), y).sum().backward((full, *model.parameters))
+        assert all(g is not None for g in want)
+        assert len(calls) == len(model.parameters)
 
+        calls.clear()
         only = Tensor(x, requires_grad=True)
-        cross_entropy(model.forward(only), y).sum().backward(inputs=(only,))
-        assert _bitwise_equal(only.grad, full.grad)
-        assert all(p.grad is None for p in model.parameters)
+        got = cross_entropy(model.forward(only), y).sum().backward((only,))
+        assert len(got) == 1 and _bitwise_equal(got[0], want[0])
+        assert calls == []
 
-    def test_requested_parameter_only(self, model_and_batch):
+    def test_requested_parameter_only(self, model_and_batch, monkeypatch):
         model, x, y = model_and_batch
-        cross_entropy(model.forward(Tensor(x)), y).sum().backward()
-        want = [p.grad for p in model.parameters]
-        model.zero_grad()
+        want = cross_entropy(model.forward(Tensor(x)), y).sum().backward(model.parameters)
 
         xt = Tensor(x, requires_grad=True)
         w = model.hidden[0][0]
-        cross_entropy(model.forward(xt), y).sum().backward(inputs=(w,))
-        assert _bitwise_equal(w.grad, want[0])
-        assert xt.grad is None
-        assert all(p.grad is None for p in model.parameters if p is not w)
+        calls = count_vjps_toward(monkeypatch, [xt, *model.parameters])
+        (got,) = cross_entropy(model.forward(xt), y).sum().backward((w,))
+        assert _bitwise_equal(got, want[0])
+        assert calls == [w]
 
-    def test_consumed_graph_still_raises(self):
-        x = Tensor(2.0, requires_grad=True)
-        out = x * x
-        out.backward(inputs=(x,))
-        with pytest.raises(GraphStateError):
-            out.backward(inputs=(x,))
+    def test_requested_interior_node_gets_its_gradient(self, model_and_batch):
+        model, x, y = model_and_batch
+        xt = Tensor(x, requires_grad=True)
+        z = model.encode(xt)
+        gz, gx = cross_entropy(model.classify(z), y).sum().backward((z, xt))
+
+        zt = Tensor(z.data, requires_grad=True)
+        assert _bitwise_equal(gz, cross_entropy(model.classify(zt), y).sum().backward((zt,))[0])
+        xt2 = Tensor(x, requires_grad=True)
+        assert _bitwise_equal(gx, cross_entropy(model.forward(xt2), y).sum().backward((xt2,))[0])
 
     def test_input_without_grad_is_a_contract_error(self):
         x = Tensor(2.0, requires_grad=True)
         with pytest.raises(ContractError):
-            (x * x).backward(inputs=(x, Tensor(1.0)))
+            (x * x).backward((x, Tensor(1.0)))
 
 
 class TestCoarseNodes:
@@ -391,9 +396,9 @@ def test_fd_sweep_every_differentiable_op():
         for _ in range(trials_per_op):
             x0, const = sample()
             t = Tensor(x0, requires_grad=True)
-            build(t, const).backward()
+            (g,) = build(t, const).backward((t,))
             fd = fd_gradient(lambda v: build(Tensor(v), const).item(), x0)
-            assert_grad_close(t.grad, fd)
+            assert_grad_close(g, fd)
             total += x0.size
     assert total >= 100
 
@@ -406,15 +411,16 @@ class TestGatherConcat:
 
     def test_gather_duplicate_accumulates(self):
         t = Tensor(np.ones((3, 2)), requires_grad=True)
-        gather_rows(t, [1, 1]).sum().backward()
-        assert np.array_equal(t.grad, [[0, 0], [2, 2], [0, 0]])
+        (g,) = gather_rows(t, [1, 1]).sum().backward((t,))
+        assert np.array_equal(g, [[0, 0], [2, 2], [0, 0]])
 
     def test_concat_backward_splits(self):
         a = Tensor(np.ones((2, 2)), requires_grad=True)
         b = Tensor(np.ones((1, 2)), requires_grad=True)
-        (concat([a, b]) * Tensor([[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]])).sum().backward()
-        assert np.array_equal(a.grad, [[1, 2], [3, 4]])
-        assert np.array_equal(b.grad, [[5, 6]])
+        ga, gb = (concat([a, b]) * Tensor([[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]])).sum().backward(
+            (a, b))
+        assert np.array_equal(ga, [[1, 2], [3, 4]])
+        assert np.array_equal(gb, [[5, 6]])
 
 
 class TestPairwiseLp:
@@ -427,14 +433,13 @@ class TestPairwiseLp:
         out = pairwise_lp(t, p)
         want = (np.abs(x0[:, None, :] - x0[None, :, :]) ** p).sum(axis=2)
         assert np.allclose(out.data, want, rtol=1e-14, atol=0.0)
-        (out * Tensor(w)).sum().backward()
+        (g,) = (out * Tensor(w)).sum().backward((t,))
         fd = fd_gradient(lambda v: float((pairwise_lp(Tensor(v), p).data * w).sum()), x0)
-        assert_grad_close(t.grad, fd)
+        assert_grad_close(g, fd)
 
     def test_zero_difference_has_zero_derivative(self):
         t = Tensor(np.array([[1.0, 2.0], [1.0, 2.0]]), requires_grad=True)
-        pairwise_lp(t, 1.0).sum().backward()
-        assert np.array_equal(t.grad, np.zeros((2, 2)))
+        assert np.array_equal(pairwise_lp(t, 1.0).sum().backward((t,))[0], np.zeros((2, 2)))
 
     def test_contracts(self):
         with pytest.raises(DimensionError):

@@ -6,6 +6,7 @@ import sys
 from collections import Counter
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import ascl.attacks
@@ -14,7 +15,8 @@ import ascl.training
 from ascl.cli import cli
 from ascl.config import RunConfig
 from ascl.data import Dataset, make_blobs, save_dataset
-from ascl.training import train
+from ascl.models import MLPClassifier
+from ascl.training import Adam, train, train_step
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
 
@@ -75,9 +77,9 @@ def test_lr_sets_epoch_0_and_the_schedule_the_later_epochs(tmp_path, monkeypatch
     rates = []
     real = ascl.training.Adam.step
 
-    def recording(self):
+    def recording(self, grads):
         rates.append(self.lr)
-        real(self)
+        real(self, grads)
 
     monkeypatch.setattr(ascl.training.Adam, "step", recording)
     cfg = RunConfig(dataset="moons", data_size=20, hidden_layers=(4,), epochs=4, batch_size=10,
@@ -85,6 +87,31 @@ def test_lr_sets_epoch_0_and_the_schedule_the_later_epochs(tmp_path, monkeypatch
                     schedule=((2, 1e-3), (3, 1e-4)), output_dir=str(tmp_path))
     train(cfg)
     assert rates == [0.5] * 4 + [1e-3] * 2 + [1e-4] * 2
+
+
+def test_a_projection_outside_the_objective_gets_no_gradient_and_no_update(monkeypatch):
+    # at lambda_scl=0 the loss never reads the projection head
+    cfg = RunConfig(dataset="moons", data_size=20, hidden_layers=(4,), lambda_scl=0.0,
+                    projection="linear", projection_dim=3, batch_size=10, train_steps=2)
+    train_ds, _ = cfg.build_datasets()
+    model = MLPClassifier(cfg.model_spec(train_ds.dim, train_ds.num_classes), seed=3)
+    opt = Adam(model.parameters, lr=0.1)
+    assert opt.params[-1] is model.proj[0]
+    before = [p.data.copy() for p in opt.params]
+    seen = []
+    real = Adam.step
+
+    def recording(self, grads):
+        seen.append(grads)
+        real(self, grads)
+
+    monkeypatch.setattr(Adam, "step", recording)
+    train_step(model, opt, train_ds.features[:10], train_ds.labels[:10], cfg, step_seed=(3,))
+    [grads] = seen
+    assert grads[-1] is None and all(g is not None for g in grads[:-1])
+    assert opt.params[-1].data.tobytes() == before[-1].tobytes()
+    assert not opt.m[-1].any() and not opt.v[-1].any()
+    assert all(not np.array_equal(p.data, b) for p, b in zip(opt.params[:-1], before))
 
 
 def _test_rows(metrics_path):
