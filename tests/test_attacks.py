@@ -12,6 +12,7 @@ from ascl.errors import ContractError
 from ascl.models import MLPClassifier, ModelSpec
 from ascl.tensor import Tensor
 from ascl.training import train
+from mtpgd_loop import multi_targeted_pgd_loop
 from vjp_spy import count_vjps_toward
 
 
@@ -399,7 +400,47 @@ class TestRandomStart:
         np.testing.assert_allclose(a, b, rtol=2**-50, atol=0)
 
 
+def _mtpgd_case(classes, n=23):
+    """An untrained model and a batch on which, at epsilon 0.08, rows are
+    decided by the first and by later targets and some by none."""
+    model = MLPClassifier(ModelSpec(input_dim=5, hidden_layers=(8, 6), num_classes=classes),
+                          seed=classes)
+    rng = np.random.default_rng(classes)
+    x = rng.uniform(0.05, 0.95, size=(n, 5))
+    pred = np.argmax(model.forward(x).data, axis=1)
+    y = np.where(np.arange(n) % 3 == 0, rng.integers(0, classes, size=n), pred)
+    return model, x, y
+
+
+def _batched(attack, model, x, y, cfg, seed, index_base, batch):
+    batch = batch or len(x)
+    return np.concatenate([attack(model, x[lo:lo + batch], y[lo:lo + batch], cfg, seed=seed,
+                                  index_base=index_base + lo)
+                           for lo in range(0, len(x), batch)])
+
+
 class TestMultiTargeted:
+    @pytest.mark.parametrize("batch", [None, 7, 1])
+    @pytest.mark.parametrize("random_init", [True, False])
+    @pytest.mark.parametrize("seed", [7, (7, 2)])
+    @pytest.mark.parametrize("classes", [2, 3, 10])
+    def test_equals_full_batch_loop_bitwise(self, classes, seed, random_init, batch):
+        model, x, y = _mtpgd_case(classes)
+        cfg = AttackConfig(epsilon=0.08, eta=0.02, steps=4, random_init=random_init)
+        got = _batched(multi_targeted_pgd, model, x, y, cfg, seed, 5, batch)
+        want = _batched(multi_targeted_pgd_loop, model, x, y, cfg, seed, 5, batch)
+        assert _bitwise_equal(got, want)
+
+    @pytest.mark.parametrize("batch", [None, 7, 1])
+    @pytest.mark.parametrize("classes", [2, 3, 10])
+    def test_epsilon_zero_equals_full_batch_loop(self, classes, batch):
+        model, x, y = _mtpgd_case(classes)
+        cfg = AttackConfig(epsilon=0.0, eta=0.02, steps=4)
+        got = _batched(multi_targeted_pgd, model, x, y, cfg, 3, 5, batch)
+        assert _bitwise_equal(got, _batched(multi_targeted_pgd_loop, model, x, y, cfg, 3, 5,
+                                            batch))
+        assert got.tobytes() == x.tobytes()
+
     def test_two_classes_equal_single_targeted(self):
         model = MLPClassifier(ModelSpec(input_dim=3, hidden_layers=(6,), num_classes=2),
                               seed=13)
