@@ -8,9 +8,11 @@ selects the targeted mode. At epsilon 0 every attack returns its input.
 Determinism contract: the random start of sample ``i`` is a
 counter-based hash of ``(*seed, i)`` and the feature index (SplitMix64,
 in the counter-based style of Salmon et al., SC 2011), computed for the
-whole batch at once. No sample's start depends on the others in its
-batch, so any batching, serial or per-sample-parallel evaluation agree
-bitwise. Targeted runs reuse the same start.
+whole batch at once. A row's stream depends only on its dataset index,
+and every op on the input-gradient path works row by row, so attacking
+a subset of rows gives exactly those rows of the whole batch's attack:
+any batching, serial or per-sample-parallel evaluation agree bitwise.
+Targeted runs reuse the same start.
 """
 
 from __future__ import annotations
@@ -73,22 +75,22 @@ def _mix64(z):
     return z
 
 
-def _random_start(seed, index_base, shape, epsilon):
+def _random_start(seed, indices, shape, epsilon):
     """Uniform noise in [-epsilon, epsilon) of ``shape``, counter-based.
 
-    Row ``i`` is a pure function of ``(*seed, index_base + i)`` and the
-    column index: the seed parts and their count fold into a 64-bit key,
-    the key mixed with the row index starts a SplitMix64 sequence, and the
-    top 53 bits of its ``j``-th output give column ``j``.
+    Row ``i`` is a pure function of ``(*seed, indices[i])`` and the column
+    index: the seed parts and their count fold into a 64-bit key, the key
+    mixed with the row's dataset index starts a SplitMix64 sequence, and
+    the top 53 bits of its ``j``-th output give column ``j``.
     """
     parts = _seed_parts(seed)
-    n, d = shape[0], int(np.prod(shape[1:]))
+    d = int(np.prod(shape[1:]))
     # uint64 arithmetic wraps by design; numpy warns on scalar wraparound
     with np.errstate(over="ignore"):
         key = _mix64(np.uint64(len(parts)))
         for p in parts:
             key = _mix64(key ^ np.uint64(p))
-        rows = _mix64(key ^ np.arange(index_base, index_base + n, dtype=np.uint64))
+        rows = _mix64(key ^ np.asarray(indices, dtype=np.uint64))
         cols = np.arange(1, d + 1, dtype=np.uint64) * _GAMMA
         bits = _mix64(rows[:, None] + cols) >> np.uint64(11)
     u = bits * 2.0**-53
@@ -123,6 +125,13 @@ def _input_gradient(model, x_adv, labels):
     return cross_entropy(model.forward(xt), labels).sum().backward((xt,))[0]
 
 
+def _checked(x, cfg):
+    x = np.array(x, dtype=np.float64)
+    if not np.all((x >= cfg.clip_range[0]) & (x <= cfg.clip_range[1])):
+        raise ContractError("input batch lies outside clip_range")
+    return x
+
+
 def pgd_attack(model, x, y, cfg: AttackConfig, seed=0, targets=None, index_base=0):
     """Iterated signed-gradient attack inside the epsilon ball.
 
@@ -135,19 +144,21 @@ def pgd_attack(model, x, y, cfg: AttackConfig, seed=0, targets=None, index_base=
     change any sample's start. Each seed part must lie in [0, 2**64).
     Iterates are projected by ``_ball_clamp``, which equals ``project_linf``.
     """
-    x = np.array(x, dtype=np.float64)
+    x = _checked(x, cfg)
     y = np.asarray(y, dtype=np.intp)
-    lo, hi = cfg.clip_range
-    if not np.all((x >= lo) & (x <= hi)):
-        raise ContractError("input batch lies outside clip_range")
     if cfg.epsilon == 0:
         return x
     targeted = targets is not None
     goal = np.asarray(targets, dtype=np.intp) if targeted else y
+    indices = np.arange(index_base, index_base + x.shape[0], dtype=np.uint64)
+    return _pgd(model, x, goal, targeted, cfg, seed, indices)
 
+
+def _pgd(model, x, goal, targeted, cfg, seed, indices):
+    """``pgd_attack``'s loop at epsilon > 0; row ``i`` starts from index ``indices[i]``."""
     project = _ball_clamp(x, cfg.epsilon, cfg.clip_range)
     if cfg.random_init:
-        x_adv = project(x + _random_start(seed, index_base, x.shape, cfg.epsilon))
+        x_adv = project(x + _random_start(seed, indices, x.shape, cfg.epsilon))
     else:
         x_adv = x.copy()
 
@@ -167,37 +178,36 @@ def multi_targeted_pgd(model, x, y, cfg: AttackConfig, seed=0, index_base=0):
     Per sample, returns the first candidate (in class order) that flips the
     prediction; otherwise the candidate with the largest untargeted
     cross-entropy loss. Every targeted run reuses the same per-sample
-    random start, so with two classes this equals one targeted attack.
+    random start, so with two classes this equals one targeted attack. A
+    decided row is not attacked again, nor is a row toward its own label.
     """
-    x = np.array(x, dtype=np.float64)
-    y = np.asarray(y, dtype=np.intp)
     c = model.spec.num_classes
     if c < 2:
         raise ContractError("multi-targeted attack requires at least 2 classes")
+    x = _checked(x, cfg)
+    y = np.asarray(y, dtype=np.intp)
+    if cfg.epsilon == 0:
+        return x
 
-    n = x.shape[0]
     best = x.copy()
-    decided = np.zeros(n, dtype=bool)
-    best_loss = np.full(n, -np.inf)
+    decided = np.zeros(x.shape[0], dtype=bool)
+    best_loss = np.full(x.shape[0], -np.inf)
 
     for t in range(c):
-        targets = np.full(n, t, dtype=np.intp)
-        active = targets != y
-        if not np.any(active):
+        rows = np.flatnonzero((y != t) & ~decided)
+        if rows.size == 0:
             continue
-        cand = pgd_attack(model, x, y, cfg, seed=seed, targets=targets, index_base=index_base)
+        cand = _pgd(model, x[rows], np.full(rows.size, t, dtype=np.intp), True, cfg, seed,
+                    index_base + rows)
         # keep values only: the candidate's graph is freed before the next attack
         logits_c = model.forward(cand).data
-        preds_c = np.argmax(logits_c, axis=1)
-        ce = cross_entropy(Tensor(logits_c), y).data
+        ce = cross_entropy(Tensor(logits_c), y[rows]).data
 
-        flipped = active & ~decided & (preds_c != y)
-        best[flipped] = cand[flipped]
-        decided |= flipped
-
-        improved = active & ~decided & (ce > best_loss)
-        best[improved] = cand[improved]
-        best_loss[improved] = ce[improved]
+        flipped = np.argmax(logits_c, axis=1) != y[rows]
+        decided[rows[flipped]] = True
+        improved = ~flipped & (ce > best_loss[rows])
+        best_loss[rows[improved]] = ce[improved]
+        best[rows[flipped | improved]] = cand[flipped | improved]
     return best
 
 
@@ -233,7 +243,10 @@ def robust_accuracy(model, features, labels, attack, cfg: AttackConfig,
         z = model.encode(fn(model, xb, yb, cfg, seed=seed, index_base=lo))
         if latents is not None:
             latents.append(z.data)
-        preds = np.argmax(model.classify(z).data, axis=1)
+        logits = model.classify(z).data
+        if not np.all((yb >= 0) & (yb < logits.shape[1])):
+            raise ContractError("labels must lie in [0, number of classes)")
+        preds = np.argmax(logits, axis=1)
         correct += int((preds == yb).sum())
         # free the batch's graph before the next batch's attack: held across
         # it, glibc trimmed and re-faulted the attack's heap pages every step

@@ -276,8 +276,12 @@ def cross_entropy(logits: Tensor, labels) -> Tensor:
     products apart; ``(soft - onehot) * g`` would round differently.
     """
     logits._check_axis(1)
+    labels = np.asarray(labels, dtype=np.intp)
+    # viewed as unsigned, a negative label lies above every class index
+    if np.count_nonzero(labels.view(np.uintp) >= logits.shape[1]):
+        raise ContractError("cross_entropy labels must lie in [0, number of classes)")
     lse, soft = _lse_softmax(logits.data, 1)
-    onehot = np.eye(logits.shape[1])[np.asarray(labels, dtype=np.intp)]
+    onehot = np.eye(logits.shape[1])[labels]
     return Tensor._make(lse[:, 0] - (logits.data * onehot).sum(axis=1), (logits,),
                         (lambda g: soft * g[:, None] - onehot * g[:, None],))
 

@@ -4,6 +4,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.stats import kstest
 
+import ascl.attacks
 from ascl.attacks import (AttackConfig, _ball_clamp, _input_gradient, _random_start,
                           attack_by_name, multi_targeted_pgd, pgd_attack, project_linf,
                           robust_accuracy)
@@ -262,7 +263,7 @@ def _reference_pgd(model, x, y, cfg, seed=0, targets=None):
     x = np.array(x, dtype=np.float64)
     x_adv = x.copy()
     if cfg.random_init:
-        noise = _random_start(seed, 0, x.shape, cfg.epsilon)
+        noise = _random_start(seed, np.arange(len(x)), x.shape, cfg.epsilon)
         x_adv = project_linf(x + noise, x, cfg.epsilon, cfg.clip_range)
     for _ in range(cfg.steps):
         grad = _input_gradient(model, x_adv, y if targets is None else targets)
@@ -356,46 +357,54 @@ def _random_start_reference(seed, index_base, n, d, epsilon):
 
 class TestRandomStart:
     """The counter-based PGD random start: one hash per entry, keyed by
-    ``(*seed, index_base + i)`` and the column."""
+    ``(*seed, indices[i])`` and the column."""
 
     def test_known_answer(self):
         # integer-only hash: these values do not depend on the BLAS build
-        got = _random_start((3, 7), 5, (2, 3), 1.0)
+        got = _random_start((3, 7), np.arange(5, 7), (2, 3), 1.0)
         assert got.ravel().tolist() == [
             -0.9316861660744953, -0.34097699213492083, 0.27925633008870365,
             -0.1431691729188227, 0.1596467652678717, -0.5280414552580692]
 
     @pytest.mark.parametrize("seed,index_base", [((3, 7), 5), (0, 0), ((2**64 - 1, 1), 1000)])
     def test_matches_per_entry_reference(self, seed, index_base):
-        got = _random_start(seed, index_base, (5, 3), 0.07)
+        got = _random_start(seed, np.arange(index_base, index_base + 5), (5, 3), 0.07)
         assert got.tobytes() == _random_start_reference(seed, index_base, 5, 3, 0.07).tobytes()
 
     def test_values_lie_in_the_ball_and_are_uniform(self):
         eps = 0.05
-        noise = _random_start(11, 0, (1000, 8), eps)
+        noise = _random_start(11, np.arange(1000), (1000, 8), eps)
         assert noise.shape == (1000, 8)
         assert np.abs(noise).max() <= eps
         assert kstest(noise.ravel(), "uniform", args=(-eps, 2 * eps)).pvalue > 0.01
 
     def test_uneven_split_equals_whole_batch(self):
-        whole = _random_start((4, 2), 10, (64, 3), 0.1)
-        parts = [_random_start((4, 2), 10 + lo, (hi - lo, 3), 0.1)
+        whole = _random_start((4, 2), np.arange(10, 74), (64, 3), 0.1)
+        parts = [_random_start((4, 2), np.arange(10 + lo, 10 + hi), (hi - lo, 3), 0.1)
                  for lo, hi in ((0, 1), (1, 63), (63, 64))]
         assert whole.tobytes() == np.concatenate(parts).tobytes()
 
+    def test_any_indices_give_the_matching_rows_of_the_contiguous_draw(self):
+        whole = _random_start((4, 2), np.arange(10, 74), (64, 3), 0.1)
+        picked = np.array([63, 0, 17, 17, 5, 0, 62])
+        got = _random_start((4, 2), 10 + picked, (len(picked), 3), 0.1)
+        assert got.tobytes() == whole[picked].tobytes()
+
     def test_int_seed_equals_one_part_tuple(self):
-        assert (_random_start(3, 0, (8, 2), 0.1).tobytes()
-                == _random_start((3,), 0, (8, 2), 0.1).tobytes()
-                == _random_start(np.int64(3), 0, (8, 2), 0.1).tobytes())
+        rows = np.arange(8)
+        assert (_random_start(3, rows, (8, 2), 0.1).tobytes()
+                == _random_start((3,), rows, (8, 2), 0.1).tobytes()
+                == _random_start(np.int64(3), rows, (8, 2), 0.1).tobytes())
 
     def test_distinct_seeds_give_distinct_streams(self):
         seeds = [1, 2, (1, 2), (2, 1), (1, 0), (0, 1), (1, 0, 0), (0,)]
-        streams = {_random_start(s, 0, (16, 2), 0.1).tobytes() for s in seeds}
+        streams = {_random_start(s, np.arange(16), (16, 2), 0.1).tobytes() for s in seeds}
         assert len(streams) == len(seeds)
 
     def test_epsilon_only_scales(self):
-        a = _random_start(5, 3, (32, 4), 0.03) / 0.03
-        b = _random_start(5, 3, (32, 4), 0.5) / 0.5
+        rows = np.arange(3, 35)
+        a = _random_start(5, rows, (32, 4), 0.03) / 0.03
+        b = _random_start(5, rows, (32, 4), 0.5) / 0.5
         # one rounding in each product and each quotient
         np.testing.assert_allclose(a, b, rtol=2**-50, atol=0)
 
@@ -440,6 +449,48 @@ class TestMultiTargeted:
         assert _bitwise_equal(got, _batched(multi_targeted_pgd_loop, model, x, y, cfg, 3, 5,
                                             batch))
         assert got.tobytes() == x.tobytes()
+
+    def test_attacks_only_rows_no_earlier_target_has_decided(self, monkeypatch):
+        # zero classifier weights: every row is predicted 0 and has a zero
+        # input gradient, so target 0 decides every row labelled 1 or 2, and
+        # only the rows labelled 0 stay open for targets 1 and 2
+        model = MLPClassifier(ModelSpec(input_dim=3, hidden_layers=(4,), num_classes=3), seed=1)
+        model.cls_w.data[...] = 0.0
+        model.cls_b.data[...] = [1.0, 0.0, 0.0]
+        rng = np.random.default_rng(2)
+        x = rng.uniform(0.1, 0.9, size=(12, 3))
+        y = np.array([0, 1, 2, 0, 2, 2, 1, 0, 0, 1, 2, 2])
+        calls = []
+
+        def spy(model, x_adv, labels):
+            # the iterates stay at x: no random start and zero steps
+            rows = [int(np.flatnonzero((x == r).all(axis=1))[0]) for r in x_adv]
+            calls.append((rows, np.unique(labels).tolist()))
+            return _input_gradient(model, x_adv, labels)
+
+        monkeypatch.setattr(ascl.attacks, "_input_gradient", spy)
+        cfg = AttackConfig(epsilon=0.05, eta=0.01, steps=3, random_init=False)
+        got = multi_targeted_pgd(model, x, y, cfg, seed=4)
+        assert got.tobytes() == x.tobytes()
+        assert sum(len(rows) for rows, _ in calls) == cfg.steps * (
+            (y != 0).sum() + 2 * (y == 0).sum())
+        for rows, (t,) in calls:
+            assert not np.any(y[rows] == t)
+        assert [rows for rows, t in calls if t == [1]] == [np.flatnonzero(y == 0).tolist()] * 3
+
+    @pytest.mark.parametrize("eps", [0.05, 0.0])
+    @pytest.mark.parametrize("bad", [-0.01, 1.01, np.nan])
+    def test_validates_input_before_any_pass(self, toy_model, toy_batch, monkeypatch, eps,
+                                             bad):
+        def refuse(*args):
+            raise AssertionError("an attack pass ran on an invalid batch")
+
+        monkeypatch.setattr(ascl.attacks, "_input_gradient", refuse)
+        x, y = toy_batch
+        x = x.copy()
+        x[5, 2] = bad
+        with pytest.raises(ContractError, match="outside clip_range"):
+            multi_targeted_pgd(toy_model, x, y, AttackConfig(epsilon=eps, eta=0.01, steps=3))
 
     def test_two_classes_equal_single_targeted(self):
         model = MLPClassifier(ModelSpec(input_dim=3, hidden_layers=(6,), num_classes=2),
@@ -499,6 +550,18 @@ class TestRobustAccuracy:
         with pytest.raises(ContractError, match="finite"):
             robust_accuracy(model, x, np.zeros(4, dtype=int), attack,
                             AttackConfig(epsilon=0.05, eta=0.01, steps=2))
+
+    @pytest.mark.parametrize("attack", ["none", "pgd", "mpgd"])
+    @pytest.mark.parametrize("bad", [3, -1])
+    def test_label_outside_the_classes_is_a_contract_error(self, toy_model, toy_batch,
+                                                          attack, bad):
+        # the last batch holds the bad label, so every earlier batch scores
+        x, y = toy_batch
+        y = y.copy()
+        y[-1] = bad
+        with pytest.raises(ContractError, match="labels"):
+            robust_accuracy(toy_model, x, y, attack, AttackConfig(epsilon=0.05, eta=0.01, steps=2),
+                            batch_size=5)
 
     def test_empty_dataset(self, toy_model):
         with pytest.raises(ContractError):

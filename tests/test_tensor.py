@@ -165,6 +165,13 @@ class TestLogSoftmax:
         want = -log_softmax(logits).data[np.arange(21), y]
         assert cross_entropy(logits, y).data.tobytes() == want.tobytes()
 
+    @pytest.mark.parametrize("bad", [4, -1])
+    def test_cross_entropy_label_outside_the_classes_is_a_contract_error(self, bad):
+        # a label of -1 would otherwise take the last class's one-hot row
+        y = np.array([0, 3, bad, 1])
+        with pytest.raises(ContractError, match="labels"):
+            cross_entropy(Tensor(np.zeros((4, 4))), y)
+
 
 class TestBackward:
     def test_sum_of_squares(self):
