@@ -166,12 +166,21 @@ class TestPGD:
 
     def test_purity(self, toy_model, toy_batch):
         x, y = toy_batch
-        x_before = x.copy()
-        weights_before = [p.data.copy() for p in toy_model.parameters]
-        pgd_attack(toy_model, x, y, AttackConfig(epsilon=0.05, eta=0.01, steps=3), seed=1)
-        assert np.array_equal(x, x_before)
-        for p, w in zip(toy_model.parameters, weights_before):
-            assert np.array_equal(p.data, w)
+        targets = (y + 1) % 3
+        before = [a.tobytes() for a in (x, y, targets, *(p.data for p in toy_model.parameters))]
+        cfg = AttackConfig(epsilon=0.05, eta=0.01, steps=3)
+        fixed = AttackConfig(epsilon=0.05, eta=0.01, steps=3, random_init=False)
+        for attack in (lambda: pgd_attack(toy_model, x, y, cfg, seed=1),
+                       lambda: pgd_attack(toy_model, x, y, fixed, seed=1),
+                       lambda: pgd_attack(toy_model, x, y, cfg, seed=1, targets=targets),
+                       lambda: pgd_attack(toy_model, x, y, fixed, seed=1, targets=targets),
+                       lambda: multi_targeted_pgd(toy_model, x, y, cfg, seed=1),
+                       lambda: multi_targeted_pgd(toy_model, x, y, fixed, seed=1)):
+            x_adv = attack()
+            assert not np.shares_memory(x_adv, x)
+            after = [a.tobytes() for a in (x, y, targets,
+                                           *(p.data for p in toy_model.parameters))]
+            assert after == before
 
     def test_seed_determinism(self, toy_model, toy_batch):
         x, y = toy_batch

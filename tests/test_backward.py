@@ -1,0 +1,83 @@
+"""``Tensor.backward`` against the reference walk in ``backward_walk.py``:
+bitwise-equal gradients and no more VJP calls, on the graphs that PGD and
+the training step walk."""
+
+from collections import Counter
+
+import numpy as np
+import pytest
+
+from ascl.data import Batch
+from ascl.losses import STRATEGIES, LossWeights, total_loss
+from ascl.models import PROJECTION_KINDS, MLPClassifier, ModelSpec
+from ascl.tensor import Tensor, cross_entropy
+from backward_walk import backward_walk
+from vjp_spy import spy_on_vjps
+
+GRAPHS = ["input_gradient"] + [f"total_loss-{strategy}-{similarity}-{projection}"
+                               for strategy in STRATEGIES
+                               for similarity in ("cosine", "lp:2")
+                               for projection in PROJECTION_KINDS]
+REQUESTS = ["x", "params", "both", "latent"]
+
+
+def _graph(name):
+    """Root, model, the input tensors x and x_adv (x_adv requires grad too
+    but is never requested) and the encoder's outputs, natural one first."""
+    kind, *rest = name.split("-")
+    projection = rest[2] if rest else "identity"
+    model = MLPClassifier(ModelSpec(input_dim=5, hidden_layers=(7, 6), num_classes=3,
+                                    projection=projection, projection_dim=4,
+                                    projection_mid=5), seed=4)
+    rng = np.random.default_rng(4)
+    x = rng.uniform(0.1, 0.9, size=(8, 5))
+    y = rng.integers(0, 3, size=8)
+    xt = Tensor(x, requires_grad=True)
+    xat = Tensor(x + rng.uniform(-0.05, 0.05, size=x.shape), requires_grad=True)
+    latents = []
+    encode = model.encode
+    model.encode = lambda v: latents.append(encode(v)) or latents[-1]
+    if kind == "input_gradient":
+        root = cross_entropy(model.forward(xt), y).sum()
+    else:
+        strategy, similarity, _ = rest
+        weights = LossWeights(lambda_scl=1.0, lambda_vat=2.0, tau=0.5, similarity=similarity)
+        root = total_loss(Batch(xt, y, xat), model, strategy, weights).total
+    return root, model, xt, latents
+
+
+def _requested(name, request):
+    root, model, xt, latents = _graph(name)
+    inputs = {"x": [xt], "params": model.parameters, "both": [xt, *model.parameters],
+              "latent": latents[:1]}[request]
+    return root, inputs
+
+
+def _bitwise_equal(a, b):
+    return np.array_equal(a, b) and np.array_equal(np.signbit(a), np.signbit(b))
+
+
+@pytest.mark.parametrize("request_", REQUESTS)
+@pytest.mark.parametrize("name", GRAPHS)
+def test_equals_the_reference_walk_bitwise(name, request_):
+    root, inputs = _requested(name, request_)
+    want = backward_walk(root, inputs)
+    got = root.backward(inputs)
+    assert all(g is not None for g in want)
+    assert len(got) == len(want)
+    assert all(_bitwise_equal(a, b) for a, b in zip(got, want))
+
+
+@pytest.mark.parametrize("request_", REQUESTS)
+@pytest.mark.parametrize("name", GRAPHS)
+def test_makes_no_more_vjp_calls_than_the_reference_walk(name, request_):
+    root, inputs = _requested(name, request_)
+    calls = spy_on_vjps(root, [])
+    backward_walk(root, inputs)
+    want = Counter(map(id, calls))
+    calls.clear()
+    root.backward(inputs)
+    assert Counter(map(id, calls)) <= want
+    # none toward a leaf that is not requested
+    ids = {id(t) for t in inputs}
+    assert all(p._parents or id(p) in ids for p in calls)

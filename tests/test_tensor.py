@@ -327,18 +327,23 @@ class TestCoarseNodes:
 
     @pytest.mark.parametrize("seed", range(4))
     def test_cross_entropy_equals_its_composition_bitwise(self, seed):
-        rng = np.random.default_rng(seed)
-        # the last rows underflow softmax entries to exactly 0
-        logits = np.concatenate([rng.normal(scale=3.0, size=(8, 5)),
-                                 [[800.0, 0.0, -5.0, 1.0, 2.0], [-800.0, 0.0, 3.0, 1.0, 2.0]]])
-        y = rng.integers(0, 5, size=10)
-        onehot = np.eye(5)[y]
-        # mixed signs, including both zeros, reach every branch of the VJP
-        weights = np.concatenate([rng.normal(size=6), [0.0, -0.0, -1.0, 1.0]])
-        got = _grads(lambda z: cross_entropy(z, y), [logits], weights)
-        want = _grads(lambda z: z.log_sum_exp(axis=1) - (z * Tensor(onehot)).sum(axis=1),
-                      [logits], weights)
-        assert all(_bitwise_equal(a, b) for a, b in zip(got, want))
+        for c in (2, 5):
+            rng = np.random.default_rng(seed)
+            # the last rows underflow softmax entries to exactly 0
+            logits = np.concatenate([rng.normal(scale=3.0, size=(8, c)),
+                                     [[800.0, 0.0, -5.0, 1.0, 2.0][:c],
+                                      [-800.0, 0.0, 3.0, 1.0, 2.0][:c]]])
+            y = rng.integers(0, c, size=10)
+            # labels in the first and the last column, on both underflow rows too
+            y[[0, 8]] = 0
+            y[[1, 9]] = c - 1
+            onehot = np.eye(c)[y]
+            # mixed signs, including both zeros, reach every branch of the VJP
+            weights = np.concatenate([rng.normal(size=6), [0.0, -0.0, -1.0, 1.0]])
+            got = _grads(lambda z: cross_entropy(z, y), [logits], weights)
+            want = _grads(lambda z: z.log_sum_exp(axis=1) - (z * Tensor(onehot)).sum(axis=1),
+                          [logits], weights)
+            assert all(_bitwise_equal(a, b) for a, b in zip(got, want))
 
 
 def _random_ops(rng):

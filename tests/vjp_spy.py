@@ -1,30 +1,40 @@
-"""Count the VJPs that a backward walk runs toward chosen tensors.
+"""Count the VJPs that a backward walk runs.
 
-``Tensor.backward`` skips every VJP toward a node that leads to no
-requested input. This spy lets a test see that: while it is installed,
-each backward first wraps, in the graph it walks, every VJP whose parent
-is one of ``targets``, so that each call of one appends that parent to the
-returned list.
+``Tensor.backward`` calls no VJP toward a node that leads to no requested
+input. These spies let a test see that. ``spy_on_vjps`` wraps, in place,
+every VJP of the graph under a root whose parent is one of ``targets``
+(every VJP when ``targets`` is None), so that each call of one appends
+that parent to a list; any walk of that graph, the engine's or a test
+oracle's, then shows its calls there. ``count_vjps_toward`` installs the
+same wrapping before each ``Tensor.backward`` while it is patched in.
 """
 
 from ascl.tensor import Tensor
 
 
+def spy_on_vjps(root, calls, targets=None):
+    """Wrap the VJPs under ``root`` toward ``targets`` to append their parent
+    to ``calls``; wrap a graph once, or its calls count twice."""
+    ids = None if targets is None else {id(t) for t in targets}
+    seen, stack = set(), [root]
+    while stack:
+        node = stack.pop()
+        if id(node) in seen:
+            continue
+        seen.add(id(node))
+        node._vjps = tuple((lambda g, p=p, f=f: calls.append(p) or f(g))
+                           if ids is None or id(p) in ids else f
+                           for p, f in zip(node._parents, node._vjps))
+        stack.extend(node._parents)
+    return calls
+
+
 def count_vjps_toward(monkeypatch, targets):
     calls = []
-    ids = {id(t) for t in targets}
     real = Tensor.backward
 
     def spying(root, inputs):
-        seen, stack = set(), [root]
-        while stack:
-            node = stack.pop()
-            if id(node) in seen:
-                continue
-            seen.add(id(node))
-            node._vjps = tuple((lambda g, p=p, f=f: calls.append(p) or f(g)) if id(p) in ids else f
-                               for p, f in zip(node._parents, node._vjps))
-            stack.extend(node._parents)
+        spy_on_vjps(root, calls, targets)
         return real(root, inputs)
 
     monkeypatch.setattr(Tensor, "backward", spying)
