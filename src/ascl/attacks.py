@@ -109,13 +109,13 @@ def project_linf(x_adv, x_orig, epsilon, clip_range=(0.0, 1.0)):
 
 
 def _ball_clamp(x, epsilon, clip_range):
-    """``v -> project_linf(v, x, epsilon, clip_range)`` for x in ``clip_range``,
-    bounds computed once. Ties go to ``v``, so it is equal bit for bit, save
-    that project_linf gives +0.0 for a v of -0.0 on a +0.0 ball bound (or
-    x of -0.0 at epsilon 0); no PGD iterate is such a v."""
+    """``v -> project_linf(v, x, epsilon, clip_range)`` in place, for x in
+    ``clip_range``, bounds computed once. Ties go to ``v``, so it is equal bit
+    for bit, save that project_linf gives +0.0 for a v of -0.0 on a +0.0 ball
+    bound (or x of -0.0 at epsilon 0); no PGD iterate is such a v."""
     lo = np.maximum(clip_range[0], x - epsilon)
     hi = np.minimum(clip_range[1], x + epsilon)
-    return lambda v: np.minimum(hi, np.maximum(lo, v))
+    return lambda v: np.minimum(hi, np.maximum(lo, v, out=v), out=v)
 
 
 def _input_gradient(model, x_adv, labels):
@@ -166,9 +166,11 @@ def _pgd(model, x, goal, targeted, cfg, seed, indices):
         grad = _input_gradient(model, x_adv, goal)
         if grad is None:
             break
-        step = cfg.eta * np.sign(grad)
-        x_adv = x_adv - step if targeted else x_adv + step
-        x_adv = project(x_adv)
+        step = np.sign(grad)
+        # x - eta * s and x + (-eta) * s are the same IEEE result
+        step *= -cfg.eta if targeted else cfg.eta
+        x_adv += step
+        project(x_adv)
     return x_adv
 
 

@@ -8,12 +8,12 @@ caller that wants the sum of two walks adds their results.
 
 Each op states its forward value and one vector-Jacobian product (VJP)
 per input: a map from the output's gradient to that input's share.
-``backward`` alone routes: it calls the VJPs toward nodes that lead to a
-requested input, in input order, and accumulates. One broadcasting rule
-reduces what a VJP returns: sum the axes where the input has size 1 and
-the gradient does not, give a 0-d input the total, and leave the rest to
-``+``. The coarse nodes ``affine`` and ``cross_entropy`` round like their
-compositions.
+``backward`` alone routes: it walks the interior nodes and calls only the
+VJPs toward a requested input or a node that leads to one, in input order.
+One broadcasting rule reduces what a VJP returns: sum the axes where the
+input has size 1 and the gradient does not, give a 0-d input the total,
+and leave the rest to ``+``. The coarse nodes ``affine`` and
+``cross_entropy`` round like their compositions.
 """
 
 from __future__ import annotations
@@ -63,22 +63,11 @@ class Tensor:
                 break
         return out
 
-    def _reduce(self, g):
-        """``g`` reduced to this tensor's shape by the one broadcasting rule."""
-        shape = self.data.shape
-        if g.shape != shape:
-            if shape == ():
-                return g.sum()
-            if axes := tuple(i for i, (ds, dg) in enumerate(zip(shape, g.shape))
-                             if ds == 1 and dg != 1):
-                return g.sum(axis=axes, keepdims=True)
-        return g
-
     def backward(self, inputs):
         """d(root)/d(t) for each ``t`` in ``inputs``, as a list; ``None`` for
-        one the root does not reach. Only VJPs toward nodes that lead to an
-        input run. The root must be a scalar, and each input require grad.
-        Returned arrays may share memory with each other: do not write to them.
+        one the root does not reach. One walk over the interior nodes; only VJPs
+        toward nodes that lead to an input run. The root must be a scalar, and
+        each input require grad. Returned arrays may share memory: do not write to them.
         """
         if self.data.ndim != 0:
             raise ContractError(f"backward() root must be scalar, got shape {self.shape}")
@@ -87,39 +76,44 @@ class Tensor:
         requested = {id(t) for t in inputs}
         wanted = set(requested)
 
+        # post-order, the last parent first: it fixes how shared nodes sum
         order = []
         seen = set()
         stack = [(self, False)]
         while stack:
             node, expanded = stack.pop()
             if expanded:
-                order.append(node)
                 # parents come first in ``order``, so their marks are final
-                if any(id(p) in wanted for p in node._parents):
+                if not wanted.isdisjoint(map(id, node._parents)):
                     wanted.add(id(node))
+                    order.append(node)
                 continue
             if id(node) in seen:
                 continue
             seen.add(id(node))
             stack.append((node, True))
             for p in node._parents:
-                if id(p) not in seen:
+                if p._parents and id(p) not in seen:
                     stack.append((p, False))
 
         grads = {id(self): np.ones((), dtype=np.float64)}
         for node in reversed(order):
             # a node's gradient is complete here; keep only the requested ones
-            g = grads.get(id(node)) if id(node) in requested else grads.pop(id(node), None)
-            if g is None:
-                continue
+            g = grads[id(node)] if id(node) in requested else grads.pop(id(node))
             for parent, vjp in zip(node._parents, node._vjps):
                 if id(parent) in wanted:
-                    d = parent._reduce(vjp(g))
+                    d = vjp(g)
+                    shape = parent.data.shape
+                    if d.shape != shape:
+                        if shape == ():
+                            d = d.sum()
+                        elif axes := tuple(i for i, (ds, dg) in enumerate(zip(shape, d.shape))
+                                           if ds == 1 and dg != 1):
+                            d = d.sum(axis=axes, keepdims=True)
                     if id(parent) in grads:
                         grads[id(parent)] = grads[id(parent)] + d
                     else:
                         # zeros + d only where d still broadcasts
-                        shape = parent.data.shape
                         grads[id(parent)] = d if d.shape == shape else d + np.zeros(shape)
         return [grads.get(id(t)) for t in inputs]
 
@@ -245,9 +239,9 @@ class Tensor:
 
 def _lse_softmax(a, axis):
     """log(sum(exp(a))) with the reduced axis kept, and softmax(a)."""
-    m = a.max(axis=axis, keepdims=True) if a.size else a
+    m = np.maximum.reduce(a, axis=axis, keepdims=True) if a.size else a
     shifted = np.exp(a - m)
-    total = shifted.sum(axis=axis, keepdims=True)
+    total = np.add.reduce(shifted, axis=axis, keepdims=True)
     return m + np.log(total), shifted / total
 
 
@@ -264,16 +258,18 @@ def affine(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
             or b.shape not in ((1, m.shape[1]), (a.shape[0], m.shape[1]))):
         raise DimensionError(f"affine expects (N, d) @ (d, k) + (1, k), got "
                              f"{a.shape} @ {m.shape} + {b.shape}")
-    return Tensor._make(a @ m + b.data, (x, w, b),
-                        (lambda g: g @ m.T, lambda g: a.T @ g, lambda g: g))
+    out = a @ m
+    out += b.data
+    return Tensor._make(out, (x, w, b), (lambda g: g @ m.T, lambda g: a.T @ g, lambda g: g))
 
 
 def cross_entropy(logits: Tensor, labels) -> Tensor:
     """Per-row cross-entropy of a 2-D logit tensor against integer labels, (N,).
 
     One node for ``log_sum_exp - (z * onehot).sum(1)``, which equals
-    ``-log_softmax(logits)[y]`` bit for bit. Its VJP keeps that graph's two
-    products apart; ``(soft - onehot) * g`` would round differently.
+    ``-log_softmax(logits)[y]`` bit for bit; for finite z that row sum is
+    ``z[y]`` exactly, so the forward gathers it. The VJP keeps the two products
+    apart: ``(soft - onehot) * g``, or ``-g`` at the labels alone, would differ.
     """
     logits._check_axis(1)
     labels = np.asarray(labels, dtype=np.intp)
@@ -281,8 +277,10 @@ def cross_entropy(logits: Tensor, labels) -> Tensor:
     if np.count_nonzero(labels.view(np.uintp) >= logits.shape[1]):
         raise ContractError("cross_entropy labels must lie in [0, number of classes)")
     lse, soft = _lse_softmax(logits.data, 1)
-    onehot = np.eye(logits.shape[1])[labels]
-    return Tensor._make(lse[:, 0] - (logits.data * onehot).sum(axis=1), (logits,),
+    rows = np.arange(logits.shape[0])
+    onehot = np.zeros(logits.shape)
+    onehot[rows, labels] = 1.0
+    return Tensor._make(lse[:, 0] - logits.data[rows, labels], (logits,),
                         (lambda g: soft * g[:, None] - onehot * g[:, None],))
 
 

@@ -14,6 +14,18 @@ import numpy as np
 from ascl.errors import ContractError
 
 
+def _reduce(t, g):
+    """``g`` reduced to the shape of tensor ``t`` by the one broadcasting rule."""
+    shape = t.data.shape
+    if g.shape != shape:
+        if shape == ():
+            return g.sum()
+        if axes := tuple(i for i, (ds, dg) in enumerate(zip(shape, g.shape))
+                         if ds == 1 and dg != 1):
+            return g.sum(axis=axes, keepdims=True)
+    return g
+
+
 def backward_walk(root, inputs):
     """d(root)/d(t) for each ``t`` in ``inputs``, as a list; ``None`` for one
     the root does not reach."""
@@ -51,7 +63,7 @@ def backward_walk(root, inputs):
             continue
         for parent, vjp in zip(node._parents, node._vjps):
             if id(parent) in wanted:
-                d = parent._reduce(vjp(g))
+                d = _reduce(parent, vjp(g))
                 if id(parent) in grads:
                     grads[id(parent)] = grads[id(parent)] + d
                 else:

@@ -308,7 +308,7 @@ class TestBallClamp:
         v = np.where(np.array(data.draw(st.lists(st.booleans(), min_size=len(x),
                                                  max_size=len(x)))), -0.0, v)
         want = project_linf(v, x, eps, (lo, hi))
-        got = _ball_clamp(x, eps, (lo, hi))(v)
+        got = _ball_clamp(x, eps, (lo, hi))(v.copy())
         assert np.array_equal(got, want)
         # signs of zero agree too, except where a v of -0.0 meets a ball
         # bound of +0.0, or x is -0.0 at epsilon 0: project_linf gives +0.0
