@@ -1,5 +1,5 @@
-"""L-infinity attacks: PGD with random start, multi-targeted PGD, ball
-projection, and robust-accuracy evaluation.
+"""L-infinity attacks: PGD with random start, multi-targeted PGD, and
+robust-accuracy evaluation.
 
 PGD ascends the cross-entropy of the true labels, or, when ``targets``
 are given, descends the cross-entropy of the targets; nothing else
@@ -26,7 +26,6 @@ from .tensor import Tensor, cross_entropy
 
 __all__ = [
     "AttackConfig",
-    "project_linf",
     "pgd_attack",
     "multi_targeted_pgd",
     "robust_accuracy",
@@ -97,22 +96,10 @@ def _random_start(seed, indices, shape, epsilon):
     return (epsilon * (2.0 * u - 1.0)).reshape(shape)
 
 
-def project_linf(x_adv, x_orig, epsilon, clip_range=(0.0, 1.0)):
-    """Clamp x_adv into the epsilon ball around x_orig, then into clip_range."""
-    if epsilon < 0:
-        raise ContractError("epsilon must be nonnegative")
-    x_adv = np.asarray(x_adv, dtype=np.float64)
-    x_orig = np.asarray(x_orig, dtype=np.float64)
-    lo, hi = clip_range
-    out = np.minimum(np.maximum(x_adv, x_orig - epsilon), x_orig + epsilon)
-    return np.clip(out, lo, hi)
-
-
 def _ball_clamp(x, epsilon, clip_range):
-    """``v -> project_linf(v, x, epsilon, clip_range)`` in place, for x in
-    ``clip_range``, bounds computed once. Ties go to ``v``, so it is equal bit
-    for bit, save that project_linf gives +0.0 for a v of -0.0 on a +0.0 ball
-    bound (or x of -0.0 at epsilon 0); no PGD iterate is such a v."""
+    """In-place clamp of ``v`` into the epsilon ball around ``x``, then into
+    ``clip_range``, for x in ``clip_range``; both bounds are computed once.
+    Where ``v`` equals a bound, ``v`` is kept, so a -0.0 stays -0.0."""
     lo = np.maximum(clip_range[0], x - epsilon)
     hi = np.minimum(clip_range[1], x + epsilon)
     return lambda v: np.minimum(hi, np.maximum(lo, v, out=v), out=v)
@@ -142,7 +129,8 @@ def pgd_attack(model, x, y, cfg: AttackConfig, seed=0, targets=None, index_base=
     The random start of row ``i`` hashes ``(*seed, index_base + i)``
     (``_random_start``), so splitting a dataset into batches does not
     change any sample's start. Each seed part must lie in [0, 2**64).
-    Iterates are projected by ``_ball_clamp``, which equals ``project_linf``.
+    Each iterate is clamped into the epsilon ball around ``x``, then into
+    ``cfg.clip_range``; where it equals a bound, it is kept (``_ball_clamp``).
     """
     x = _checked(x, cfg)
     y = np.asarray(y, dtype=np.intp)

@@ -1,10 +1,10 @@
 """Command-line entry point.
 
-Subcommands: train, evaluate, attack, divergence, selection-stats,
-make-data. Exit codes: 0 ok, 1 usage error, 2 runtime failure. A bad flag
-value is a usage error: each subcommand builds what its flags describe
-before it reads or writes a file. A malformed file, or a failure once the
-run is under way, is a runtime failure.
+Subcommands: train, evaluate, attack, divergence, make-data. Exit codes:
+0 ok, 1 usage error, 2 runtime failure. A bad flag value is a usage
+error: each subcommand builds what its flags describe before it reads or
+writes a file. A malformed file, or a failure once the run is under way,
+is a runtime failure.
 """
 
 from __future__ import annotations
@@ -12,16 +12,14 @@ from __future__ import annotations
 import argparse
 import contextlib
 import dataclasses
+import os
 import sys
-
-import numpy as np
 
 from .attacks import AttackConfig, attack_by_name, robust_accuracy
 from .config import RunConfig, _parse_value, config_from_dict, parse_config_file
-from .data import Dataset, load_dataset, make_blobs, make_two_moons, save_dataset
+from .data import Dataset, load_dataset, save_dataset
 from .divergence import SWEEP_COLUMNS, divergence_sweep
 from .errors import ConfigError
-from .losses import STRATEGIES, selection_stats
 from .models import load_model
 from .training import evaluate, train, write_csv
 
@@ -43,14 +41,21 @@ def _add_attack_args(p, steps, eps=True):
     p.add_argument("--seed", type=int, default=0)
 
 
+_FIELDS = tuple(f.name for f in dataclasses.fields(RunConfig))
+# the fields that say which data a run draws: make-data takes exactly these
+_DATA_FIELDS = tuple(n for n in _FIELDS if n == "dataset" or n.startswith("data_"))
+
+
+def _add_field_args(p, names):
+    """Each RunConfig field named doubles as a --key flag (dashes for underscores)."""
+    for name in names:
+        p.add_argument(f"--{name.replace('_', '-')}", dest=name, default=None)
+
+
 def _run_config(args) -> RunConfig:
-    base = parse_config_file(args.config) if args.config else RunConfig()
-    overrides = {}
-    for f in dataclasses.fields(RunConfig):
-        v = getattr(args, f.name)
-        if v is not None:
-            overrides[f.name] = _parse_value(f.name, v)
-    return config_from_dict(overrides, base=base)
+    base = parse_config_file(args.config) if getattr(args, "config", None) else RunConfig()
+    return config_from_dict({n: _parse_value(n, getattr(args, n)) for n in _FIELDS
+                             if getattr(args, n, None) is not None}, base=base)
 
 
 def _attack_cfg(args, epsilon) -> AttackConfig:
@@ -75,9 +80,7 @@ def build_parser():
 
     p = sub.add_parser("train", help="train a model from a config and/or flags")
     p.add_argument("--config", default=None)
-    # every RunConfig key doubles as a --key flag (dashes for underscores)
-    for f in dataclasses.fields(RunConfig):
-        p.add_argument(f"--{f.name.replace('_', '-')}", dest=f.name, default=None)
+    _add_field_args(p, _FIELDS)
 
     p = sub.add_parser("evaluate", help="robust accuracy of a checkpoint under attacks")
     _add_attack_args(p, steps=50)
@@ -93,24 +96,9 @@ def build_parser():
     p.add_argument("--eps-grid", required=True, help="comma list, e.g. 0,0.02,0.05")
     p.add_argument("--out", default=None, help="csv path (default stdout)")
 
-    p = sub.add_parser("selection-stats", help="mean positive/negative counts per strategy")
-    p.add_argument("--strategy", default="global", choices=STRATEGIES)
-    p.add_argument("--batch-size", type=int, default=128)
-    p.add_argument("--classes", type=int, default=10)
-    p.add_argument("--trials", type=int, default=1000)
-    p.add_argument("--seed", type=int, default=0)
-
-    p = sub.add_parser("make-data", help="generate and save a synthetic dataset")
-    p.add_argument("--kind", required=True, choices=("blobs", "moons"))
-    p.add_argument("--out", required=True)
-    p.add_argument("--split", default="train", choices=("train", "test"))
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--classes", type=int, default=10)
-    p.add_argument("--per-class", type=int, default=20)
-    p.add_argument("--dims", type=int, default=16)
-    p.add_argument("--spread", type=float, default=0.08)
-    p.add_argument("--size", type=int, default=200)
-    p.add_argument("--noise", type=float, default=0.1)
+    p = sub.add_parser("make-data", help="write the train and test splits a run draws")
+    _add_field_args(p, _DATA_FIELDS)
+    p.add_argument("--out", required=True, help="directory for train.ds and test.ds")
     return parser
 
 
@@ -171,34 +159,15 @@ def _cmd_divergence(args):
     return 0
 
 
-def _cmd_selection_stats(args):
-    if args.trials < 1 or args.batch_size < 2 or args.classes < 1 or args.seed < 0:
-        raise ConfigError("selection-stats needs --trials >= 1, --batch-size >= 2, "
-                          "--classes >= 1 and --seed >= 0")
-    rng = np.random.default_rng(args.seed)
-    pos, neg = [], []
-    for _ in range(args.trials):
-        labels = rng.integers(0, args.classes, size=args.batch_size)
-        preds = None
-        if args.strategy != "global":
-            preds = rng.integers(0, args.classes, size=2 * args.batch_size)
-        p, n = selection_stats(args.strategy, labels, preds)
-        pos.append(p)
-        neg.append(n)
-    print(f"strategy={args.strategy} trials={args.trials} "
-          f"mean_pos={np.mean(pos):.2f} mean_neg={np.mean(neg):.2f}")
-    return 0
-
-
 def _cmd_make_data(args):
-    with _flag_values():
-        if args.kind == "blobs":
-            ds = make_blobs(args.classes, args.per_class, args.dims, args.spread,
-                            args.seed, split=args.split)
-        else:
-            ds = make_two_moons(args.size, args.noise, args.seed, split=args.split)
-    save_dataset(ds, args.out)
-    print(f"wrote {args.out} ({len(ds)} samples, {ds.dim} dims, {ds.num_classes} classes)")
+    cfg = _run_config(args)
+    if cfg.dataset not in ("moons", "blobs"):
+        raise ConfigError(f"make-data draws moons or blobs, not {cfg.dataset!r}")
+    os.makedirs(args.out, exist_ok=True)
+    for ds in cfg.build_datasets():
+        path = os.path.join(args.out, f"{ds.split}.ds")
+        save_dataset(ds, path)
+        print(f"wrote {path} ({len(ds)} samples, {ds.dim} dims, {ds.num_classes} classes)")
     return 0
 
 
@@ -207,7 +176,6 @@ _COMMANDS = {
     "evaluate": _cmd_evaluate,
     "attack": _cmd_attack,
     "divergence": _cmd_divergence,
-    "selection-stats": _cmd_selection_stats,
     "make-data": _cmd_make_data,
 }
 

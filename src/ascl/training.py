@@ -111,7 +111,6 @@ class MetricsWriter:
     runs leave their partial metrics behind."""
 
     def __init__(self, path):
-        self.path = path
         self._fh = open(path, "w", newline="")
         self._fh.write(METRICS_SCHEMA + "\n")
         self._writer = csv.writer(self._fh)

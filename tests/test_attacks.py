@@ -6,8 +6,7 @@ from scipy.stats import kstest
 
 import ascl.attacks
 from ascl.attacks import (AttackConfig, _ball_clamp, _input_gradient, _random_start,
-                          attack_by_name, multi_targeted_pgd, pgd_attack, project_linf,
-                          robust_accuracy)
+                          attack_by_name, multi_targeted_pgd, pgd_attack, robust_accuracy)
 from ascl.config import RunConfig
 from ascl.errors import ContractError
 from ascl.models import MLPClassifier, ModelSpec
@@ -265,6 +264,18 @@ class TestInputGradient:
         assert _bitwise_equal(_input_gradient(model, x, y), _numpy_input_gradient(model, x, y))
         # no parameter VJP runs
         assert calls == []
+
+
+def project_linf(x_adv, x_orig, epsilon, clip_range=(0.0, 1.0)):
+    """Clamp x_adv into the epsilon ball around x_orig, then into clip_range:
+    the oracle for ``_ball_clamp`` and, through ``_reference_pgd``, for PGD."""
+    if epsilon < 0:
+        raise ContractError("epsilon must be nonnegative")
+    x_adv = np.asarray(x_adv, dtype=np.float64)
+    x_orig = np.asarray(x_orig, dtype=np.float64)
+    lo, hi = clip_range
+    out = np.minimum(np.maximum(x_adv, x_orig - epsilon), x_orig + epsilon)
+    return np.clip(out, lo, hi)
 
 
 def _reference_pgd(model, x, y, cfg, seed=0, targets=None):

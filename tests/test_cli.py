@@ -1,3 +1,4 @@
+import csv
 from pathlib import Path
 
 import numpy as np
@@ -44,16 +45,16 @@ def test_missing_checkpoint_is_a_runtime_failure(files, tmp_path):
     ["attack", "--eps", "-1"],
     ["divergence", "--eps-grid", "0,x"],
     ["divergence", "--eps-grid", "0,-0.1"],
-    ["selection-stats", "--batch-size", "1"],
-    ["selection-stats", "--classes", "0"],
-    ["selection-stats", "--trials", "0"],
-    ["selection-stats", "--seed", "-1"],
-    ["make-data", "--kind", "moons", "--size", "1"],
-    ["make-data", "--kind", "blobs", "--classes", "0"],
-    # sweep is not a subcommand: its former flag cases are usage errors too
+    ["make-data", "--data-size", "1"],
+    ["make-data", "--dataset", "blobs", "--data-classes", "0"],
+    # make-data draws a generator's splits; a dataset file is not one
+    ["make-data", "--dataset", "d.ds"],
+    # sweep and selection-stats are not subcommands: their former flag
+    # cases are usage errors too
     ["sweep", "--lambda-scl-grid", "x"],
     ["sweep", "--lambda-vat-grid=-1"],
     ["sweep", "--strategies", "foo"],
+    ["selection-stats", "--batch-size", "1"],
     # NaN fails every range check, and a negative count or seed is rejected
     ["train", "--lambda-scl", "nan"],
     ["train", "--lambda-vat", "nan"],
@@ -87,7 +88,7 @@ def test_missing_checkpoint_is_a_runtime_failure(files, tmp_path):
 def test_bad_flag_value_is_a_usage_error(tmp_path, capsys, argv):
     missing = ["--checkpoint", str(tmp_path / "m.ckpt"), "--data", str(tmp_path / "d.ds")]
     extra = {"evaluate": missing, "attack": missing, "divergence": missing,
-             "make-data": ["--out", str(tmp_path / "out.ds")],
+             "make-data": ["--out", str(tmp_path / "data")],
              "train": ["--output-dir", str(tmp_path / "runs"), "--epochs", "1"]}
     assert cli(argv + extra.get(argv[0], [])) == 1
     assert capsys.readouterr().err.startswith("usage error: ")
@@ -149,12 +150,37 @@ def test_attack_scores_each_sample_once(files, tmp_path, monkeypatch, capsys, at
     assert printed == f"{(preds == adv.labels).mean():.4f}"
 
 
-@pytest.mark.parametrize("strategy,pos,neg", [
-    ("global", "26.24", "100.76"), ("hard", "26.24", "20.13"),
-    ("soft", "26.24", "20.11"), ("leaked", "6.06", "20.11"),
-])
-def test_selection_stats_output_is_pinned(capsys, strategy, pos, neg):
-    assert cli(["selection-stats", "--strategy", strategy, "--trials", "200",
-                "--batch-size", "64", "--classes", "5", "--seed", "4"]) == 0
-    assert capsys.readouterr().out == (
-        f"strategy={strategy} trials=200 mean_pos={pos} mean_neg={neg}\n")
+def _flags(command):
+    sub = next(a for a in build_parser()._actions if a.dest == "command")
+    return {s for a in sub.choices[command]._actions for s in a.option_strings} - {"-h", "--help"}
+
+
+def test_make_data_takes_exactly_the_data_flags_of_train():
+    data = {f for f in _flags("train") if f == "--dataset" or f.startswith("--data-")}
+    assert "--data-seed" in data and "--dataset-test" not in data
+    assert _flags("make-data") == data | {"--out"}
+
+
+def _metrics_rows(run):
+    lines = (run / "metrics.csv").read_text().splitlines()[1:]  # after the schema line
+    return [{k: v for k, v in row.items() if k != "wall_time_s"} for row in csv.DictReader(lines)]
+
+
+@pytest.mark.parametrize("data", [
+    ["--dataset", "moons", "--data-size", "40", "--data-noise", "0.2", "--data-seed", "5"],
+    ["--dataset", "blobs", "--data-classes", "3", "--data-per-class", "12", "--data-dims", "4",
+     "--data-spread", "0.3", "--data-seed", "5"],
+], ids=lambda argv: argv[1])
+def test_make_data_writes_the_splits_train_draws(tmp_path, data):
+    out = tmp_path / "data"
+    assert cli(["make-data", *data, "--out", str(out)]) == 0
+    run = ["train", "--epochs", "2", "--batch-size", "16", "--hidden-layers", "8",
+           "--train-steps", "2", "--eval-steps", "3", "--seed", "3"]
+    assert cli([*run, *data, "--output-dir", str(tmp_path / "drawn")]) == 0
+    assert cli([*run, "--dataset", str(out / "train.ds"), "--dataset-test", str(out / "test.ds"),
+                "--output-dir", str(tmp_path / "read")]) == 0
+    drawn, read = tmp_path / "drawn", tmp_path / "read"
+    assert (drawn / "model.ckpt").read_bytes() == (read / "model.ckpt").read_bytes()
+    rows = _metrics_rows(read)
+    assert len(rows) == 4 and _metrics_rows(drawn) == rows
+    assert [load_dataset(out / f"{s}.ds").split for s in ("train", "test")] == ["train", "test"]
