@@ -184,3 +184,32 @@ def test_make_data_writes_the_splits_train_draws(tmp_path, data):
     rows = _metrics_rows(read)
     assert len(rows) == 4 and _metrics_rows(drawn) == rows
     assert [load_dataset(out / f"{s}.ds").split for s in ("train", "test")] == ["train", "test"]
+
+
+def _train_rows(tmp_path, strategy):
+    run = tmp_path / strategy
+    assert cli(["train", "--strategy", strategy, "--dataset", "blobs", "--data-classes", "3",
+                "--data-per-class", "12", "--data-dims", "4", "--data-spread", "0.2",
+                "--epochs", "2", "--lr", "0.02", "--batch-size", "12", "--hidden-layers", "8",
+                "--train-steps", "2", "--eval-steps", "3", "--output-dir", str(run)]) == 0
+    rows = _metrics_rows(run)
+    assert [r["split"] for r in rows] == ["train", "test"] * 2
+    assert all(r["mean_pos"] == r["mean_neg"] == "" for r in rows[1::2])
+    return [(float(r["mean_pos"]), float(r["mean_neg"])) for r in rows[::2]]
+
+
+# the counts `ascl selection-stats` printed for random labels are a run's
+# own in every train row: 3 batches of 12 per epoch, so 2 * 12 - 1 slots
+@pytest.mark.parametrize("strategy", ["global", "hard", "soft", "leaked"])
+def test_train_rows_report_the_selection_counts(tmp_path, strategy):
+    counts = _train_rows(tmp_path, strategy)
+    full = counts if strategy == "global" else _train_rows(tmp_path, "global")
+    for (pos, neg), (full_pos, full_neg) in zip(counts, full):
+        assert 1.0 <= pos <= full_pos and 0.0 <= neg <= full_neg
+        assert full_pos + full_neg == pytest.approx(23.0)
+        if strategy in ("hard", "soft"):  # these keep every positive
+            assert pos == full_pos
+    if strategy != "global":  # each filtered strategy drops negatives, leaked positives too
+        assert sum(neg for _, neg in counts) < sum(neg for _, neg in full)
+        fewer_pos = sum(pos for pos, _ in counts) < sum(pos for pos, _ in full)
+        assert fewer_pos == (strategy == "leaked")
