@@ -13,6 +13,10 @@ and every op on the input-gradient path works row by row, so attacking
 a subset of rows gives exactly those rows of the whole batch's attack:
 any batching, serial or per-sample-parallel evaluation agree bitwise.
 Targeted runs reuse the same start.
+
+A model provides ``input_gradient(x, labels)`` (d/dx of the summed
+cross-entropy) for every PGD step, ``encode``/``classify``/``forward`` for
+scoring, and ``spec.num_classes`` for multi-targeted PGD.
 """
 
 from __future__ import annotations
@@ -22,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ContractError
-from .tensor import Tensor, cross_entropy
+from .tensor import Tensor, check_labels, cross_entropy
 
 __all__ = [
     "AttackConfig",
@@ -105,13 +109,6 @@ def _ball_clamp(x, epsilon, clip_range):
     return lambda v: np.minimum(hi, np.maximum(lo, v, out=v), out=v)
 
 
-def _input_gradient(model, x_adv, labels):
-    """Gradient of summed cross-entropy against ``labels`` at x_adv, from a
-    backward toward the input alone."""
-    xt = Tensor(x_adv, requires_grad=True)
-    return cross_entropy(model.forward(xt), labels).sum().backward((xt,))[0]
-
-
 def _checked(x, cfg):
     x = np.array(x, dtype=np.float64)
     if not np.all((x >= cfg.clip_range[0]) & (x <= cfg.clip_range[1])):
@@ -151,10 +148,7 @@ def _pgd(model, x, goal, targeted, cfg, seed, indices):
         x_adv = x.copy()
 
     for _ in range(cfg.steps):
-        grad = _input_gradient(model, x_adv, goal)
-        if grad is None:
-            break
-        step = np.sign(grad)
+        step = np.sign(model.input_gradient(x_adv, goal))
         # x - eta * s and x + (-eta) * s are the same IEEE result
         step *= -cfg.eta if targeted else cfg.eta
         x_adv += step
@@ -234,8 +228,7 @@ def robust_accuracy(model, features, labels, attack, cfg: AttackConfig,
         if latents is not None:
             latents.append(z.data)
         logits = model.classify(z).data
-        if not np.all((yb >= 0) & (yb < logits.shape[1])):
-            raise ContractError("labels must lie in [0, number of classes)")
+        check_labels(yb, logits.shape[1])
         preds = np.argmax(logits, axis=1)
         correct += int((preds == yb).sum())
         # free the batch's graph before the next batch's attack: held across

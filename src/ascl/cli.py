@@ -160,9 +160,9 @@ def _cmd_divergence(args):
 
 
 def _cmd_make_data(args):
+    if args.dataset not in (None, "moons", "blobs"):
+        raise ConfigError(f"make-data draws moons or blobs, not {args.dataset!r}")
     cfg = _run_config(args)
-    if cfg.dataset not in ("moons", "blobs"):
-        raise ConfigError(f"make-data draws moons or blobs, not {cfg.dataset!r}")
     os.makedirs(args.out, exist_ok=True)
     for ds in cfg.build_datasets():
         path = os.path.join(args.out, f"{ds.split}.ds")

@@ -18,7 +18,7 @@ __all__ = ["RunConfig", "parse_config_file", "config_from_dict"]
 
 @dataclass
 class RunConfig:
-    # dataset: "moons", "blobs", or a dataset file path
+    # dataset: "moons", "blobs", or a train-split file path (then dataset_test is required)
     dataset: str = "moons"
     dataset_test: str = ""
     data_size: int = 200
@@ -92,6 +92,8 @@ class RunConfig:
             elif self.dataset == "blobs":
                 check_blobs(self.data_classes, self.data_per_class, self.data_dims,
                             self.data_spread)
+            elif not self.dataset_test:
+                raise ConfigError("a dataset file needs a dataset_test file to evaluate on")
         except ContractError as e:
             raise ConfigError(str(e)) from e
 
@@ -125,8 +127,9 @@ class RunConfig:
             test = make_blobs(self.data_classes, self.data_per_class, self.data_dims,
                               self.data_spread, self.data_seed + 1, split="test")
         else:
-            train = load_dataset(self.dataset)
-            test = load_dataset(self.dataset_test) if self.dataset_test else train
+            train, test = load_dataset(self.dataset), load_dataset(self.dataset_test)
+            if train.split != "train":
+                raise ConfigError(f"{self.dataset} holds a {train.split} split, not a train split")
         return train, test
 
     def to_dict(self) -> dict:

@@ -10,14 +10,9 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .errors import ConfigError, DimensionError, FormatError
-from .tensor import Tensor, affine
+from .tensor import Tensor, affine, check_labels
 
-__all__ = [
-    "ModelSpec",
-    "MLPClassifier",
-    "save_model",
-    "load_model",
-]
+__all__ = ["ModelSpec", "MLPClassifier", "save_model", "load_model"]
 
 PROJECTION_KINDS = ("identity", "linear", "two_layer")
 
@@ -115,6 +110,33 @@ class MLPClassifier:
 
     def forward(self, x) -> Tensor:
         return self.classify(self.encode(x))
+
+    def input_gradient(self, x, labels) -> np.ndarray:
+        """d/dx of the summed cross-entropy of ``forward(x)`` against ``labels``, in one
+        numpy pass that builds no Tensor: the engine's float ops in its order, so the
+        result equals the engine's backward bit for bit, sign bits included."""
+        h, masks = np.asarray(x, dtype=np.float64), []
+        if h.ndim != 2 or h.shape[1] != self.spec.input_dim:
+            raise DimensionError(
+                f"input_gradient expects shape (N, {self.spec.input_dim}), got {h.shape}")
+        for w, b in self.hidden:
+            a = h @ w.data
+            a += b.data
+            masks.append(a > 0.0)
+            h = np.maximum(a, 0.0, out=a)
+        z = h @ self.cls_w.data
+        z += self.cls_b.data
+        labels = check_labels(labels, z.shape[1])
+        # softmax as in tensor._lse_softmax, minus the one-hot of the labels
+        z -= np.maximum.reduce(z, axis=1, keepdims=True)
+        np.exp(z, out=z)
+        z /= np.add.reduce(z, axis=1, keepdims=True)
+        z[np.arange(z.shape[0]), labels] -= 1.0
+        g = z @ self.cls_w.data.T
+        for (w, _), mask in zip(reversed(self.hidden), reversed(masks)):
+            g *= mask
+            g = g @ w.data.T
+        return g
 
     def project(self, z) -> Tensor:
         """Map the latent into the contrastive space per the configured head."""

@@ -263,6 +263,15 @@ def affine(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     return Tensor._make(out, (x, w, b), (lambda g: g @ m.T, lambda g: a.T @ g, lambda g: g))
 
 
+def check_labels(labels, num_classes):
+    """``labels`` as an intp array; ContractError unless each lies in [0, num_classes)."""
+    labels = np.asarray(labels, dtype=np.intp)
+    # viewed as unsigned, a negative label lies above every class index
+    if np.count_nonzero(labels.view(np.uintp) >= num_classes):
+        raise ContractError("labels must lie in [0, number of classes)")
+    return labels
+
+
 def cross_entropy(logits: Tensor, labels) -> Tensor:
     """Per-row cross-entropy of a 2-D logit tensor against integer labels, (N,).
 
@@ -272,10 +281,7 @@ def cross_entropy(logits: Tensor, labels) -> Tensor:
     apart: ``(soft - onehot) * g``, or ``-g`` at the labels alone, would differ.
     """
     logits._check_axis(1)
-    labels = np.asarray(labels, dtype=np.intp)
-    # viewed as unsigned, a negative label lies above every class index
-    if np.count_nonzero(labels.view(np.uintp) >= logits.shape[1]):
-        raise ContractError("cross_entropy labels must lie in [0, number of classes)")
+    labels = check_labels(labels, logits.shape[1])
     lse, soft = _lse_softmax(logits.data, 1)
     rows = np.arange(logits.shape[0])
     onehot = np.zeros(logits.shape)

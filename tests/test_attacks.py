@@ -1,24 +1,32 @@
+import traceback
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.stats import kstest
 
-import ascl.attacks
-from ascl.attacks import (AttackConfig, _ball_clamp, _input_gradient, _random_start,
-                          attack_by_name, multi_targeted_pgd, pgd_attack, robust_accuracy)
+from ascl.attacks import (AttackConfig, _ball_clamp, _random_start, attack_by_name,
+                          multi_targeted_pgd, pgd_attack, robust_accuracy)
 from ascl.config import RunConfig
-from ascl.errors import ContractError
+from ascl.errors import ContractError, DimensionError
 from ascl.models import MLPClassifier, ModelSpec
-from ascl.tensor import Tensor
+from ascl.tensor import Tensor, cross_entropy
 from ascl.training import train
 from mtpgd_loop import multi_targeted_pgd_loop
-from vjp_spy import count_vjps_toward
 
 
 def _softmax(logits):
     e = np.exp(logits - logits.max(axis=1, keepdims=True))
     return e / e.sum(axis=1, keepdims=True)
+
+
+def engine_input_gradient(model, x, labels):
+    """Gradient of summed cross-entropy against ``labels`` at x, from the
+    engine's backward toward the input alone: the oracle for
+    ``MLPClassifier.input_gradient``."""
+    xt = Tensor(x, requires_grad=True)
+    return cross_entropy(model.forward(xt), labels).sum().backward((xt,))[0]
 
 
 class LinearLogistic:
@@ -36,6 +44,9 @@ class LinearLogistic:
 
     def forward(self, x):
         return self.classify(self.encode(x))
+
+    def input_gradient(self, x, labels):
+        return engine_input_gradient(self, x, labels)
 
 
 @pytest.fixture(scope="module")
@@ -233,37 +244,78 @@ def _bitwise_equal(a, b):
     return np.array_equal(a, b) and np.array_equal(np.signbit(a), np.signbit(b))
 
 
-def _numpy_input_gradient(model, x, labels):
-    """Input gradient of summed cross-entropy through the MLP, forward and
-    backward written out in numpy with the engine's float ops: the floor
-    that ``_input_gradient`` is measured against."""
-    h, pre = x, []
-    for w, b in model.hidden:
-        a = h @ w.data + b.data
-        pre.append(a)
-        h = np.maximum(a, 0.0)
-    z = h @ model.cls_w.data + model.cls_b.data
-    shifted = np.exp(z - z.max(axis=1, keepdims=True))
-    g = shifted / shifted.sum(axis=1, keepdims=True)
-    g[np.arange(len(labels)), labels] -= 1.0
-    g = g @ model.cls_w.data.T
-    for (w, _), a in zip(reversed(model.hidden), reversed(pre)):
-        g = (g * (a > 0.0)) @ w.data.T
-    return g
+def _count_tensors(monkeypatch):
+    """Patch ``Tensor.__init__`` to record, per Tensor built, the names of the
+    functions on the stack."""
+    calls = []
+    real = Tensor.__init__
+
+    def counting(self, *args, **kwargs):
+        calls.append({frame.name for frame in traceback.extract_stack()})
+        real(self, *args, **kwargs)
+
+    monkeypatch.setattr(Tensor, "__init__", counting)
+    return calls
 
 
 class TestInputGradient:
     @pytest.mark.parametrize("hidden,classes", [((32, 32), 10), ((8,), 2), ((8, 6, 5), 3)])
-    def test_equals_numpy_oracle_bitwise(self, hidden, classes, monkeypatch):
+    @pytest.mark.parametrize("n", [50, 1])
+    def test_equals_engine_bitwise(self, hidden, classes, n):
         model = MLPClassifier(ModelSpec(input_dim=16, hidden_layers=hidden, num_classes=classes),
                               seed=len(hidden))
         rng = np.random.default_rng(classes)
-        x = rng.uniform(size=(50, 16))
-        y = rng.integers(0, classes, size=50)
-        calls = count_vjps_toward(monkeypatch, model.parameters)
-        assert _bitwise_equal(_input_gradient(model, x, y), _numpy_input_gradient(model, x, y))
-        # no parameter VJP runs
+        x = rng.uniform(size=(n, 16))
+        y = rng.integers(0, classes, size=n)
+        assert _bitwise_equal(model.input_gradient(x, y), engine_input_gradient(model, x, y))
+
+    @pytest.mark.parametrize("hidden,classes", [((32, 32), 10), ((8,), 2), ((8, 6, 5), 3)])
+    def test_zero_pre_activation_equals_engine_bitwise(self, hidden, classes):
+        # biases start at zero, so a zero row has pre-activation exactly 0 in
+        # every layer, where the relu mask must hold False
+        model = MLPClassifier(ModelSpec(input_dim=16, hidden_layers=hidden, num_classes=classes),
+                              seed=len(hidden))
+        rng = np.random.default_rng(classes)
+        x = rng.uniform(size=(6, 16))
+        x[[0, 3]] = 0.0
+        y = rng.integers(0, classes, size=6)
+        got = model.input_gradient(x, y)
+        assert _bitwise_equal(got, engine_input_gradient(model, x, y))
+        assert np.all(got[[0, 3]] == 0.0)
+        assert _bitwise_equal(model.input_gradient(x[:1], y[:1]),
+                              engine_input_gradient(model, x[:1], y[:1]))
+
+    @pytest.mark.parametrize("bad", [-1, 3])
+    def test_label_outside_the_classes_is_a_contract_error(self, toy_model, toy_batch, bad):
+        x, y = toy_batch
+        y = y.copy()
+        y[4] = bad
+        with pytest.raises(ContractError, match="labels must lie"):
+            toy_model.input_gradient(x, y)
+        with pytest.raises(ContractError, match="labels must lie"):
+            pgd_attack(toy_model, x, y, AttackConfig(epsilon=0.05, eta=0.01, steps=2))
+
+    @pytest.mark.parametrize("shape", [(16, 3), (4,), (2, 4, 1)])
+    def test_wrong_shape_is_a_dimension_error(self, toy_model, shape):
+        with pytest.raises(DimensionError):
+            toy_model.input_gradient(np.zeros(shape), np.zeros(shape[0], dtype=int))
+
+    def test_pgd_builds_no_tensor(self, toy_model, toy_batch, monkeypatch):
+        x, y = toy_batch
+        calls = _count_tensors(monkeypatch)
+        pgd_attack(toy_model, x, y, AttackConfig(epsilon=0.05, eta=0.01, steps=10), seed=3)
+        pgd_attack(toy_model, x, y, AttackConfig(epsilon=0.05, eta=0.01, steps=10), seed=3,
+                   targets=(y + 1) % 3)
         assert calls == []
+
+    def test_mtpgd_builds_tensors_only_to_score_candidates(self, toy_model, toy_batch,
+                                                           monkeypatch):
+        x, y = toy_batch
+        calls = _count_tensors(monkeypatch)
+        multi_targeted_pgd(toy_model, x, y, AttackConfig(epsilon=0.05, eta=0.01, steps=10),
+                           seed=3)
+        assert calls
+        assert all("multi_targeted_pgd" in names and "_pgd" not in names for names in calls)
 
 
 def project_linf(x_adv, x_orig, epsilon, clip_range=(0.0, 1.0)):
@@ -286,7 +338,7 @@ def _reference_pgd(model, x, y, cfg, seed=0, targets=None):
         noise = _random_start(seed, np.arange(len(x)), x.shape, cfg.epsilon)
         x_adv = project_linf(x + noise, x, cfg.epsilon, cfg.clip_range)
     for _ in range(cfg.steps):
-        grad = _input_gradient(model, x_adv, y if targets is None else targets)
+        grad = engine_input_gradient(model, x_adv, y if targets is None else targets)
         step = cfg.eta * np.sign(grad)
         x_adv = project_linf(x_adv + step if targets is None else x_adv - step,
                              x, cfg.epsilon, cfg.clip_range)
@@ -482,13 +534,15 @@ class TestMultiTargeted:
         y = np.array([0, 1, 2, 0, 2, 2, 1, 0, 0, 1, 2, 2])
         calls = []
 
+        real = MLPClassifier.input_gradient
+
         def spy(model, x_adv, labels):
             # the iterates stay at x: no random start and zero steps
             rows = [int(np.flatnonzero((x == r).all(axis=1))[0]) for r in x_adv]
             calls.append((rows, np.unique(labels).tolist()))
-            return _input_gradient(model, x_adv, labels)
+            return real(model, x_adv, labels)
 
-        monkeypatch.setattr(ascl.attacks, "_input_gradient", spy)
+        monkeypatch.setattr(MLPClassifier, "input_gradient", spy)
         cfg = AttackConfig(epsilon=0.05, eta=0.01, steps=3, random_init=False)
         got = multi_targeted_pgd(model, x, y, cfg, seed=4)
         assert got.tobytes() == x.tobytes()
@@ -505,7 +559,7 @@ class TestMultiTargeted:
         def refuse(*args):
             raise AssertionError("an attack pass ran on an invalid batch")
 
-        monkeypatch.setattr(ascl.attacks, "_input_gradient", refuse)
+        monkeypatch.setattr(MLPClassifier, "input_gradient", refuse)
         x, y = toy_batch
         x = x.copy()
         x[5, 2] = bad

@@ -81,6 +81,8 @@ def test_missing_checkpoint_is_a_runtime_failure(files, tmp_path):
     # an attack seed part must fit the random start's 64-bit key
     ["train", "--seed", str(2**64)],
     ["train", "--data-seed", str(2**64)],
+    # a dataset file with no test file would be evaluated on itself
+    ["train", "--dataset", "d.ds"],
     ["evaluate", "--seed", str(2**64)],
     ["attack", "--seed", str(2**64)],
     ["divergence", "--eps-grid", "0,0.1", "--seed", str(2**64)],
@@ -97,13 +99,23 @@ def test_bad_flag_value_is_a_usage_error(tmp_path, capsys, argv):
 
 @pytest.mark.parametrize("command", ["train", "evaluate"])
 def test_malformed_dataset_file_is_a_runtime_failure(files, tmp_path, command):
-    _, _, _, ckpt = files
+    _, _, data, ckpt = files
     bad = tmp_path / "bad.ds"
     bad.write_bytes(b"not a dataset")
     run = tmp_path / "run"
-    argv = {"train": ["train", "--dataset", str(bad), "--epochs", "1", "--output-dir", str(run)],
+    argv = {"train": ["train", "--dataset", str(bad), "--dataset-test", data, "--epochs", "1",
+                      "--output-dir", str(run)],
             "evaluate": ["evaluate", "--checkpoint", ckpt, "--data", str(bad)]}[command]
     assert cli(argv) == 2
+    assert not run.exists()
+
+
+def test_training_on_a_test_split_file_is_a_usage_error(files, tmp_path, capsys):
+    _, _, data, _ = files
+    run = tmp_path / "run"
+    assert cli(["train", "--dataset", data, "--dataset-test", data, "--epochs", "1",
+                "--output-dir", str(run)]) == 1
+    assert capsys.readouterr().err.startswith("usage error: ")
     assert not run.exists()
 
 

@@ -4,6 +4,7 @@ import pytest
 
 from ascl.cli import cli
 from ascl.config import RunConfig, parse_config_file
+from ascl.data import save_dataset
 from ascl.errors import ConfigError
 
 NON_DEFAULT = RunConfig(dataset="blobs", data_classes=4, data_dims=6, hidden_layers=(16, 8, 4),
@@ -81,3 +82,20 @@ def test_malformed_values_are_usage_errors(tmp_path, flag, value):
     path.write_text(f"epochs = 0\n{flag[2:].replace('-', '_')} = {value}\n")
     assert cli(["train", "--config", str(path)] + out) == 1
     assert not (tmp_path / "run").exists()
+
+
+def test_dataset_file_needs_a_test_file():
+    with pytest.raises(ConfigError, match="dataset_test"):
+        RunConfig(dataset="train.ds")
+
+
+def test_training_file_must_hold_a_train_split(tmp_path):
+    train, test = RunConfig(dataset="blobs", data_classes=3, data_per_class=4,
+                            data_dims=2).build_datasets()
+    save_dataset(train, tmp_path / "train.ds")
+    save_dataset(test, tmp_path / "test.ds")
+    ok = RunConfig(dataset=str(tmp_path / "train.ds"), dataset_test=str(tmp_path / "test.ds"))
+    assert [ds.split for ds in ok.build_datasets()] == ["train", "test"]
+    swapped = RunConfig(dataset=str(tmp_path / "test.ds"), dataset_test=str(tmp_path / "train.ds"))
+    with pytest.raises(ConfigError, match="not a train split"):
+        swapped.build_datasets()
