@@ -45,13 +45,13 @@ class AttackConfig:
     clip_range: tuple = (0.0, 1.0)
 
     def __post_init__(self):
-        # written so that NaN fails them
+        # written so that NaN fails them; an infinite eta times sign(0) is NaN
         if not self.epsilon >= 0:
             raise ContractError("epsilon must be nonnegative")
         if self.steps < 0:
             raise ContractError("steps must be nonnegative")
-        if self.steps > 0 and not self.eta > 0:
-            raise ContractError("eta must be positive when steps > 0")
+        if self.steps > 0 and not 0 < self.eta < np.inf:
+            raise ContractError("eta must be positive and finite when steps > 0")
         if not self.clip_range[0] < self.clip_range[1]:
             raise ContractError("clip_range lower bound must be below upper bound")
 

@@ -83,7 +83,7 @@ class MLPClassifier:
             self.proj.append(self._add(_glorot(rng, spec.projection_mid, spec.projection_dim)))
 
     def _add(self, arr):
-        t = Tensor(np.asarray(arr, dtype=np.float64), requires_grad=True)
+        t = Tensor(arr)
         self._params.append(t)
         return t
 
@@ -190,6 +190,8 @@ def load_model(path) -> MLPClassifier:
         if len(blob) < off + nbytes:
             raise FormatError(f"truncated checkpoint at byte {len(blob)} (expected weights at {off})")
         arr = np.frombuffer(blob, dtype="<f8", count=p.data.size, offset=off)
+        if bad := np.flatnonzero(~np.isfinite(arr)).tolist():
+            raise FormatError(f"non-finite weight at byte {off + 8 * bad[0]}")
         p.data = arr.reshape(p.data.shape).astype(np.float64)
         off += nbytes
     if off != len(blob):

@@ -1,10 +1,10 @@
 """Dense float64 tensors with reverse-mode automatic differentiation.
 
-Ops record a computation graph as they run; ``root.backward(inputs)`` on a
-scalar root walks the graph once in reverse topological order and returns
-d(root)/d(input) for each of ``inputs``. Gradients live only in that walk:
-no tensor keeps gradient state, so a graph can be walked again, and a
-caller that wants the sum of two walks adds their results.
+Ops record a computation graph as they run, whatever their operands.
+``root.backward(inputs)`` on a scalar root walks it once in reverse
+topological order and returns d(root)/d(input) for each of ``inputs``, so
+the request alone says what is differentiated. No tensor keeps gradient
+state, so a graph can be walked again; to sum two walks, add their results.
 
 Each op states its forward value and one vector-Jacobian product (VJP)
 per input: a map from the output's gradient to that input's share.
@@ -28,11 +28,10 @@ __all__ = ["Tensor", "affine", "concat", "log_softmax", "cross_entropy", "pairwi
 class Tensor:
     """A float64 array plus graph linkage."""
 
-    __slots__ = ("data", "requires_grad", "_parents", "_vjps")
+    __slots__ = ("data", "_parents", "_vjps")
 
-    def __init__(self, data, requires_grad: bool = False):
+    def __init__(self, data):
         self.data = np.asarray(data, dtype=np.float64)
-        self.requires_grad = requires_grad
         self._parents = ()
         self._vjps = ()
 
@@ -46,7 +45,7 @@ class Tensor:
         return self.data.item()
 
     def __repr__(self):
-        return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
+        return f"Tensor(shape={self.shape})"
 
     # -- graph plumbing ----------------------------------------------------
 
@@ -54,25 +53,18 @@ class Tensor:
     def _make(data, parents, vjps):
         """A node whose ``vjps[k]`` maps its gradient to ``parents[k]``'s."""
         out = Tensor(data)
-        # a plain loop: any() over a generator adds a frame per op
-        for p in parents:
-            if p.requires_grad:
-                out.requires_grad = True
-                out._parents = tuple(parents)
-                out._vjps = vjps
-                break
+        out._parents = parents
+        out._vjps = vjps
         return out
 
     def backward(self, inputs):
         """d(root)/d(t) for each ``t`` in ``inputs``, as a list; ``None`` for
         one the root does not reach. One walk over the interior nodes; only VJPs
-        toward nodes that lead to an input run. The root must be a scalar, and
-        each input require grad. Returned arrays may share memory: do not write to them.
+        toward nodes that lead to an input run. The root must be a scalar; any
+        tensor may be an input. Returned arrays may share memory: do not write to them.
         """
         if self.data.ndim != 0:
             raise ContractError(f"backward() root must be scalar, got shape {self.shape}")
-        if not all(t.requires_grad for t in inputs):
-            raise ContractError("backward() inputs must require grad")
         requested = {id(t) for t in inputs}
         wanted = set(requested)
 
@@ -252,10 +244,9 @@ def log_softmax(logits: Tensor) -> Tensor:
 
 def affine(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     """``x @ w + b`` as one node, for ``x`` (N, d), ``w`` (d, k) and a bias
-    of shape (1, k), broadcast over rows, or (N, k)."""
+    ``b`` (1, k), broadcast over rows."""
     a, m = x.data, w.data
-    if (a.ndim != 2 or m.ndim != 2 or a.shape[1] != m.shape[0]
-            or b.shape not in ((1, m.shape[1]), (a.shape[0], m.shape[1]))):
+    if a.ndim != 2 or m.ndim != 2 or a.shape[1] != m.shape[0] or b.shape != (1, m.shape[1]):
         raise DimensionError(f"affine expects (N, d) @ (d, k) + (1, k), got "
                              f"{a.shape} @ {m.shape} + {b.shape}")
     out = a @ m

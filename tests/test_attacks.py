@@ -25,7 +25,7 @@ def engine_input_gradient(model, x, labels):
     """Gradient of summed cross-entropy against ``labels`` at x, from the
     engine's backward toward the input alone: the oracle for
     ``MLPClassifier.input_gradient``."""
-    xt = Tensor(x, requires_grad=True)
+    xt = Tensor(x)
     return cross_entropy(model.forward(xt), labels).sum().backward((xt,))[0]
 
 
@@ -79,6 +79,9 @@ class TestAttackConfig:
             AttackConfig(epsilon=-0.1)
         with pytest.raises(ContractError):
             AttackConfig(eta=0.0, steps=3)
+        for eta in (np.nan, np.inf):
+            with pytest.raises(ContractError, match="eta"):
+                AttackConfig(epsilon=0.05, eta=eta, steps=2)
         with pytest.raises(ContractError):
             AttackConfig(clip_range=(1.0, 0.0))
 
@@ -150,7 +153,7 @@ class TestPGD:
         cur = x.copy()
         onehot = np.eye(3)[y]
         for _ in range(cfg.steps):
-            xt = Tensor(cur, requires_grad=True)
+            xt = Tensor(cur)
             logits = toy_model.forward(xt)
             loss = -((logits - logits.log_sum_exp(axis=1, keepdims=True))
                      * Tensor(onehot)).sum()

@@ -1,6 +1,7 @@
 """``Tensor.backward`` against the reference walk in ``backward_walk.py``:
-bitwise-equal gradients and no more VJP calls, on the graphs that PGD and
-the training step walk."""
+bitwise-equal gradients and no more VJP calls, on the training step's graphs
+and on the cross-entropy graph that is the oracle for
+``MLPClassifier.input_gradient``."""
 
 from collections import Counter
 
@@ -22,8 +23,8 @@ REQUESTS = ["x", "params", "both", "latent"]
 
 
 def _graph(name):
-    """Root, model, the input tensors x and x_adv (x_adv requires grad too
-    but is never requested) and the encoder's outputs, natural one first."""
+    """Root, model, the input tensors x and x_adv (x_adv is never requested)
+    and the encoder's outputs, natural one first."""
     kind, *rest = name.split("-")
     projection = rest[2] if rest else "identity"
     model = MLPClassifier(ModelSpec(input_dim=5, hidden_layers=(7, 6), num_classes=3,
@@ -32,8 +33,8 @@ def _graph(name):
     rng = np.random.default_rng(4)
     x = rng.uniform(0.1, 0.9, size=(8, 5))
     y = rng.integers(0, 3, size=8)
-    xt = Tensor(x, requires_grad=True)
-    xat = Tensor(x + rng.uniform(-0.05, 0.05, size=x.shape), requires_grad=True)
+    xt = Tensor(x)
+    xat = Tensor(x + rng.uniform(-0.05, 0.05, size=x.shape))
     latents = []
     encode = model.encode
     model.encode = lambda v: latents.append(encode(v)) or latents[-1]

@@ -67,6 +67,9 @@ def test_missing_checkpoint_is_a_runtime_failure(files, tmp_path):
     ["train", "--train-steps", "-2"],
     ["train", "--train-eps", "nan"],
     ["train", "--eval-eps", "nan"],
+    # an infinite step turns a zero gradient entry into NaN
+    ["train", "--train-eta", "inf"],
+    ["train", "--eval-eta", "inf"],
     ["train", "--seed", "-1"],
     ["train", "--data-seed", "-1"],
     ["train", "--data-size", "1"],
@@ -75,6 +78,7 @@ def test_missing_checkpoint_is_a_runtime_failure(files, tmp_path):
     ["train", "--dataset", "blobs", "--data-spread", "-1"],
     ["evaluate", "--steps", "-3"],
     ["evaluate", "--eps", "nan"],
+    ["evaluate", "--steps", "3", "--eta", "inf"],
     ["evaluate", "--seed", "-1"],
     ["attack", "--eps", "nan"],
     ["divergence", "--eps-grid", "0,nan"],
@@ -128,6 +132,17 @@ def test_nan_feature_in_a_dataset_file_is_a_runtime_failure(files, tmp_path, cap
     bad.write_bytes(bytes(blob))
     assert cli(["evaluate", "--checkpoint", ckpt, "--data", str(bad)]) == 2
     assert capsys.readouterr().err.startswith("error: FormatError: ")
+
+
+def test_nan_weight_in_a_checkpoint_is_a_runtime_failure(files, tmp_path, capsys):
+    _, _, data, ckpt = files
+    blob = bytearray(Path(ckpt).read_bytes())
+    # the classifier bias is the last array of the file
+    blob[-8:] = np.float64(np.nan).tobytes()
+    bad = tmp_path / "nan.ckpt"
+    bad.write_bytes(bytes(blob))
+    assert cli(["evaluate", "--checkpoint", str(bad), "--data", data, "--attack", "none,pgd"]) == 2
+    assert capsys.readouterr().err.startswith("error: FormatError: non-finite weight at byte ")
 
 
 @pytest.mark.parametrize("command,extra,eps,steps", [

@@ -167,6 +167,18 @@ class TestCheckpoint:
         with pytest.raises(FormatError, match="byte"):
             load_model(path)
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_weight(self, tmp_path, value):
+        path = tmp_path / "m.ckpt"
+        save_model(MLPClassifier(small_spec(), seed=0), path)
+        blob = bytearray(path.read_bytes())
+        # the classifier bias (1, 3) is the last array; edit its second entry
+        at = len(blob) - 16
+        blob[at:at + 8] = np.float64(value).tobytes()
+        path.write_bytes(bytes(blob))
+        with pytest.raises(FormatError, match=f"non-finite weight at byte {at}$"):
+            load_model(path)
+
     @pytest.mark.parametrize("edit", [{"extra": 1}, {"input_dim": "3"}, {"hidden_layers": ["a"]}])
     def test_bad_spec_record(self, tmp_path, edit):
         path = tmp_path / "m.ckpt"

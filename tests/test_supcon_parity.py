@@ -22,7 +22,7 @@ def assert_close(got, want):
 
 
 def pool_value_and_grad(fn, pool, masks, weights):
-    t = Tensor(pool, requires_grad=True)
+    t = Tensor(pool)
     loss = fn(t, *masks, weights)
     return loss.item(), loss.backward((t,))[0]
 
@@ -95,7 +95,7 @@ def test_total_loss_parameter_gradients(strategy, sim, monkeypatch):
 def test_zero_latent_row_is_defined():
     # slot 0 is all zero: its cosine similarity to every slot is 0
     pool = np.array([[0.0, 0.0], [1.0, 2.0], [0.5, -1.0], [2.0, 0.1]])
-    t = Tensor(pool, requires_grad=True)
+    t = Tensor(pool)
     w = LossWeights()
     loss = supcon_batch(t, *selection_masks("global", [0, 1]), w)
     assert np.all(np.isfinite(loss.backward((t,))[0]))
