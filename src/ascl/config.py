@@ -38,6 +38,7 @@ class RunConfig:
     lambda_scl: float = 1.0
     lambda_vat: float = 2.0
     tau: float = 0.07
+    # "cosine" is the one legal value; the field stays because bench/workloads.py passes it
     similarity: str = "cosine"
     nat_ce: bool = True
     use_vat: bool = True
@@ -68,6 +69,8 @@ class RunConfig:
             raise ConfigError("eval_every must be nonnegative")
         if self.strategy not in STRATEGIES:
             raise ConfigError(f"strategy must be one of {STRATEGIES}")
+        if self.similarity != "cosine":
+            raise ConfigError(f"similarity must be 'cosine', got {self.similarity!r}")
         self.schedule = tuple((int(e), float(v)) for e, v in self.schedule)
         epochs = [e for e, _ in self.schedule]
         if epochs and epochs[0] < 1:
@@ -100,8 +103,7 @@ class RunConfig:
     # -- derived objects ---------------------------------------------------
 
     def loss_weights(self) -> LossWeights:
-        return LossWeights(lambda_scl=self.lambda_scl, lambda_vat=self.lambda_vat,
-                           tau=self.tau, similarity=self.similarity)
+        return LossWeights(lambda_scl=self.lambda_scl, lambda_vat=self.lambda_vat, tau=self.tau)
 
     def train_attack(self) -> AttackConfig:
         return AttackConfig(epsilon=self.train_eps, eta=self.train_eta, steps=self.train_steps)

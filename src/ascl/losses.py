@@ -19,7 +19,7 @@ positives but only those negatives predicted as the anchor's true label
 natural slot is judged by its natural prediction, an adversarial slot by
 its adversarial one.
 
-The contrastive loss works on one 2N x 2N similarity matrix. Anchor row
+The contrastive loss works on one 2N x 2N cosine similarity matrix. Anchor row
 ``a`` has a partner, its other view: slot ``i + N`` for anchor ``i`` and
 slot ``i`` for anchor ``i + N``. The numerator set is the positives plus
 the partner, the denominator set adds the negatives; the anchor itself is
@@ -35,7 +35,7 @@ import numpy as np
 
 from .errors import ContractError
 from .models import MLPClassifier
-from .tensor import Tensor, concat, cross_entropy, log_softmax, pairwise_lp
+from .tensor import Tensor, concat, cross_entropy, log_softmax
 
 __all__ = [
     "STRATEGIES",
@@ -56,33 +56,18 @@ STRATEGIES = ("global", "hard", "soft", "leaked")
 
 @dataclass(frozen=True)
 class LossWeights:
-    """Weights and similarity settings of the combined objective."""
+    """Weights and temperature of the combined objective."""
 
     lambda_scl: float = 1.0
     lambda_vat: float = 2.0
     tau: float = 0.07
-    similarity: str = "cosine"
 
     def __post_init__(self):
-        if not (self.lambda_scl >= 0 and self.lambda_vat >= 0):
-            raise ContractError("loss weights must be nonnegative")
-        if not self.tau > 0:
-            raise ContractError("temperature must be positive")
-        _parse_similarity(self.similarity)
-
-
-def _parse_similarity(name):
-    if name == "cosine":
-        return ("cosine", None)
-    if name.startswith("lp:"):
-        try:
-            p = float(name[3:])
-        except ValueError as e:
-            raise ContractError(f"lp similarity needs a number p, got {name!r}") from e
-        if not p >= 1:
-            raise ContractError("lp similarity requires p >= 1")
-        return ("lp", p)
-    raise ContractError(f"similarity must be 'cosine' or 'lp:<p>', got {name!r}")
+        # written so that NaN fails them; an infinite tau flattens the SupCon term to a constant
+        if not (0 <= self.lambda_scl < np.inf and 0 <= self.lambda_vat < np.inf):
+            raise ContractError("loss weights must be finite and nonnegative")
+        if not 0 < self.tau < np.inf:
+            raise ContractError("temperature must be finite and positive")
 
 
 @dataclass
@@ -146,15 +131,12 @@ def selection_stats(strategy, labels, preds=None):
     return _mean_counts(*selection_masks(strategy, labels, preds))
 
 
-def _similarity_matrix(pool: Tensor, weights) -> Tensor:
-    """Pairwise similarities of the pool's rows, (2N, h) -> (2N, 2N)."""
-    kind, p = _parse_similarity(weights.similarity)
-    if kind == "cosine":
-        norms = (pool * pool).sum(axis=1, keepdims=True).sqrt()
-        # an all-zero row stays zero: similarity 0 to every slot
-        unit = pool / (norms + Tensor(norms.data == 0.0))
-        return unit @ unit.transpose()
-    return -(pairwise_lp(pool, p) ** (1.0 / p))
+def _similarity_matrix(pool: Tensor) -> Tensor:
+    """Pairwise cosine similarities of the pool's rows, (2N, h) -> (2N, 2N)."""
+    norms = (pool * pool).sum(axis=1, keepdims=True).sqrt()
+    # an all-zero row stays zero: similarity 0 to every slot
+    unit = pool / (norms + Tensor(norms.data == 0.0))
+    return unit @ unit.transpose()
 
 
 def supcon_batch(pool: Tensor, pos, neg, weights: LossWeights) -> Tensor:
@@ -172,7 +154,7 @@ def supcon_batch(pool: Tensor, pos, neg, weights: LossWeights) -> Tensor:
     partner = np.roll(np.eye(2 * n, dtype=bool), n, axis=1)
     num = np.tile(pos, (2, 1)) | partner
     den = num | np.tile(neg, (2, 1))
-    sims = _similarity_matrix(pool, weights) / weights.tau
+    sims = _similarity_matrix(pool) / weights.tau
     lse = (sims + Tensor(np.where(den, 0.0, -np.inf))).log_sum_exp(axis=1)
     num_mean = (sims * Tensor(num / num.sum(axis=1, keepdims=True))).sum(axis=1)
     return (lse - num_mean).sum() / float(n)

@@ -22,7 +22,7 @@ import numpy as np
 
 from .errors import ContractError, DimensionError, DomainError
 
-__all__ = ["Tensor", "affine", "concat", "log_softmax", "cross_entropy", "pairwise_lp"]
+__all__ = ["Tensor", "affine", "concat", "log_softmax", "cross_entropy"]
 
 
 class Tensor:
@@ -157,9 +157,6 @@ class Tensor:
         return Tensor._make(a / b, (self, other),
                             (lambda g: g / b, lambda g: -g * a / (b * b)))
 
-    def __neg__(self):
-        return Tensor._make(-self.data, (self,), (lambda g: -g,))
-
     def __pow__(self, exponent):
         e = float(exponent)
         if e != int(e) and np.any(self.data < 0.0):
@@ -292,32 +289,3 @@ def concat(tensors):
     offsets = np.cumsum([0] + [t.data.shape[0] for t in tensors])
     vjps = tuple((lambda g, lo=lo, hi=hi: g[lo:hi]) for lo, hi in zip(offsets[:-1], offsets[1:]))
     return Tensor._make(np.concatenate([t.data for t in tensors]), tuple(tensors), vjps)
-
-
-def pairwise_lp(x, p: float):
-    """``sum_k |x[a, k] - x[b, k]|**p`` for every pair of rows of a 2-D
-    tensor, (M, h) -> (M, M): the p-th power of the Lp distance.
-
-    Forward and backward take one feature column at a time, so memory is
-    O(M^2) whatever h is. The derivative follows ``abs`` and ``**``: zero
-    at a zero difference.
-    """
-    x = Tensor._coerce(x)
-    if x.data.ndim != 2:
-        raise DimensionError("pairwise_lp expects a 2-D tensor")
-    if not p >= 1:
-        raise ContractError("pairwise_lp requires p >= 1")
-    a = x.data
-    out = np.zeros((a.shape[0], a.shape[0]))
-    for col in a.T:
-        out += np.abs(col[:, None] - col[None, :]) ** p
-
-    def vjp(g):
-        gs = g + g.T
-        grad = np.empty_like(a)
-        for k, col in enumerate(a.T):
-            d = col[:, None] - col[None, :]
-            grad[:, k] = p * (gs * np.sign(d) * np.abs(d) ** (p - 1)).sum(axis=1)
-        return grad
-
-    return Tensor._make(out, (x,), (vjp,))

@@ -10,29 +10,19 @@ that function, gradients included.
 import numpy as np
 
 from ascl.errors import ContractError, DomainError
-from ascl.losses import LossWeights, SelectionResult, _parse_similarity
+from ascl.losses import LossWeights, SelectionResult
 from ascl.tensor import Tensor
 
 
-def tensor_abs(t: Tensor) -> Tensor:
-    """Elementwise |t|, with gradient sign(t) (0 at 0)."""
-    a = t.data
-    return Tensor._make(np.abs(a), (t,), (lambda g: g * np.sign(a),))
-
-
-def similarity_rows(weights, rows: Tensor, anchor: Tensor) -> Tensor:
-    """Similarity of each row of ``rows`` (K, h) to ``anchor`` (1, h) -> (K, 1)."""
-    kind, p = _parse_similarity(weights.similarity)
-    if kind == "cosine":
-        norms = np.linalg.norm(rows.data, axis=1)
-        if not np.linalg.norm(anchor.data) > 0 or not np.all(norms > 0):
-            raise DomainError("cosine similarity of a zero vector")
-        dots = rows @ anchor.transpose()
-        rn = (rows * rows).sum(axis=1, keepdims=True).sqrt()
-        an = (anchor * anchor).sum(axis=1, keepdims=True).sqrt()
-        return dots / (rn * an)
-    diff = rows - anchor
-    return -((tensor_abs(diff) ** p).sum(axis=1, keepdims=True) ** (1.0 / p))
+def similarity_rows(rows: Tensor, anchor: Tensor) -> Tensor:
+    """Cosine similarity of each row of ``rows`` (K, h) to ``anchor`` (1, h) -> (K, 1)."""
+    norms = np.linalg.norm(rows.data, axis=1)
+    if not np.linalg.norm(anchor.data) > 0 or not np.all(norms > 0):
+        raise DomainError("cosine similarity of a zero vector")
+    dots = rows @ anchor.transpose()
+    rn = (rows * rows).sum(axis=1, keepdims=True).sqrt()
+    an = (anchor * anchor).sum(axis=1, keepdims=True).sqrt()
+    return dots / (rn * an)
 
 
 def gather_rows(t: Tensor, idx) -> Tensor:
@@ -47,8 +37,8 @@ def anchor_loss(anchor_slot, partner_slot, pool, sel, weights):
     num_idx = np.concatenate([sel.positives, [partner_slot]])
     den_idx = np.concatenate([sel.positives, sel.negatives, [partner_slot]])
     anchor_vec = gather_rows(pool, [anchor_slot])
-    num_sims = similarity_rows(weights, gather_rows(pool, num_idx), anchor_vec) / weights.tau
-    den_sims = similarity_rows(weights, gather_rows(pool, den_idx), anchor_vec) / weights.tau
+    num_sims = similarity_rows(gather_rows(pool, num_idx), anchor_vec) / weights.tau
+    den_sims = similarity_rows(gather_rows(pool, den_idx), anchor_vec) / weights.tau
     return den_sims.log_sum_exp() - num_sims.mean()
 
 

@@ -155,8 +155,7 @@ class TestPGD:
         for _ in range(cfg.steps):
             xt = Tensor(cur)
             logits = toy_model.forward(xt)
-            loss = -((logits - logits.log_sum_exp(axis=1, keepdims=True))
-                     * Tensor(onehot)).sum()
+            loss = ((logits.log_sum_exp(axis=1, keepdims=True) - logits) * Tensor(onehot)).sum()
             grad = loss.backward((xt, *toy_model.parameters))[0]
             cur = project_linf(cur + cfg.eta * np.sign(grad), x, cfg.epsilon)
         assert got.tobytes() == cur.tobytes()

@@ -15,10 +15,8 @@ from ascl.tensor import Tensor, cross_entropy
 from backward_walk import backward_walk
 from vjp_spy import spy_on_vjps
 
-GRAPHS = ["input_gradient"] + [f"total_loss-{strategy}-{similarity}-{projection}"
-                               for strategy in STRATEGIES
-                               for similarity in ("cosine", "lp:2")
-                               for projection in PROJECTION_KINDS]
+GRAPHS = ["input_gradient"] + [f"total_loss-{strategy}-{projection}"
+                               for strategy in STRATEGIES for projection in PROJECTION_KINDS]
 REQUESTS = ["x", "params", "both", "latent"]
 
 
@@ -26,7 +24,7 @@ def _graph(name):
     """Root, model, the input tensors x and x_adv (x_adv is never requested)
     and the encoder's outputs, natural one first."""
     kind, *rest = name.split("-")
-    projection = rest[2] if rest else "identity"
+    strategy, projection = rest or (None, "identity")
     model = MLPClassifier(ModelSpec(input_dim=5, hidden_layers=(7, 6), num_classes=3,
                                     projection=projection, projection_dim=4,
                                     projection_mid=5), seed=4)
@@ -41,8 +39,7 @@ def _graph(name):
     if kind == "input_gradient":
         root = cross_entropy(model.forward(xt), y).sum()
     else:
-        strategy, similarity, _ = rest
-        weights = LossWeights(lambda_scl=1.0, lambda_vat=2.0, tau=0.5, similarity=similarity)
+        weights = LossWeights(lambda_scl=1.0, lambda_vat=2.0, tau=0.5)
         root = total_loss(Batch(xt, y, xat), model, strategy, weights).total
     return root, model, xt, latents
 

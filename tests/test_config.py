@@ -9,7 +9,7 @@ from ascl.errors import ConfigError
 
 NON_DEFAULT = RunConfig(dataset="blobs", data_classes=4, data_dims=6, hidden_layers=(16, 8, 4),
                         projection="two_layer", strategy="leaked", lambda_scl=0.5, tau=0.1,
-                        similarity="lp:2", nat_ce=False, use_vat=False, train_eps=0.03,
+                        similarity="cosine", nat_ce=False, use_vat=False, train_eps=0.03,
                         eval_steps=20, lr=0.1, schedule=((5, 0.01), (8, 0.001)),
                         epochs=9, batch_size=32, seed=7, output_dir="runs/other",
                         eval_every=3)
@@ -72,7 +72,8 @@ def test_removed_keys_are_usage_errors(tmp_path, key):
 
 @pytest.mark.parametrize("flag,value", [
     ("--hidden-layers", "8,x"), ("--schedule", "0:abc"), ("--eval-eps", "-1"), ("--tau", "0"),
-    ("--similarity", "foo"), ("--similarity", "lp:x"), ("--lambda-scl", "-1"),
+    ("--similarity", "foo"), ("--similarity", "lp:x"), ("--similarity", "lp:2"),
+    ("--lambda-scl", "-1"), ("--lambda-scl", "inf"), ("--lambda-vat", "inf"), ("--tau", "inf"),
     ("--train-eps", "-1"), ("--eval-every", "-1"),
 ])
 def test_malformed_values_are_usage_errors(tmp_path, flag, value):
@@ -82,6 +83,12 @@ def test_malformed_values_are_usage_errors(tmp_path, flag, value):
     path.write_text(f"epochs = 0\n{flag[2:].replace('-', '_')} = {value}\n")
     assert cli(["train", "--config", str(path)] + out) == 1
     assert not (tmp_path / "run").exists()
+
+
+def test_similarity_is_cosine_only():
+    RunConfig(similarity="cosine")
+    with pytest.raises(ConfigError, match="similarity must be 'cosine'"):
+        RunConfig(similarity="dot")
 
 
 def test_dataset_file_needs_a_test_file():

@@ -34,9 +34,9 @@ CONFIGS = {
                      lambda_vat=0.0),
     "leaked_cosine": dict(dataset="blobs", data_classes=3, data_per_class=15, data_dims=4,
                           batch_size=15, strategy="leaked", similarity="cosine"),
-    "hard_lp2_linear": dict(dataset="blobs", data_classes=3, data_per_class=15, data_dims=4,
-                            batch_size=15, strategy="hard", similarity="lp:2",
-                            projection="linear", projection_dim=6),
+    "hard_cosine_linear": dict(dataset="blobs", data_classes=3, data_per_class=15, data_dims=4,
+                               batch_size=15, strategy="hard", projection="linear",
+                               projection_dim=6),
 }
 EVAL_ATTACK = dict(epsilon=0.08, eta=0.02, steps=5)
 
@@ -49,13 +49,13 @@ GOLDEN = {
         "divergence": "da33f9cb1f8f1744173966d3b164d7aed704986aaa998332c19d1dba08cd12fe",
         "attacks": "2b61fd2cfc157c996f94a60664559dab6a503cceb88bfbeae0c3a54dccabc544",
     },
-    "hard_lp2_linear": {
-        "checkpoint": "7d89c76935bc246aba5d04f1063ddb74e1501e16ec4b4779e977a4a154c5df5f",
-        "metrics": "f2c13ea659e4dc80bb97bba32511134f85934f5804dd68c96cbe330f847b9140",
-        "final": "2507f3677e92f8973029a0f65661a3ddb9e289764d69f96d9557ad3380aef936",
-        "evaluate": "a5e5d441ba99213497bb82b5159843a579ae580735aeee6f22fb467712b19385",
-        "divergence": "ad5f949ed47cd84ce4e4aef975e6a5d05b5c31b68c0dabbb9a933087da1ee269",
-        "attacks": "a63cef6e985f80122366b8a9a3905d44d655399d69faa228e4452763da415fec",
+    "hard_cosine_linear": {
+        "checkpoint": "3abddcabc2f80aeb2ae7ffd3d4425f142d8226deaee4bc026d93b2b6a711dec4",
+        "metrics": "8957cc51d43bf782a3b9da7c6645642c3fd7dc48dd7f0d53b7df9b37e5e9574a",
+        "final": "74879caf42fe7a37e46654d62c1d575d4f6892c5670c9cb94919b6c85aec3cec",
+        "evaluate": "b1466577916363ca4ab5f999cceec441f7f3b8e45fa2369e770dd45926e9d24c",
+        "divergence": "4c2d83ffe3771fa669225428896d82fe7885890741392fb22d77a0aa8f692b6f",
+        "attacks": "bf132b8bac503793314272a941761818165b34da0388242cf858f934a5000bd9",
     },
     "leaked_cosine": {
         "checkpoint": "dcaa74750b6c22a6d0231a3dd2207a47b1c88e43620059e2135c5517ff56c4bd",

@@ -1,6 +1,7 @@
 """Every name a module imports is used or re-exported, every ``__all__``
-entry names something the module defines or imports, and every private
-function, class and method in ``src/ascl`` is referenced there."""
+entry names something the module defines or imports, every private
+function, class and method in ``src/ascl`` is referenced there, and every
+engine export has an importer there."""
 
 import ast
 from pathlib import Path
@@ -79,3 +80,14 @@ def test_private_definitions_are_referenced():
     unreferenced = [f"{name}:{line} {fn}" for name, tree in trees.items()
                     for line, fn in _private_definitions(tree) if fn not in referenced]
     assert unreferenced == []
+
+
+def test_engine_exports_are_imported_in_src():
+    """An op that no other module imports leaves ``tensor.__all__``, and the
+    engine, with its last caller."""
+    trees = {path.name: ast.parse(path.read_text()) for path in MODULES}
+    imported = {alias.name for name, tree in trees.items() if name != "tensor.py"
+                for node in tree.body
+                if isinstance(node, ast.ImportFrom) and node.module == "tensor"
+                for alias in node.names}
+    assert _exported(trees["tensor.py"]) - imported == set()

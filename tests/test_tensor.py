@@ -6,8 +6,8 @@ from hypothesis import strategies as st
 
 from ascl.errors import ContractError, DimensionError, DomainError
 from ascl.models import MLPClassifier, ModelSpec
-from ascl.tensor import Tensor, affine, concat, cross_entropy, log_softmax, pairwise_lp
-from supcon_loop import gather_rows, tensor_abs
+from ascl.tensor import Tensor, affine, concat, cross_entropy, log_softmax
+from supcon_loop import gather_rows
 from vjp_spy import count_vjps_toward
 
 
@@ -61,7 +61,7 @@ class TestElementwise:
         rng = np.random.default_rng(0)
         x = Tensor(rng.normal(size=(5, 5)))
         y = Tensor(rng.uniform(0.5, 2.0, size=(5, 5)))
-        for out in [x + y, x - y, x * y, x / y, x.relu(), tensor_abs(x), x.exp(),
+        for out in [x + y, x - y, x * y, x / y, x.relu(), x.exp(),
                     x @ y, x.sum(), x.mean(axis=0), x.log_sum_exp(axis=1),
                     log_softmax(x)]:
             assert not np.any(np.isnan(out.data))
@@ -371,8 +371,6 @@ def _random_ops(rng):
          lambda: (rng.normal(size=(3, 4)), None)),
         ("relu", lambda t, c: t.relu().sum(), None,
          lambda: (rng.normal(size=(3, 4)) + 0.5, None)),
-        ("abs", lambda t, c: tensor_abs(t).sum(), None,
-         lambda: (rng.normal(size=(3, 4)) + 0.5, None)),
         ("pow", lambda t, c: (t ** 1.7).sum(), None,
          lambda: (rng.uniform(0.5, 2.0, size=(3, 4)), None)),
         ("matmul", lambda t, c: (t @ Tensor(c)).sum(), None,
@@ -403,8 +401,6 @@ def _random_ops(rng):
          lambda: (rng.uniform(0.5, 2.0, size=(1, 4)), rng.normal(size=(3, 4)))),
         ("mul_0d", lambda t, c: ((Tensor(c) * t) ** 2.0).sum(), None,
          lambda: (np.array(rng.normal()), rng.normal(size=(3, 4)))),
-        ("neg", lambda t, c: ((-t) * Tensor(c)).sum(), None,
-         lambda: (rng.normal(size=(3, 4)), rng.normal(size=(3, 4)))),
         ("sum1_keepdims", lambda t, c: (t.sum(axis=1, keepdims=True) ** 2.0).sum(), None,
          lambda: (rng.normal(size=(3, 4)), None)),
     ]
@@ -445,28 +441,3 @@ class TestGatherConcat:
             (a, b))
         assert np.array_equal(ga, [[1, 2], [3, 4]])
         assert np.array_equal(gb, [[5, 6]])
-
-
-class TestPairwiseLp:
-    @pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 3.0])
-    def test_values_and_fd_gradient(self, p):
-        rng = np.random.default_rng(int(p * 10))
-        x0 = rng.normal(size=(5, 3))
-        w = rng.normal(size=(5, 5))
-        t = Tensor(x0)
-        out = pairwise_lp(t, p)
-        want = (np.abs(x0[:, None, :] - x0[None, :, :]) ** p).sum(axis=2)
-        assert np.allclose(out.data, want, rtol=1e-14, atol=0.0)
-        (g,) = (out * Tensor(w)).sum().backward((t,))
-        fd = fd_gradient(lambda v: float((pairwise_lp(Tensor(v), p).data * w).sum()), x0)
-        assert_grad_close(g, fd)
-
-    def test_zero_difference_has_zero_derivative(self):
-        t = Tensor(np.array([[1.0, 2.0], [1.0, 2.0]]))
-        assert np.array_equal(pairwise_lp(t, 1.0).sum().backward((t,))[0], np.zeros((2, 2)))
-
-    def test_contracts(self):
-        with pytest.raises(DimensionError):
-            pairwise_lp(Tensor(np.ones(3)), 2.0)
-        with pytest.raises(ContractError):
-            pairwise_lp(Tensor(np.ones((2, 2))), 0.5)
