@@ -15,8 +15,12 @@ from ascl.tensor import Tensor, cross_entropy
 from backward_walk import backward_walk
 from vjp_spy import spy_on_vjps
 
-GRAPHS = ["input_gradient"] + [f"total_loss-{strategy}-{projection}"
-                               for strategy in STRATEGIES for projection in PROJECTION_KINDS]
+# which terms of the objective are in the graph, as the run config's nat_ce
+# and use_vat flags select them; "adv_scl" leaves the natural logits out
+TERMS = {"all": dict(), "adv_scl": dict(nat_ce=False, use_vat=False)}
+GRAPHS = ["input_gradient"] + [f"total_loss-{strategy}-{terms}-{projection}"
+                               for strategy in STRATEGIES for terms in TERMS
+                               for projection in PROJECTION_KINDS]
 REQUESTS = ["x", "params", "both", "latent"]
 
 
@@ -24,7 +28,7 @@ def _graph(name):
     """Root, model, the input tensors x and x_adv (x_adv is never requested)
     and the encoder's outputs, natural one first."""
     kind, *rest = name.split("-")
-    strategy, projection = rest or (None, "identity")
+    strategy, terms, projection = rest or (None, None, "identity")
     model = MLPClassifier(ModelSpec(input_dim=5, hidden_layers=(7, 6), num_classes=3,
                                     projection=projection, projection_dim=4,
                                     projection_mid=5), seed=4)
@@ -40,7 +44,7 @@ def _graph(name):
         root = cross_entropy(model.forward(xt), y).sum()
     else:
         weights = LossWeights(lambda_scl=1.0, lambda_vat=2.0, tau=0.5)
-        root = total_loss(Batch(xt, y, xat), model, strategy, weights).total
+        root = total_loss(Batch(xt, y, xat), model, strategy, weights, **TERMS[terms]).total
     return root, model, xt, latents
 
 

@@ -157,6 +157,25 @@ class TestSimilarity:
         sims = _similarity_matrix(Tensor([[0.0, 0.0], [1.0, 0.0]])).data
         assert np.array_equal(sims[0], [0.0, 0.0]) and np.array_equal(sims[:, 0], [0.0, 0.0])
 
+    @pytest.mark.parametrize("shape", [(5, 3), (4, 1), (6, 8)])
+    def test_cosine_values_and_fd_gradient(self, shape):
+        rng = np.random.default_rng(shape)
+        x0 = rng.normal(size=shape)
+        w = rng.normal(size=(shape[0], shape[0]))
+        t = Tensor(x0)
+        out = _similarity_matrix(t)
+        unit = x0 / np.linalg.norm(x0, axis=1, keepdims=True)
+        assert np.allclose(out.data, unit @ unit.T, rtol=1e-14, atol=1e-15)
+        (g,) = (out * Tensor(w)).sum().backward((t,))
+        h = 1e-6
+        for idx in np.ndindex(*shape):
+            up, down = x0.copy(), x0.copy()
+            up[idx] += h
+            down[idx] -= h
+            fd = float(((_similarity_matrix(Tensor(up)).data
+                         - _similarity_matrix(Tensor(down)).data) * w).sum()) / (2 * h)
+            assert abs(g[idx] - fd) <= 1e-6 * max(1.0, abs(fd))
+
     def test_weights_validation(self):
         for bad in [dict(tau=0.0), dict(tau=np.inf), dict(tau=np.nan), dict(lambda_scl=-1.0),
                     dict(lambda_scl=np.inf), dict(lambda_scl=np.nan), dict(lambda_vat=np.inf),
@@ -186,9 +205,10 @@ class TestSupConLoss:
             adv = supcon_anchor_adv(i, pool, sel, w).item()
             assert nat == pytest.approx(adv, rel=1e-12)
 
-    def test_oracle_equivalence_small_batches(self):
+    @pytest.mark.parametrize("tau", [0.07, 1.0])
+    def test_oracle_equivalence_small_batches(self, tau):
         rng = np.random.default_rng(3)
-        w = LossWeights()
+        w = LossWeights(tau=tau)
         for trial in range(25):
             n = int(rng.integers(2, 9))
             c = int(rng.integers(2, 4))
@@ -371,14 +391,16 @@ class TestTotalLoss:
             assert bd.at >= 0 and bd.scl >= 0 and bd.vat >= 0
 
     @pytest.mark.parametrize("projection", ["identity", "linear", "two_layer"])
-    def test_full_objective_gradient_vs_fd(self, projection):
+    @pytest.mark.parametrize("terms", [dict(), dict(nat_ce=False, use_vat=False)],
+                             ids=["all", "adv_scl"])
+    def test_full_objective_gradient_vs_fd(self, projection, terms):
         model, batch = self._setup(seed=11, projection=projection)
         w = LossWeights()
 
         def value():
-            return total_loss(batch, model, "global", w).total.item()
+            return total_loss(batch, model, "global", w, **terms).total.item()
 
-        bd = total_loss(batch, model, "global", w)
+        bd = total_loss(batch, model, "global", w, **terms)
         h = 1e-5
         checked = 0
         for p, g in zip(model.parameters, bd.total.backward(model.parameters)):

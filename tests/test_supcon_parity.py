@@ -11,6 +11,9 @@ from ascl.models import MLPClassifier, ModelSpec
 from ascl.tensor import Tensor
 from supcon_loop import supcon_batch_loop
 
+# the default temperature and values either side of it: 1/tau scales every
+# logit of the masked log-sum-exp
+TAUS = (0.07, 0.2, 1.0, 5.0)
 REL = 1e-12
 
 
@@ -26,8 +29,8 @@ def pool_value_and_grad(fn, pool, masks, weights):
     return loss.item(), loss.backward((t,))[0]
 
 
-def check_pool_case(pool, labels, preds, strategy):
-    w = LossWeights()
+def check_pool_case(pool, labels, preds, strategy, tau):
+    w = LossWeights(tau=tau)
     masks = selection_masks(strategy, labels, preds)
     got, got_grad = pool_value_and_grad(supcon_batch, pool, masks, w)
     want, want_grad = pool_value_and_grad(supcon_batch_loop, pool, masks, w)
@@ -35,24 +38,26 @@ def check_pool_case(pool, labels, preds, strategy):
     assert_close(got_grad, want_grad)
 
 
+@pytest.mark.parametrize("tau", TAUS)
 @pytest.mark.parametrize("strategy", STRATEGIES)
-def test_random_pools(strategy):
-    rng = np.random.default_rng(STRATEGIES.index(strategy))
+def test_random_pools(strategy, tau):
+    rng = np.random.default_rng((STRATEGIES.index(strategy), TAUS.index(tau)))
     for _ in range(4):
         n, c = int(rng.integers(2, 10)), int(rng.integers(2, 4))
         labels = rng.integers(0, c, size=n)
         preds = rng.integers(0, c, size=2 * n)
-        check_pool_case(rng.normal(size=(2 * n, 5)), labels, preds, strategy)
+        check_pool_case(rng.normal(size=(2 * n, 5)), labels, preds, strategy, tau)
 
 
+@pytest.mark.parametrize("tau", TAUS)
 @pytest.mark.parametrize("strategy", STRATEGIES)
-def test_degenerate_batches(strategy):
+def test_degenerate_batches(strategy, tau):
     rng = np.random.default_rng(7)
     # one sample: both sets empty, so the loss is identically zero; the
     # loop's gradient is zero up to rounding, the vectorised one exactly
     pool = rng.normal(size=(2, 3))
     masks = selection_masks(strategy, [1], [1, 0])
-    w = LossWeights()
+    w = LossWeights(tau=tau)
     got, got_grad = pool_value_and_grad(supcon_batch, pool, masks, w)
     want, want_grad = pool_value_and_grad(supcon_batch_loop, pool, masks, w)
     assert got == want == 0.0
@@ -60,14 +65,15 @@ def test_degenerate_batches(strategy):
     # one class: no negatives under any strategy
     labels = np.zeros(5, dtype=np.intp)
     preds = rng.integers(0, 2, size=10)
-    check_pool_case(rng.normal(size=(10, 3)), labels, preds, strategy)
+    check_pool_case(rng.normal(size=(10, 3)), labels, preds, strategy, tau)
     # predictions equal to the labels: hard, soft and leaked keep no negatives
     labels = np.array([0, 1, 2, 0, 1, 2])
-    check_pool_case(rng.normal(size=(12, 3)), labels, np.tile(labels, 2), strategy)
+    check_pool_case(rng.normal(size=(12, 3)), labels, np.tile(labels, 2), strategy, tau)
 
 
+@pytest.mark.parametrize("tau", TAUS)
 @pytest.mark.parametrize("strategy", STRATEGIES)
-def test_total_loss_parameter_gradients(strategy, monkeypatch):
+def test_total_loss_parameter_gradients(strategy, tau, monkeypatch):
     rng = np.random.default_rng(11)
     spec = ModelSpec(input_dim=3, hidden_layers=(6, 5), num_classes=3,
                      projection="two_layer", projection_dim=4, projection_mid=7)
@@ -77,7 +83,7 @@ def test_total_loss_parameter_gradients(strategy, monkeypatch):
 
     def run():
         model = MLPClassifier(spec, seed=11)
-        bd = total_loss(batch, model, strategy, LossWeights())
+        bd = total_loss(batch, model, strategy, LossWeights(tau=tau))
         return bd.total.item(), bd.total.backward(model.parameters)
 
     got, got_grads = run()
