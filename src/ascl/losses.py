@@ -19,12 +19,16 @@ positives but only those negatives predicted as the anchor's true label
 natural slot is judged by its natural prediction, an adversarial slot by
 its adversarial one.
 
-The contrastive loss works on one 2N x 2N cosine similarity matrix. Anchor row
-``a`` has a partner, its other view: slot ``i + N`` for anchor ``i`` and
-slot ``i`` for anchor ``i + N``. The numerator set is the positives plus
-the partner, the denominator set adds the negatives; the anchor itself is
-in neither. Because the partner is always there, every row's masked
-log-sum-exp is finite.
+The contrastive loss works on one 2N x 2N cosine similarity matrix
+S = U U^T / tau of the pool's unit rows U; an all-zero row counts as norm
+1, so its similarity to every slot is 0. Anchor row ``a`` has a partner,
+its other view: slot ``i + N`` for anchor ``i`` and slot ``i`` for anchor
+``i + N``. The numerator set is the positives plus the partner, the
+denominator set adds the negatives; the anchor itself is in neither.
+Because the partner is always there, every row's masked log-sum-exp is
+finite. ``supcon_batch`` is one node whose gradient toward S is Khosla et
+al.'s softmax-minus-target form (arXiv:2004.11362): the softmax over the
+denominator set minus the numerator weights, 1/|set| on the numerator set.
 """
 
 from __future__ import annotations
@@ -35,7 +39,7 @@ import numpy as np
 
 from .errors import ContractError
 from .models import MLPClassifier
-from .tensor import Tensor, concat, cross_entropy, log_softmax
+from .tensor import Tensor, _lse_softmax, concat, cross_entropy, log_softmax
 
 __all__ = [
     "STRATEGIES",
@@ -131,14 +135,6 @@ def selection_stats(strategy, labels, preds=None):
     return _mean_counts(*selection_masks(strategy, labels, preds))
 
 
-def _similarity_matrix(pool: Tensor) -> Tensor:
-    """Pairwise cosine similarities of the pool's rows, (2N, h) -> (2N, 2N)."""
-    norms = (pool * pool).sum(axis=1, keepdims=True).sqrt()
-    # an all-zero row stays zero: similarity 0 to every slot
-    unit = pool / (norms + Tensor(norms.data == 0.0))
-    return unit @ unit.transpose()
-
-
 def supcon_batch(pool: Tensor, pos, neg, weights: LossWeights) -> Tensor:
     """Batch mean of the natural- plus adversarial-anchor losses over the
     (N, 2N) ``selection_masks``.
@@ -147,6 +143,9 @@ def supcon_batch(pool: Tensor, pos, neg, weights: LossWeights) -> Tensor:
     ``-log softmax(sim/tau)`` against its denominator set. It is
     nonnegative, and exactly zero when the positives and negatives are
     both empty.
+
+    One node; its VJP is dS = (softmax - w) g / (N tau), dU = (dS + dS^T) U,
+    d pool = (dU - U rowsum(dU U)) / norm, so a zero row (norm 1) gets dU.
     """
     n = pos.shape[0]
     if pool.shape[0] != 2 * n:
@@ -154,10 +153,25 @@ def supcon_batch(pool: Tensor, pos, neg, weights: LossWeights) -> Tensor:
     partner = np.roll(np.eye(2 * n, dtype=bool), n, axis=1)
     num = np.tile(pos, (2, 1)) | partner
     den = num | np.tile(neg, (2, 1))
-    sims = _similarity_matrix(pool) / weights.tau
-    lse = (sims + Tensor(np.where(den, 0.0, -np.inf))).log_sum_exp(axis=1)
-    num_mean = (sims * Tensor(num / num.sum(axis=1, keepdims=True))).sum(axis=1)
-    return (lse - num_mean).sum() / float(n)
+    norms = np.sqrt((pool.data * pool.data).sum(axis=1, keepdims=True))
+    norms[norms == 0.0] = 1.0
+    unit = pool.data / norms
+    sims = unit @ unit.T
+    sims /= weights.tau
+    lse, soft = _lse_softmax(np.where(den, sims, -np.inf), 1)
+    w = num / num.sum(axis=1, keepdims=True)
+    soft -= w
+    sims *= w
+    loss = (lse[:, 0] - sims.sum(axis=1)).sum() / n
+
+    def vjp(g):
+        du = (soft + soft.T) @ unit
+        du *= g / (n * weights.tau)
+        du -= unit * (du * unit).sum(axis=1, keepdims=True)
+        du /= norms
+        return du
+
+    return Tensor._make(loss, (pool,), (vjp,))
 
 
 def at_loss(logits_nat: Tensor, logits_adv: Tensor, labels, nat_ce: bool = True) -> Tensor:

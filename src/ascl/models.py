@@ -4,6 +4,7 @@ projection heads for the contrastive loss."""
 from __future__ import annotations
 
 import json
+import numbers
 import struct
 from dataclasses import asdict, dataclass
 
@@ -17,6 +18,13 @@ __all__ = ["ModelSpec", "MLPClassifier", "save_model", "load_model"]
 PROJECTION_KINDS = ("identity", "linear", "two_layer")
 
 CHECKPOINT_MAGIC = b"ASCLMZ1\x00"
+
+
+def _size(v):
+    """``v`` as an int; ConfigError unless it is a positive integer, bools excluded."""
+    if isinstance(v, bool) or not isinstance(v, numbers.Integral) or v < 1:
+        raise ConfigError(f"model sizes must be positive integers, got {v!r}")
+    return int(v)
 
 
 @dataclass(frozen=True)
@@ -33,17 +41,15 @@ class ModelSpec:
     projection_mid: int = 200
 
     def __post_init__(self):
-        object.__setattr__(self, "hidden_layers", tuple(int(w) for w in self.hidden_layers))
-        if self.input_dim < 1 or self.num_classes < 1:
-            raise ConfigError("input_dim and num_classes must be positive")
-        if not self.hidden_layers or any(w < 1 for w in self.hidden_layers):
-            raise ConfigError("at least one hidden layer of positive width is required")
+        for name in ("input_dim", "num_classes", "projection_dim", "projection_mid"):
+            object.__setattr__(self, name, _size(getattr(self, name)))
+        object.__setattr__(self, "hidden_layers", tuple(map(_size, self.hidden_layers)))
+        if not self.hidden_layers:
+            raise ConfigError("at least one hidden layer is required")
         if self.activation != "relu":
             raise ConfigError(f"unsupported activation {self.activation!r}")
         if self.projection not in PROJECTION_KINDS:
             raise ConfigError(f"projection must be one of {PROJECTION_KINDS}")
-        if self.projection_dim < 1 or self.projection_mid < 1:
-            raise ConfigError("projection widths must be positive")
 
     @property
     def latent_dim(self) -> int:

@@ -13,7 +13,8 @@ VJPs toward a requested input or a node that leads to one, in input order.
 One broadcasting rule reduces what a VJP returns: sum the axes where the
 input has size 1 and the gradient does not, give a 0-d input the total,
 and leave the rest to ``+``. The coarse nodes ``affine`` and
-``cross_entropy`` round like their compositions.
+``cross_entropy`` round like their compositions; ``losses.supcon_batch``
+does not, and its composition is a tolerance oracle in the tests.
 """
 
 from __future__ import annotations
@@ -157,20 +158,6 @@ class Tensor:
         return Tensor._make(a / b, (self, other),
                             (lambda g: g / b, lambda g: -g * a / (b * b)))
 
-    def __pow__(self, exponent):
-        e = float(exponent)
-        if e != int(e) and np.any(self.data < 0.0):
-            raise DomainError("fractional power of negative base")
-        a = self.data
-
-        def vjp(g):
-            with np.errstate(divide="ignore", invalid="ignore"):
-                d = e * a ** (e - 1.0)
-            # kink convention at 0 for e < 1, mirroring sign(0) = 0
-            return g * np.where(np.isfinite(d), d, 0.0)
-
-        return Tensor._make(a ** e, (self,), (vjp,))
-
     # -- elementwise unary ops ----------------------------------------------
 
     def exp(self):
@@ -180,9 +167,6 @@ class Tensor:
     def relu(self):
         a = self.data
         return Tensor._make(np.maximum(a, 0.0), (self,), (lambda g: g * (a > 0.0),))
-
-    def sqrt(self):
-        return self.__pow__(0.5)
 
     # -- matrix ops -----------------------------------------------------------
 
@@ -196,11 +180,6 @@ class Tensor:
         return Tensor._make(a @ b, (self, other), (lambda g: g @ b.T, lambda g: a.T @ g))
 
     __matmul__ = matmul
-
-    def transpose(self):
-        if self.data.ndim != 2:
-            raise DimensionError("transpose expects a 2-D tensor")
-        return Tensor._make(self.data.T, (self,), (lambda g: g.T,))
 
     # -- reductions -------------------------------------------------------------
 

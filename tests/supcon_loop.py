@@ -12,6 +12,7 @@ import numpy as np
 from ascl.errors import ContractError, DomainError
 from ascl.losses import LossWeights, SelectionResult
 from ascl.tensor import Tensor
+from supcon_graph import sqrt, transpose
 
 
 def similarity_rows(rows: Tensor, anchor: Tensor) -> Tensor:
@@ -19,9 +20,9 @@ def similarity_rows(rows: Tensor, anchor: Tensor) -> Tensor:
     norms = np.linalg.norm(rows.data, axis=1)
     if not np.linalg.norm(anchor.data) > 0 or not np.all(norms > 0):
         raise DomainError("cosine similarity of a zero vector")
-    dots = rows @ anchor.transpose()
-    rn = (rows * rows).sum(axis=1, keepdims=True).sqrt()
-    an = (anchor * anchor).sum(axis=1, keepdims=True).sqrt()
+    dots = rows @ transpose(anchor)
+    rn = sqrt((rows * rows).sum(axis=1, keepdims=True))
+    an = sqrt((anchor * anchor).sum(axis=1, keepdims=True))
     return dots / (rn * an)
 
 

@@ -50,15 +50,15 @@ GOLDEN = {
         "attacks": "2b61fd2cfc157c996f94a60664559dab6a503cceb88bfbeae0c3a54dccabc544",
     },
     "hard_cosine_linear": {
-        "checkpoint": "3abddcabc2f80aeb2ae7ffd3d4425f142d8226deaee4bc026d93b2b6a711dec4",
-        "metrics": "8957cc51d43bf782a3b9da7c6645642c3fd7dc48dd7f0d53b7df9b37e5e9574a",
+        "checkpoint": "77467802bd920b412d10ee260ff1704614eeaf57c12ae57588d1357232571912",
+        "metrics": "68aa771664afa6c22e94ca1849f6775053e63dd8c1439f6ec76cc8c2b33d164f",
         "final": "74879caf42fe7a37e46654d62c1d575d4f6892c5670c9cb94919b6c85aec3cec",
         "evaluate": "b1466577916363ca4ab5f999cceec441f7f3b8e45fa2369e770dd45926e9d24c",
         "divergence": "4c2d83ffe3771fa669225428896d82fe7885890741392fb22d77a0aa8f692b6f",
         "attacks": "bf132b8bac503793314272a941761818165b34da0388242cf858f934a5000bd9",
     },
     "leaked_cosine": {
-        "checkpoint": "dcaa74750b6c22a6d0231a3dd2207a47b1c88e43620059e2135c5517ff56c4bd",
+        "checkpoint": "39aa44572f256c023bd50d2b00927e929f63fd6f69d50ecaf96568df9ff78913",
         "metrics": "495b81247542f1cf367d4d4286b6115e29d8032cd983460add5045988a76ef18",
         "final": "74879caf42fe7a37e46654d62c1d575d4f6892c5670c9cb94919b6c85aec3cec",
         "evaluate": "ff9ab01c67db72a2ed44edd0df2e30a8a69f5990f6fe553f694ec7d52f0627df",

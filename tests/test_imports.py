@@ -1,9 +1,10 @@
 """Every name a module imports is used or re-exported, every ``__all__``
 entry names something the module defines or imports, every private
 function, class and method in ``src/ascl`` is referenced there, and every
-engine export has an importer there."""
+engine export and public ``Tensor`` method has a caller there."""
 
 import ast
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -91,3 +92,26 @@ def test_engine_exports_are_imported_in_src():
                 if isinstance(node, ast.ImportFrom) and node.module == "tensor"
                 for alias in node.names}
     assert _exported(trees["tensor.py"]) - imported == set()
+
+
+def test_tensor_methods_are_referenced_in_src():
+    """A public ``Tensor`` method needs a reference in ``src/ascl`` outside its
+    own body, by attribute or by name, as in ``__matmul__ = matmul``; an op
+    whose last caller went leaves the engine with it."""
+    trees = {path.name: ast.parse(path.read_text()) for path in MODULES}
+    (tensor,) = [node for node in trees["tensor.py"].body
+                 if isinstance(node, ast.ClassDef) and node.name == "Tensor"]
+    methods = [node for node in tensor.body if isinstance(node, ast.FunctionDef)
+               and not node.name.startswith("_")]
+
+    def references(nodes):
+        # numpy's functions share names with the methods: np.sqrt is no caller
+        return Counter(node.attr if isinstance(node, ast.Attribute) else node.id
+                       for node in nodes if isinstance(node, ast.Name) or (
+                           isinstance(node, ast.Attribute)
+                           and not (isinstance(node.value, ast.Name) and node.value.id == "np")))
+
+    everywhere = references(node for tree in trees.values() for node in ast.walk(tree))
+    unreferenced = [m.name for m in methods
+                    if everywhere[m.name] == references(ast.walk(m))[m.name]]
+    assert unreferenced == []

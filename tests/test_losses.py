@@ -7,10 +7,11 @@ from hypothesis import strategies as st
 import ascl.losses
 from ascl.data import Batch
 from ascl.errors import ContractError
-from ascl.losses import (STRATEGIES, LossWeights, _similarity_matrix, at_loss, select,
-                         selection_masks, selection_stats, supcon_batch, total_loss, vat_loss)
+from ascl.losses import (STRATEGIES, LossWeights, at_loss, select, selection_masks,
+                         selection_stats, supcon_batch, total_loss, vat_loss)
 from ascl.models import MLPClassifier, ModelSpec
 from ascl.tensor import Tensor
+from supcon_graph import similarity_matrix
 from supcon_loop import supcon_anchor_adv, supcon_anchor_nat
 
 
@@ -143,18 +144,19 @@ class TestSelectionStats:
 
 
 class TestSimilarity:
-    # the pairwise similarity matrix the contrastive loss works on
+    # the pairwise similarity matrix of the composition that is the oracle
+    # for supcon_batch
     def test_cosine_self(self):
         z = Tensor([[1.0, 2.0, -1.0]])
-        assert _similarity_matrix(z).item() == pytest.approx(1.0)
+        assert similarity_matrix(z).item() == pytest.approx(1.0)
 
     def test_cosine_orthogonal(self):
-        sims = _similarity_matrix(Tensor([[1.0, 0.0], [0.0, 1.0]])).data
+        sims = similarity_matrix(Tensor([[1.0, 0.0], [0.0, 1.0]])).data
         assert sims[0, 1] == sims[1, 0] == 0.0
 
     def test_cosine_zero_vector(self):
         # an all-zero latent has similarity 0 to every slot, itself included
-        sims = _similarity_matrix(Tensor([[0.0, 0.0], [1.0, 0.0]])).data
+        sims = similarity_matrix(Tensor([[0.0, 0.0], [1.0, 0.0]])).data
         assert np.array_equal(sims[0], [0.0, 0.0]) and np.array_equal(sims[:, 0], [0.0, 0.0])
 
     @pytest.mark.parametrize("shape", [(5, 3), (4, 1), (6, 8)])
@@ -163,7 +165,7 @@ class TestSimilarity:
         x0 = rng.normal(size=shape)
         w = rng.normal(size=(shape[0], shape[0]))
         t = Tensor(x0)
-        out = _similarity_matrix(t)
+        out = similarity_matrix(t)
         unit = x0 / np.linalg.norm(x0, axis=1, keepdims=True)
         assert np.allclose(out.data, unit @ unit.T, rtol=1e-14, atol=1e-15)
         (g,) = (out * Tensor(w)).sum().backward((t,))
@@ -172,8 +174,8 @@ class TestSimilarity:
             up, down = x0.copy(), x0.copy()
             up[idx] += h
             down[idx] -= h
-            fd = float(((_similarity_matrix(Tensor(up)).data
-                         - _similarity_matrix(Tensor(down)).data) * w).sum()) / (2 * h)
+            fd = float(((similarity_matrix(Tensor(up)).data
+                         - similarity_matrix(Tensor(down)).data) * w).sum()) / (2 * h)
             assert abs(g[idx] - fd) <= 1e-6 * max(1.0, abs(fd))
 
     def test_weights_validation(self):
@@ -258,6 +260,26 @@ class TestSupConLoss:
         got = supcon(pool, labels, None, "global", w).item()
         per_anchor = np.log(2 * n - 2 + 1)  # |pos| + |neg| + 1 terms in den
         assert got == pytest.approx(2 * per_anchor, rel=1e-12)
+
+    @pytest.mark.parametrize("strategy", STRATEGIES)
+    def test_pool_gradient_vs_central_differences(self, strategy):
+        # the node's hand-written VJP against the loss it computes
+        rng = np.random.default_rng(STRATEGIES.index(strategy))
+        n = 5
+        labels, preds = rng.integers(0, 2, size=n), random_preds(rng, n, 2)
+        masks = selection_masks(strategy, labels, preds)
+        x0 = rng.normal(size=(2 * n, 3))
+        w = LossWeights(tau=0.5)
+        t = Tensor(x0)
+        (g,) = supcon_batch(t, *masks, w).backward((t,))
+        h = 1e-6
+        for idx in np.ndindex(*x0.shape):
+            up, down = x0.copy(), x0.copy()
+            up[idx] += h
+            down[idx] -= h
+            fd = (supcon_batch(Tensor(up), *masks, w).item()
+                  - supcon_batch(Tensor(down), *masks, w).item()) / (2 * h)
+            assert abs(g[idx] - fd) <= 1e-6 * max(1.0, abs(fd))
 
     def test_cosine_scale_invariance(self):
         rng = np.random.default_rng(6)

@@ -34,6 +34,25 @@ class TestModelSpec:
         with pytest.raises(ConfigError):
             small_spec(projection="mlp")
 
+    @pytest.mark.parametrize("edit", [dict(input_dim=2.5), dict(num_classes=2.0),
+                                      dict(hidden_layers=(2.7,)), dict(hidden_layers=(True, 2)),
+                                      dict(input_dim=True), dict(projection_dim=np.float64(3)),
+                                      dict(projection_mid=np.bool_(True)), dict(num_classes=0),
+                                      dict(hidden_layers=(4, -1)), dict(input_dim="3")])
+    def test_sizes_must_be_positive_integers(self, edit):
+        with pytest.raises(ConfigError, match="model sizes must be positive integers"):
+            small_spec(**edit)
+
+    def test_numpy_integer_sizes_become_ints(self, tmp_path):
+        spec = small_spec(input_dim=np.int64(3), hidden_layers=np.array([5, 4]),
+                          num_classes=np.int32(3), projection_dim=np.uint8(6))
+        assert spec == small_spec(projection_dim=6)
+        assert all(type(v) is int for v in (spec.input_dim, *spec.hidden_layers,
+                                             spec.num_classes, spec.projection_dim))
+        # the spec record is JSON, which takes only Python ints
+        save_model(MLPClassifier(spec, seed=0), tmp_path / "m.ckpt")
+        assert load_model(tmp_path / "m.ckpt").spec == spec
+
 
 class TestForward:
     def test_zero_weights_constant_map(self):
@@ -105,7 +124,8 @@ class TestProjection:
                          projection="linear", projection_dim=5)
         m = MLPClassifier(spec, seed=4)
         x = np.random.default_rng(4).uniform(size=(3, 3))
-        (g,) = (m.project(m.encode(x)) ** 2.0).sum().backward(m.parameters[:1])
+        p = m.project(m.encode(x))
+        (g,) = (p * p).sum().backward(m.parameters[:1])
         assert g is not None
         assert np.abs(g).sum() > 0
 
@@ -179,7 +199,10 @@ class TestCheckpoint:
         with pytest.raises(FormatError, match=f"non-finite weight at byte {at}$"):
             load_model(path)
 
-    @pytest.mark.parametrize("edit", [{"extra": 1}, {"input_dim": "3"}, {"hidden_layers": ["a"]}])
+    @pytest.mark.parametrize("edit", [{"extra": 1}, {"input_dim": "3"}, {"hidden_layers": ["a"]},
+                                      {"input_dim": 2.5}, {"num_classes": 2.0},
+                                      {"hidden_layers": [2.7]}, {"hidden_layers": [True, 2]},
+                                      {"hidden_layers": 4}])
     def test_bad_spec_record(self, tmp_path, edit):
         path = tmp_path / "m.ckpt"
         save_model(MLPClassifier(small_spec(), seed=0), path)

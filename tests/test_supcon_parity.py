@@ -1,5 +1,6 @@
-"""The vectorised ``supcon_batch`` against the per-anchor loop in
-``supcon_loop``: the loss and every gradient agree to 1e-12 relative."""
+"""The ``supcon_batch`` node against two oracles, the per-anchor loop in
+``supcon_loop`` and the op-by-op composition in ``supcon_graph``: the loss
+and every gradient agree to 1e-12 relative."""
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from ascl.data import Batch
 from ascl.losses import STRATEGIES, LossWeights, selection_masks, supcon_batch, total_loss
 from ascl.models import MLPClassifier, ModelSpec
 from ascl.tensor import Tensor
+from supcon_graph import supcon_batch_composed
 from supcon_loop import supcon_batch_loop
 
 # the default temperature and values either side of it: 1/tau scales every
@@ -108,3 +110,63 @@ def test_zero_latent_row_is_defined():
     rows = [(0, 2, [2, 1, 3]), (2, 0, [0, 1, 3]), (1, 3, [3, 0, 2]), (3, 1, [1, 0, 2])]
     expected = sum(np.log(np.exp(s[a, den]).sum()) - s[a, p] for a, p, den in rows) / 2
     assert loss.item() == pytest.approx(expected, rel=1e-12)
+
+
+def check_composition_case(pool, labels, preds, strategy, tau):
+    w = LossWeights(tau=tau)
+    masks = selection_masks(strategy, labels, preds)
+    got, got_grad = pool_value_and_grad(supcon_batch, pool, masks, w)
+    want, want_grad = pool_value_and_grad(supcon_batch_composed, pool, masks, w)
+    assert abs(got - want) <= REL * abs(want)
+    assert_close(got_grad, want_grad)
+
+
+@pytest.mark.parametrize("tau", TAUS)
+@pytest.mark.parametrize("strategy", STRATEGIES)
+def test_node_matches_composition(strategy, tau):
+    rng = np.random.default_rng((4, STRATEGIES.index(strategy), TAUS.index(tau)))
+    for trial in range(6):
+        n, c, h = int(rng.integers(2, 12)), int(rng.integers(2, 4)), int(rng.integers(2, 9))
+        pool = rng.normal(size=(2 * n, h))
+        # every other trial zeroes some rows, as dead ReLU latents would
+        if trial % 2:
+            pool[rng.random(2 * n) < 0.3] = 0.0
+        check_composition_case(pool, rng.integers(0, c, size=n), rng.integers(0, c, size=2 * n),
+                               strategy, tau)
+
+
+@pytest.mark.parametrize("tau", TAUS)
+@pytest.mark.parametrize("strategy", STRATEGIES)
+def test_node_matches_composition_on_degenerate_batches(strategy, tau):
+    rng = np.random.default_rng(9)
+    # one class: no negatives under any strategy
+    labels = np.zeros(6, dtype=np.intp)
+    preds = rng.integers(0, 2, size=12)
+    check_composition_case(rng.normal(size=(12, 3)), labels, preds, strategy, tau)
+    # one class and an all-zero pool: every similarity is 0
+    check_composition_case(np.zeros((12, 3)), labels, preds, strategy, tau)
+    # an all-zero natural half beside a nonzero adversarial half
+    pool = rng.normal(size=(12, 4))
+    pool[:6] = 0.0
+    check_composition_case(pool, rng.integers(0, 3, size=6), preds, strategy, tau)
+    # width 1: every similarity is +-1, so the gradient is zero; the node's
+    # exactly, the composition's up to rounding
+    pool = rng.normal(size=(12, 1))
+    masks = selection_masks(strategy, rng.integers(0, 3, size=6), preds)
+    w = LossWeights(tau=tau)
+    got, got_grad = pool_value_and_grad(supcon_batch, pool, masks, w)
+    want, want_grad = pool_value_and_grad(supcon_batch_composed, pool, masks, w)
+    assert abs(got - want) <= REL * abs(want)
+    assert np.all(got_grad == 0.0) and np.max(np.abs(want_grad)) <= 1e-12
+
+
+def test_node_builds_one_tensor(monkeypatch):
+    rng = np.random.default_rng(13)
+    pool = Tensor(rng.normal(size=(16, 5)))
+    masks = selection_masks("leaked", rng.integers(0, 3, size=8), rng.integers(0, 3, size=16))
+    built = []
+    init = Tensor.__init__
+    monkeypatch.setattr(Tensor, "__init__", lambda self, data: built.append(self) or init(self, data))
+    loss = supcon_batch(pool, *masks, LossWeights())
+    assert built == [loss]
+    assert loss._parents == (pool,)
