@@ -14,12 +14,12 @@ from .data import Batch, Dataset, make_blobs, make_two_moons
 from .divergence import DivergenceReport, absolute_divergences, divergence_sweep
 from .losses import LossWeights, total_loss
 from .models import MLPClassifier, ModelSpec, load_model, save_model
-from .tensor import Tensor, concat
+from .tensor import Tensor
 from .training import evaluate, train
 
 __all__ = [
     "AttackConfig", "Batch", "Dataset", "DivergenceReport", "LossWeights",
-    "MLPClassifier", "ModelSpec", "RunConfig", "Tensor", "absolute_divergences", "concat",
+    "MLPClassifier", "ModelSpec", "RunConfig", "Tensor", "absolute_divergences",
     "divergence_sweep", "evaluate", "load_model", "make_blobs", "make_two_moons",
     "multi_targeted_pgd", "parse_config_file", "pgd_attack", "robust_accuracy",
     "save_model", "total_loss", "train",

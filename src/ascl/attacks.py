@@ -14,9 +14,9 @@ a subset of rows gives exactly those rows of the whole batch's attack:
 any batching, serial or per-sample-parallel evaluation agree bitwise.
 Targeted runs reuse the same start.
 
-A model provides ``input_gradient(x, labels)`` (d/dx of the summed
-cross-entropy) for every PGD step, ``encode``/``classify``/``forward`` for
-scoring, and ``spec.num_classes`` for multi-targeted PGD.
+A model provides ``spec``, against which an attack checks its batch and labels
+once, ``_input_gradient(x, labels)`` (d/dx of the summed cross-entropy, unchecked)
+for every PGD step, and ``encode``/``classify``/``forward`` for scoring.
 """
 
 from __future__ import annotations
@@ -25,8 +25,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ContractError
-from .tensor import Tensor, check_labels, cross_entropy
+from .errors import ContractError, DimensionError
+from .tensor import _lse_softmax, check_labels
 
 __all__ = [
     "AttackConfig",
@@ -109,8 +109,10 @@ def _ball_clamp(x, epsilon, clip_range):
     return lambda v: np.minimum(hi, np.maximum(lo, v, out=v), out=v)
 
 
-def _checked(x, cfg):
+def _checked(model, x, cfg):
     x = np.array(x, dtype=np.float64)
+    if x.ndim != 2 or x.shape[1] != model.spec.input_dim:
+        raise DimensionError(f"attack expects shape (N, {model.spec.input_dim}), got {x.shape}")
     if not np.all((x >= cfg.clip_range[0]) & (x <= cfg.clip_range[1])):
         raise ContractError("input batch lies outside clip_range")
     return x
@@ -129,18 +131,18 @@ def pgd_attack(model, x, y, cfg: AttackConfig, seed=0, targets=None, index_base=
     Each iterate is clamped into the epsilon ball around ``x``, then into
     ``cfg.clip_range``; where it equals a bound, it is kept (``_ball_clamp``).
     """
-    x = _checked(x, cfg)
-    y = np.asarray(y, dtype=np.intp)
+    x = _checked(model, x, cfg)
     if cfg.epsilon == 0:
         return x
     targeted = targets is not None
-    goal = np.asarray(targets, dtype=np.intp) if targeted else y
+    goal = check_labels(targets if targeted else y, model.spec.num_classes)
     indices = np.arange(index_base, index_base + x.shape[0], dtype=np.uint64)
     return _pgd(model, x, goal, targeted, cfg, seed, indices)
 
 
 def _pgd(model, x, goal, targeted, cfg, seed, indices):
-    """``pgd_attack``'s loop at epsilon > 0; row ``i`` starts from index ``indices[i]``."""
+    """``pgd_attack``'s loop at epsilon > 0 on a checked batch and ``goal``; row
+    ``i`` starts from index ``indices[i]``."""
     project = _ball_clamp(x, cfg.epsilon, cfg.clip_range)
     if cfg.random_init:
         x_adv = project(x + _random_start(seed, indices, x.shape, cfg.epsilon))
@@ -148,7 +150,7 @@ def _pgd(model, x, goal, targeted, cfg, seed, indices):
         x_adv = x.copy()
 
     for _ in range(cfg.steps):
-        step = np.sign(model.input_gradient(x_adv, goal))
+        step = np.sign(model._input_gradient(x_adv, goal))
         # x - eta * s and x + (-eta) * s are the same IEEE result
         step *= -cfg.eta if targeted else cfg.eta
         x_adv += step
@@ -168,10 +170,10 @@ def multi_targeted_pgd(model, x, y, cfg: AttackConfig, seed=0, index_base=0):
     c = model.spec.num_classes
     if c < 2:
         raise ContractError("multi-targeted attack requires at least 2 classes")
-    x = _checked(x, cfg)
-    y = np.asarray(y, dtype=np.intp)
+    x = _checked(model, x, cfg)
     if cfg.epsilon == 0:
         return x
+    y = check_labels(y, c)
 
     best = x.copy()
     decided = np.zeros(x.shape[0], dtype=bool)
@@ -185,7 +187,7 @@ def multi_targeted_pgd(model, x, y, cfg: AttackConfig, seed=0, index_base=0):
                     index_base + rows)
         # keep values only: the candidate's graph is freed before the next attack
         logits_c = model.forward(cand).data
-        ce = cross_entropy(Tensor(logits_c), y[rows]).data
+        ce = _lse_softmax(logits_c, 1)[0][:, 0] - logits_c[np.arange(rows.size), y[rows]]
 
         flipped = np.argmax(logits_c, axis=1) != y[rows]
         decided[rows[flipped]] = True

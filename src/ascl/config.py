@@ -11,7 +11,7 @@ from .attacks import AttackConfig
 from .data import check_blobs, check_moons, load_dataset, make_blobs, make_two_moons
 from .errors import ConfigError, ContractError
 from .losses import STRATEGIES, LossWeights
-from .models import ModelSpec
+from .models import ModelSpec, _size
 
 __all__ = ["RunConfig", "parse_config_file", "config_from_dict"]
 
@@ -61,6 +61,10 @@ class RunConfig:
     eval_every: int = 1
 
     def __post_init__(self):
+        for name in ("data_size", "data_classes", "data_per_class", "data_dims",
+                     "projection_dim", "projection_mid", "batch_size"):
+            setattr(self, name, _size(getattr(self, name), name))
+        self.hidden_layers = tuple(_size(w, "hidden_layers") for w in self.hidden_layers)
         if self.batch_size < 2:
             raise ConfigError("batch_size must be at least 2 (selection needs other samples)")
         if self.epochs < 0:
@@ -83,7 +87,6 @@ class RunConfig:
             raise ConfigError("lr and schedule rates must be finite and positive")
         if not (0 <= self.seed < 2**64 and 0 <= self.data_seed < 2**64):
             raise ConfigError("seed and data_seed must lie in [0, 2**64)")
-        self.hidden_layers = tuple(int(w) for w in self.hidden_layers)
         # LossWeights, AttackConfig and the generators own these checks;
         # running them here rejects a bad value before a run writes anything
         try:

@@ -3,9 +3,10 @@ supervised contrastive loss over a pooled natural+adversarial batch, the
 adversarial cross-entropy term, the KL smoothness term, and their
 weighted combination.
 
-Latent pool layout: slots ``0..N-1`` hold natural latents, ``N..2N-1``
-the adversarial counterparts; slot ``j + N`` is sample ``j``'s
-adversarial view.
+``total_loss`` runs both views through the network as one stacked batch,
+so its logits, latents and pool ``project(z)`` share one layout: slots
+``0..N-1`` hold the natural views, ``N..2N-1`` the adversarial ones; slot
+``j + N`` is sample ``j``'s adversarial view.
 
 Every strategy is a pair of boolean (N, 2N) masks from
 ``selection_masks``: row ``i`` marks sample ``i``'s positive and negative
@@ -39,7 +40,7 @@ import numpy as np
 
 from .errors import ContractError
 from .models import MLPClassifier
-from .tensor import Tensor, _lse_softmax, concat, cross_entropy, log_softmax
+from .tensor import Tensor, _lse_softmax, check_labels
 
 __all__ = [
     "STRATEGIES",
@@ -174,22 +175,54 @@ def supcon_batch(pool: Tensor, pos, neg, weights: LossWeights) -> Tensor:
     return Tensor._make(loss, (pool,), (vjp,))
 
 
-def at_loss(logits_nat: Tensor, logits_adv: Tensor, labels, nat_ce: bool = True) -> Tensor:
-    """Cross-entropy on the adversarial batch plus, unless disabled, the
-    natural batch; per-sample terms are averaged over the batch."""
-    adv = cross_entropy(logits_adv, labels).mean()
-    if not nat_ce:
-        return adv
-    return cross_entropy(logits_nat, labels).mean() + adv
+def _stacked(logits: Tensor):
+    """N, then the row log-sum-exps and the softmax of stacked (2N, C) logits."""
+    n, odd = divmod(logits.shape[0], 2)
+    if logits.data.ndim != 2 or odd:
+        raise ContractError(f"expected stacked (2N, C) logits, got shape {logits.shape}")
+    return (n, *_lse_softmax(logits.data, 1))
 
 
-def vat_loss(logits_nat: Tensor, logits_adv: Tensor) -> Tensor:
-    """Mean KL(natural predictions || adversarial predictions); keeps the
-    classifier smooth across the perturbation."""
-    logp = log_softmax(logits_nat)
-    logq = log_softmax(logits_adv)
-    p = logp.exp()
-    return (p * (logp - logq)).sum(axis=1).mean()
+def at_loss(logits: Tensor, labels, nat_ce: bool = True) -> Tensor:
+    """Cross-entropy of stacked (2N, C) logits against the N ``labels``, averaged
+    over the adversarial rows plus, unless disabled, over the natural rows.
+    One node; its VJP is (softmax - onehot) g / N on the rows it counts."""
+    n, lse, soft = _stacked(logits)
+    if len(labels) != n:
+        raise ContractError(f"{len(labels)} labels do not match {n} samples")
+    label_at = (np.arange(2 * n), np.tile(check_labels(labels, soft.shape[1]), 2))
+    ce = lse[:, 0] - logits.data[label_at]
+    loss = ce[n:].sum() / n
+    if nat_ce:
+        loss = ce[:n].sum() / n + loss
+
+    def vjp(g):
+        d = soft * (g / n)
+        d[label_at] -= g / n
+        if not nat_ce:
+            d[:n] = 0.0
+        return d
+
+    return Tensor._make(loss, (logits,), (vjp,))
+
+
+def vat_loss(logits: Tensor) -> Tensor:
+    """Mean KL(natural || adversarial predictions) over stacked (2N, C) logits;
+    keeps the classifier smooth across the perturbation. One node; with p and
+    q the natural and adversarial softmax rows, its VJP is
+    p ((log p - log q) - KL_row) g / N toward the natural rows and
+    (q - p) g / N toward the adversarial rows."""
+    n, lse, soft = _stacked(logits)
+    logp = logits.data - lse
+    p, q, diff = soft[:n], soft[n:], logp[:n] - logp[n:]
+    kl = (p * diff).sum(axis=1, keepdims=True)
+
+    def vjp(g):
+        d = np.concatenate([p * (diff - kl), q - p])
+        d *= g / n
+        return d
+
+    return Tensor._make(kl.sum() / n, (logits,), (vjp,))
 
 
 @dataclass
@@ -205,32 +238,29 @@ class LossBreakdown:
 def total_loss(batch, model: MLPClassifier, strategy, weights: LossWeights,
                nat_ce: bool = True, use_vat: bool = True) -> LossBreakdown:
     """Combined objective on a paired batch: adversarial cross-entropy plus
-    weighted contrastive and KL terms, all fed from one pair of forwards.
+    weighted contrastive and KL terms, all fed from one forward of the
+    natural and adversarial views stacked as 2N rows.
 
     ``batch`` carries (x, y, x_adv). Terms with zero weight are skipped, so
     at lambda_scl = lambda_vat = 0 the result is exactly the AT loss.
     """
-    z_nat = model.encode(batch.x)
-    logits_nat = model.classify(z_nat)
-    z_adv = model.encode(batch.x_adv)
-    logits_adv = model.classify(z_adv)
-    preds = np.argmax(np.concatenate([logits_nat.data, logits_adv.data]), axis=1)
-    pos, neg = selection_masks(strategy, batch.y, preds)
+    z = model.encode(np.concatenate([batch.x, batch.x_adv]))
+    logits = model.classify(z)
+    pos, neg = selection_masks(strategy, batch.y, np.argmax(logits.data, axis=1))
     mean_pos, mean_neg = _mean_counts(pos, neg)
 
-    total = at_loss(logits_nat, logits_adv, batch.y, nat_ce=nat_ce)
+    total = at_loss(logits, batch.y, nat_ce=nat_ce)
     at_val = total.item()
 
     scl_val = 0.0
     if weights.lambda_scl > 0:
-        pool = concat([model.project(z_nat), model.project(z_adv)])
-        scl = supcon_batch(pool, pos, neg, weights)
+        scl = supcon_batch(model.project(z), pos, neg, weights)
         scl_val = scl.item()
         total = total + weights.lambda_scl * scl
 
     vat_val = 0.0
     if use_vat and weights.lambda_vat > 0:
-        vat = vat_loss(logits_nat, logits_adv)
+        vat = vat_loss(logits)
         vat_val = vat.item()
         total = total + weights.lambda_vat * vat
 

@@ -1,5 +1,8 @@
 """Small MLP classifiers with an exposed penultimate latent and optional
-projection heads for the contrastive loss."""
+projection heads for the contrastive loss. ``encode`` and ``classify`` are
+one engine node each. The one backprop loop, ``_hidden_backprop``, serves
+the ``encode`` node's VJPs, one pass per gradient, and ``input_gradient``,
+whose unchecked form every PGD step calls."""
 
 from __future__ import annotations
 
@@ -11,7 +14,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .errors import ConfigError, DimensionError, FormatError
-from .tensor import Tensor, affine, check_labels
+from .tensor import Tensor, check_labels
 
 __all__ = ["ModelSpec", "MLPClassifier", "save_model", "load_model"]
 
@@ -20,10 +23,10 @@ PROJECTION_KINDS = ("identity", "linear", "two_layer")
 CHECKPOINT_MAGIC = b"ASCLMZ1\x00"
 
 
-def _size(v):
+def _size(v, what="model sizes"):
     """``v`` as an int; ConfigError unless it is a positive integer, bools excluded."""
     if isinstance(v, bool) or not isinstance(v, numbers.Integral) or v < 1:
-        raise ConfigError(f"model sizes must be positive integers, got {v!r}")
+        raise ConfigError(f"{what} must be positive integers, got {v!r}")
     return int(v)
 
 
@@ -104,45 +107,78 @@ class MLPClassifier:
         return t
 
     def encode(self, x) -> Tensor:
-        """Forward through the hidden stack; returns the penultimate activation."""
-        h = self._as_batch(x, self.spec.input_dim, "encode")
-        for w, b in self.hidden:
-            h = affine(h, w, b).relu()
-        return h
+        """The penultimate activation: one node whose parents are the input and
+        every hidden weight and bias, in ``parameters`` order."""
+        x = self._as_batch(x, self.spec.input_dim, "encode")
+        acts, masks = self._hidden_forward(x.data)
+        params = [t for layer in self.hidden for t in layer]
+        memo = [None]
+
+        def share(g, k):
+            # one pass down the stack serves every parent's VJP for one gradient
+            if memo[0] is not g:
+                memo[:] = g, *self._hidden_backprop(g.copy(), masks, acts)
+            return memo[2][k - 1] if k else memo[1] @ params[0].data.T
+
+        vjps = tuple(lambda g, k=k: share(g, k) for k in range(len(params) + 1))
+        return Tensor._make(acts[-1], (x, *params), vjps)
 
     def classify(self, z) -> Tensor:
+        """Logits of latents ``z``, ``z @ cls_w + cls_b``, as one node."""
         z = self._as_batch(z, self.spec.latent_dim, "classify")
-        return affine(z, self.cls_w, self.cls_b)
+        h, w = z.data, self.cls_w.data
+        out = h @ w
+        out += self.cls_b.data
+        return Tensor._make(out, (z, self.cls_w, self.cls_b),
+                            (lambda g: g @ w.T, lambda g: h.T @ g, lambda g: g))
 
     def forward(self, x) -> Tensor:
         return self.classify(self.encode(x))
 
-    def input_gradient(self, x, labels) -> np.ndarray:
-        """d/dx of the summed cross-entropy of ``forward(x)`` against ``labels``, in one
-        numpy pass that builds no Tensor: the engine's float ops in its order, so the
-        result equals the engine's backward bit for bit, sign bits included."""
-        h, masks = np.asarray(x, dtype=np.float64), []
-        if h.ndim != 2 or h.shape[1] != self.spec.input_dim:
-            raise DimensionError(
-                f"input_gradient expects shape (N, {self.spec.input_dim}), got {h.shape}")
+    def _hidden_forward(self, h):
+        """Each hidden layer's input with the latent last, and each layer's relu mask."""
+        acts, masks = [h], []
         for w, b in self.hidden:
             a = h @ w.data
             a += b.data
             masks.append(a > 0.0)
             h = np.maximum(a, 0.0, out=a)
-        z = h @ self.cls_w.data
+            acts.append(h)
+        return acts, masks
+
+    def _hidden_backprop(self, g, masks, acts=None):
+        """``g`` carried from the latent down the relu stack in the engine's float ops,
+        overwriting it: the gradient at the first pre-activation and, given the layer
+        inputs ``acts``, each weight's gradient and bias's per-row share, in order."""
+        grads = []
+        for i in reversed(range(len(self.hidden))):
+            g *= masks[i]
+            if acts is not None:
+                grads[:0] = (acts[i].T @ g, g)
+            if i:
+                g = g @ self.hidden[i][0].data.T
+        return g, grads
+
+    def input_gradient(self, x, labels) -> np.ndarray:
+        """d/dx of the summed cross-entropy of ``forward(x)`` against ``labels``,
+        bit for bit the engine's backward through the affine-and-relu composition."""
+        x = np.asarray(x, dtype=np.float64)
+        if x.ndim != 2 or x.shape[1] != self.spec.input_dim:
+            raise DimensionError(
+                f"input_gradient expects shape (N, {self.spec.input_dim}), got {x.shape}")
+        return self._input_gradient(x, check_labels(labels, self.spec.num_classes))
+
+    def _input_gradient(self, x, labels):
+        """``input_gradient`` of a checked batch and labels; builds no Tensor."""
+        acts, masks = self._hidden_forward(x)
+        z = acts[-1] @ self.cls_w.data
         z += self.cls_b.data
-        labels = check_labels(labels, z.shape[1])
         # softmax as in tensor._lse_softmax, minus the one-hot of the labels
         z -= np.maximum.reduce(z, axis=1, keepdims=True)
         np.exp(z, out=z)
         z /= np.add.reduce(z, axis=1, keepdims=True)
         z[np.arange(z.shape[0]), labels] -= 1.0
-        g = z @ self.cls_w.data.T
-        for (w, _), mask in zip(reversed(self.hidden), reversed(masks)):
-            g *= mask
-            g = g @ w.data.T
-        return g
+        return self._hidden_backprop(z @ self.cls_w.data.T, masks)[0] @ self.hidden[0][0].data.T
 
     def project(self, z) -> Tensor:
         """Map the latent into the contrastive space per the configured head."""

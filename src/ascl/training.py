@@ -42,26 +42,40 @@ _BETA1, _BETA2, _EPS = 0.9, 0.999, 1e-8
 
 
 class Adam:
+    """Adam over ``params``, moved into one flat float64 buffer that each ``p.data``
+    views and a step updates in place, so a graph walked after a step reads the new
+    weights. ``m`` and ``v`` hold the moments' per-parameter views."""
+
     def __init__(self, params, lr):
-        self.params = list(params)
-        self.lr = lr
-        self.m = [np.zeros_like(p.data) for p in self.params]
-        self.v = [np.zeros_like(p.data) for p in self.params]
-        self.t = 0
+        self.params, self.lr, self.t = list(params), lr, 0
+        ends = np.cumsum([p.data.size for p in self.params])
+        self._spans = [slice(a, b) for a, b in zip([0, *ends[:-1]], ends)]
+        self._flat = np.concatenate([p.data.ravel() for p in self.params])
+        self._m, self._v = np.zeros_like(self._flat), np.zeros_like(self._flat)
+        self.m, self.v = self._views(self._m), self._views(self._v)
+        for p, view in zip(self.params, self._views(self._flat)):
+            p.data = view
+
+    def _views(self, flat):
+        return [flat[s].reshape(p.data.shape) for p, s in zip(self.params, self._spans)]
 
     def step(self, grads):
-        """One update from ``grads`` in ``params`` order, skipping a ``None``."""
+        """One update from ``grads`` in ``params`` order, in one pass unless a gradient
+        is ``None``; such a parameter keeps its values and both moments."""
         self.t += 1
-        for p, g, m, v in zip(self.params, grads, self.m, self.v):
-            if g is None:
-                continue
+        if all(g is not None for g in grads):
+            runs = [(slice(None), np.concatenate([g.ravel() for g in grads]))]
+        else:
+            runs = [(span, g.ravel()) for span, g in zip(self._spans, grads) if g is not None]
+        for span, g in runs:
+            m, v = self._m[span], self._v[span]
             m *= _BETA1
             m += (1 - _BETA1) * g
             v *= _BETA2
             v += (1 - _BETA2) * g ** 2
             mhat = m / (1 - _BETA1 ** self.t)
             vhat = v / (1 - _BETA2 ** self.t)
-            p.data = p.data - self.lr * mhat / (np.sqrt(vhat) + _EPS)
+            self._flat[span] -= self.lr * mhat / (np.sqrt(vhat) + _EPS)
 
 
 def lr_at(lr, schedule, epoch):
@@ -126,8 +140,8 @@ class MetricsWriter:
 
 
 def train_step(model, optimizer, x, y, cfg: RunConfig, step_seed):
-    """One update: regenerate adversarial examples from current weights,
-    one joint forward, combined loss, backward, optimizer step."""
+    """One update: PGD from the current weights, one forward of both views stacked,
+    the combined loss, one backward walk and one flat Adam pass."""
     x_adv = pgd_attack(model, x, y, cfg.train_attack(), seed=step_seed)
     bd = total_loss(Batch(x, y, x_adv), model, cfg.strategy, cfg.loss_weights(),
                     nat_ce=cfg.nat_ce, use_vat=cfg.use_vat)

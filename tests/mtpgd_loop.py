@@ -11,7 +11,8 @@ import numpy as np
 
 from ascl.attacks import pgd_attack
 from ascl.errors import ContractError
-from ascl.tensor import Tensor, cross_entropy
+from ascl.tensor import Tensor
+from mlp_graph import cross_entropy
 
 
 def multi_targeted_pgd_loop(model, x, y, cfg, seed=0, index_base=0):

@@ -13,6 +13,7 @@ import numpy as np
 
 from ascl.errors import ContractError, DimensionError
 from ascl.tensor import Tensor
+from mlp_graph import div, log_sum_exp, sub
 
 
 def power(t: Tensor, exponent) -> Tensor:
@@ -43,7 +44,7 @@ def similarity_matrix(pool: Tensor) -> Tensor:
     """Pairwise cosine similarities of the pool's rows, (2N, h) -> (2N, 2N)."""
     norms = sqrt((pool * pool).sum(axis=1, keepdims=True))
     # an all-zero row stays zero: similarity 0 to every slot
-    unit = pool / (norms + Tensor(norms.data == 0.0))
+    unit = div(pool, norms + Tensor(norms.data == 0.0))
     return unit @ transpose(unit)
 
 
@@ -55,7 +56,7 @@ def supcon_batch_composed(pool: Tensor, pos, neg, weights) -> Tensor:
     partner = np.roll(np.eye(2 * n, dtype=bool), n, axis=1)
     num = np.tile(pos, (2, 1)) | partner
     den = num | np.tile(neg, (2, 1))
-    sims = similarity_matrix(pool) / weights.tau
-    lse = (sims + Tensor(np.where(den, 0.0, -np.inf))).log_sum_exp(axis=1)
+    sims = div(similarity_matrix(pool), weights.tau)
+    lse = log_sum_exp(sims + Tensor(np.where(den, 0.0, -np.inf)), axis=1)
     num_mean = (sims * Tensor(num / num.sum(axis=1, keepdims=True))).sum(axis=1)
-    return (lse - num_mean).sum() / float(n)
+    return div(sub(lse, num_mean).sum(), float(n))

@@ -12,6 +12,7 @@ import numpy as np
 from ascl.errors import ContractError, DomainError
 from ascl.losses import LossWeights, SelectionResult
 from ascl.tensor import Tensor
+from mlp_graph import div, log_sum_exp, mean, sub
 from supcon_graph import sqrt, transpose
 
 
@@ -23,7 +24,7 @@ def similarity_rows(rows: Tensor, anchor: Tensor) -> Tensor:
     dots = rows @ transpose(anchor)
     rn = sqrt((rows * rows).sum(axis=1, keepdims=True))
     an = sqrt((anchor * anchor).sum(axis=1, keepdims=True))
-    return dots / (rn * an)
+    return div(dots, rn * an)
 
 
 def gather_rows(t: Tensor, idx) -> Tensor:
@@ -38,9 +39,9 @@ def anchor_loss(anchor_slot, partner_slot, pool, sel, weights):
     num_idx = np.concatenate([sel.positives, [partner_slot]])
     den_idx = np.concatenate([sel.positives, sel.negatives, [partner_slot]])
     anchor_vec = gather_rows(pool, [anchor_slot])
-    num_sims = similarity_rows(gather_rows(pool, num_idx), anchor_vec) / weights.tau
-    den_sims = similarity_rows(gather_rows(pool, den_idx), anchor_vec) / weights.tau
-    return den_sims.log_sum_exp() - num_sims.mean()
+    num_sims = div(similarity_rows(gather_rows(pool, num_idx), anchor_vec), weights.tau)
+    den_sims = div(similarity_rows(gather_rows(pool, den_idx), anchor_vec), weights.tau)
+    return sub(log_sum_exp(den_sims), mean(num_sims))
 
 
 def supcon_anchor_nat(i, pool: Tensor, sel: SelectionResult, weights: LossWeights) -> Tensor:
@@ -71,4 +72,4 @@ def supcon_batch_loop(pool: Tensor, pos, neg, weights: LossWeights) -> Tensor:
                               negatives=np.flatnonzero(neg[i]), anchor_adv_slot=i + n)
         term = supcon_anchor_nat(i, pool, sel, weights) + supcon_anchor_adv(i, pool, sel, weights)
         total = term if total is None else total + term
-    return total / float(n)
+    return div(total, float(n))

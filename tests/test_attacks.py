@@ -1,4 +1,5 @@
 import traceback
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -6,13 +7,16 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.stats import kstest
 
+import ascl.attacks
+import ascl.models
 from ascl.attacks import (AttackConfig, _ball_clamp, _random_start, attack_by_name,
                           multi_targeted_pgd, pgd_attack, robust_accuracy)
 from ascl.config import RunConfig
 from ascl.errors import ContractError, DimensionError
 from ascl.models import MLPClassifier, ModelSpec
-from ascl.tensor import Tensor, cross_entropy
+from ascl.tensor import Tensor
 from ascl.training import train
+from mlp_graph import cross_entropy, forward, log_sum_exp, sub
 from mtpgd_loop import multi_targeted_pgd_loop
 
 
@@ -23,10 +27,12 @@ def _softmax(logits):
 
 def engine_input_gradient(model, x, labels):
     """Gradient of summed cross-entropy against ``labels`` at x, from the
-    engine's backward toward the input alone: the oracle for
-    ``MLPClassifier.input_gradient``."""
+    engine's backward toward the input alone through the op-by-op forward
+    of ``mlp_graph`` (a model's own ``forward`` if it has no hidden stack):
+    the oracle for ``MLPClassifier.input_gradient``."""
     xt = Tensor(x)
-    return cross_entropy(model.forward(xt), labels).sum().backward((xt,))[0]
+    logits = forward(model, xt) if isinstance(model, MLPClassifier) else model.forward(xt)
+    return cross_entropy(logits, labels).sum().backward((xt,))[0]
 
 
 class LinearLogistic:
@@ -35,6 +41,7 @@ class LinearLogistic:
     def __init__(self, w, b):
         self.w = np.asarray(w, dtype=np.float64)
         self.b = np.asarray(b, dtype=np.float64)
+        self.spec = SimpleNamespace(input_dim=self.w.shape[0], num_classes=self.w.shape[1])
 
     def encode(self, x):
         return x if isinstance(x, Tensor) else Tensor(x)
@@ -45,7 +52,7 @@ class LinearLogistic:
     def forward(self, x):
         return self.classify(self.encode(x))
 
-    def input_gradient(self, x, labels):
+    def _input_gradient(self, x, labels):
         return engine_input_gradient(self, x, labels)
 
 
@@ -154,8 +161,8 @@ class TestPGD:
         onehot = np.eye(3)[y]
         for _ in range(cfg.steps):
             xt = Tensor(cur)
-            logits = toy_model.forward(xt)
-            loss = ((logits.log_sum_exp(axis=1, keepdims=True) - logits) * Tensor(onehot)).sum()
+            logits = forward(toy_model, xt)
+            loss = (sub(log_sum_exp(logits, axis=1, keepdims=True), logits) * Tensor(onehot)).sum()
             grad = loss.backward((xt, *toy_model.parameters))[0]
             cur = project_linf(cur + cfg.eta * np.sign(grad), x, cfg.epsilon)
         assert got.tobytes() == cur.tobytes()
@@ -301,6 +308,17 @@ class TestInputGradient:
     def test_wrong_shape_is_a_dimension_error(self, toy_model, shape):
         with pytest.raises(DimensionError):
             toy_model.input_gradient(np.zeros(shape), np.zeros(shape[0], dtype=int))
+
+    @pytest.mark.parametrize("attack", [pgd_attack, multi_targeted_pgd])
+    def test_an_attack_checks_its_labels_once(self, toy_model, toy_batch, attack, monkeypatch):
+        calls = []
+        for module in (ascl.attacks, ascl.models):
+            real = module.check_labels
+            monkeypatch.setattr(module, "check_labels",
+                                lambda labels, c, real=real: calls.append(c) or real(labels, c))
+        x, y = toy_batch
+        attack(toy_model, x, y, AttackConfig(epsilon=0.05, eta=0.01, steps=10), seed=3)
+        assert calls == [3]
 
     def test_pgd_builds_no_tensor(self, toy_model, toy_batch, monkeypatch):
         x, y = toy_batch
@@ -536,7 +554,7 @@ class TestMultiTargeted:
         y = np.array([0, 1, 2, 0, 2, 2, 1, 0, 0, 1, 2, 2])
         calls = []
 
-        real = MLPClassifier.input_gradient
+        real = MLPClassifier._input_gradient
 
         def spy(model, x_adv, labels):
             # the iterates stay at x: no random start and zero steps
@@ -544,7 +562,7 @@ class TestMultiTargeted:
             calls.append((rows, np.unique(labels).tolist()))
             return real(model, x_adv, labels)
 
-        monkeypatch.setattr(MLPClassifier, "input_gradient", spy)
+        monkeypatch.setattr(MLPClassifier, "_input_gradient", spy)
         cfg = AttackConfig(epsilon=0.05, eta=0.01, steps=3, random_init=False)
         got = multi_targeted_pgd(model, x, y, cfg, seed=4)
         assert got.tobytes() == x.tobytes()
@@ -561,7 +579,7 @@ class TestMultiTargeted:
         def refuse(*args):
             raise AssertionError("an attack pass ran on an invalid batch")
 
-        monkeypatch.setattr(MLPClassifier, "input_gradient", refuse)
+        monkeypatch.setattr(MLPClassifier, "_input_gradient", refuse)
         x, y = toy_batch
         x = x.copy()
         x[5, 2] = bad

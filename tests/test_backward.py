@@ -1,7 +1,6 @@
 """``Tensor.backward`` against the reference walk in ``backward_walk.py``:
 bitwise-equal gradients and no more VJP calls, on the training step's graphs
-and on the cross-entropy graph that is the oracle for
-``MLPClassifier.input_gradient``."""
+and on a cross-entropy graph through the ``encode`` and ``classify`` nodes."""
 
 from collections import Counter
 
@@ -11,8 +10,9 @@ import pytest
 from ascl.data import Batch
 from ascl.losses import STRATEGIES, LossWeights, total_loss
 from ascl.models import PROJECTION_KINDS, MLPClassifier, ModelSpec
-from ascl.tensor import Tensor, cross_entropy
+from ascl.tensor import Tensor
 from backward_walk import backward_walk
+from mlp_graph import cross_entropy
 from vjp_spy import spy_on_vjps
 
 # which terms of the objective are in the graph, as the run config's nat_ce
@@ -25,8 +25,8 @@ REQUESTS = ["x", "params", "both", "latent"]
 
 
 def _graph(name):
-    """Root, model, the input tensors x and x_adv (x_adv is never requested)
-    and the encoder's outputs, natural one first."""
+    """Root, model, the encoder's input tensor and its output: for
+    ``total_loss``, the natural and adversarial views stacked."""
     kind, *rest = name.split("-")
     strategy, terms, projection = rest or (None, None, "identity")
     model = MLPClassifier(ModelSpec(input_dim=5, hidden_layers=(7, 6), num_classes=3,
@@ -35,23 +35,22 @@ def _graph(name):
     rng = np.random.default_rng(4)
     x = rng.uniform(0.1, 0.9, size=(8, 5))
     y = rng.integers(0, 3, size=8)
-    xt = Tensor(x)
-    xat = Tensor(x + rng.uniform(-0.05, 0.05, size=x.shape))
-    latents = []
+    x_adv = x + rng.uniform(-0.05, 0.05, size=x.shape)
+    seen = []
     encode = model.encode
-    model.encode = lambda v: latents.append(encode(v)) or latents[-1]
+    model.encode = lambda v: seen.append(Tensor(v)) or seen.append(encode(seen[-1])) or seen[-1]
     if kind == "input_gradient":
-        root = cross_entropy(model.forward(xt), y).sum()
+        root = cross_entropy(model.forward(x), y).sum()
     else:
         weights = LossWeights(lambda_scl=1.0, lambda_vat=2.0, tau=0.5)
-        root = total_loss(Batch(xt, y, xat), model, strategy, weights, **TERMS[terms]).total
-    return root, model, xt, latents
+        root = total_loss(Batch(x, y, x_adv), model, strategy, weights, **TERMS[terms]).total
+    return root, model, *seen
 
 
 def _requested(name, request):
-    root, model, xt, latents = _graph(name)
+    root, model, xt, latent = _graph(name)
     inputs = {"x": [xt], "params": model.parameters, "both": [xt, *model.parameters],
-              "latent": latents[:1]}[request]
+              "latent": [latent]}[request]
     return root, inputs
 
 

@@ -1,5 +1,7 @@
 import dataclasses
+import json
 
+import numpy as np
 import pytest
 
 from ascl.cli import cli
@@ -106,3 +108,23 @@ def test_training_file_must_hold_a_train_split(tmp_path):
     swapped = RunConfig(dataset=str(tmp_path / "test.ds"), dataset_test=str(tmp_path / "train.ds"))
     with pytest.raises(ConfigError, match="not a train split"):
         swapped.build_datasets()
+
+
+@pytest.mark.parametrize("edit", [
+    dict(hidden_layers=(2.7, True)), dict(hidden_layers=(8, np.float64(8))),
+    dict(hidden_layers=("8",)), dict(dataset="blobs", data_dims=2.5),
+    dict(data_size=200.0), dict(data_classes=np.bool_(True)), dict(data_per_class=0),
+    dict(projection_dim=3.5), dict(projection_mid=-1), dict(batch_size=64.0),
+])
+def test_sizes_must_be_positive_integers(edit):
+    name = next(iter(edit.keys() - {"dataset"}))
+    with pytest.raises(ConfigError, match=f"{name} must be positive integers"):
+        RunConfig(**edit)
+
+
+def test_numpy_integer_sizes_become_ints():
+    cfg = RunConfig(hidden_layers=np.array([16, 8]), data_dims=np.int64(6),
+                    batch_size=np.int32(32))
+    assert cfg.hidden_layers == (16, 8) and (cfg.data_dims, cfg.batch_size) == (6, 32)
+    assert all(type(v) is int for v in (*cfg.hidden_layers, cfg.data_dims, cfg.batch_size))
+    assert json.loads(json.dumps(cfg.to_dict()))["hidden_layers"] == [16, 8]

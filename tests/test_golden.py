@@ -42,7 +42,7 @@ EVAL_ATTACK = dict(epsilon=0.08, eta=0.02, steps=5)
 
 GOLDEN = {
     "at_moons": {
-        "checkpoint": "b448e1cba4b2493550d5a082bb25dd14b1629dfbc31b2f2d53979f53b7c62276",
+        "checkpoint": "898d9d12d1f189838c16ac47456073cf7a0306b3c3a060e747e17817b208aaa7",
         "metrics": "e68fe67a93928357f94046f96b369c50489bde483f3251945d3241cb97c42a7d",
         "final": "c72911addf71136fd5b85f91685e4101226d8f8c44978e1b228abe20d78c305d",
         "evaluate": "339a8831ad6bd215887515ac9753c9dd50c5f70ec1ff17dcd141d952365d6052",
@@ -50,7 +50,7 @@ GOLDEN = {
         "attacks": "2b61fd2cfc157c996f94a60664559dab6a503cceb88bfbeae0c3a54dccabc544",
     },
     "hard_cosine_linear": {
-        "checkpoint": "77467802bd920b412d10ee260ff1704614eeaf57c12ae57588d1357232571912",
+        "checkpoint": "99f41c6fa512b13d408c7e786411e45e18ae2275ac2ad1027f1a794d133c875c",
         "metrics": "68aa771664afa6c22e94ca1849f6775053e63dd8c1439f6ec76cc8c2b33d164f",
         "final": "74879caf42fe7a37e46654d62c1d575d4f6892c5670c9cb94919b6c85aec3cec",
         "evaluate": "b1466577916363ca4ab5f999cceec441f7f3b8e45fa2369e770dd45926e9d24c",
@@ -58,8 +58,8 @@ GOLDEN = {
         "attacks": "bf132b8bac503793314272a941761818165b34da0388242cf858f934a5000bd9",
     },
     "leaked_cosine": {
-        "checkpoint": "39aa44572f256c023bd50d2b00927e929f63fd6f69d50ecaf96568df9ff78913",
-        "metrics": "495b81247542f1cf367d4d4286b6115e29d8032cd983460add5045988a76ef18",
+        "checkpoint": "34c5d2af4c1990570aba955237fedf5767942b6328cb60045fd9a334d66ed178",
+        "metrics": "7c1dcd1bb9b951b267b42ae82cfc8413d43e98ee33ef7912639cd6cfcd4b3a08",
         "final": "74879caf42fe7a37e46654d62c1d575d4f6892c5670c9cb94919b6c85aec3cec",
         "evaluate": "ff9ab01c67db72a2ed44edd0df2e30a8a69f5990f6fe553f694ec7d52f0627df",
         "divergence": "28628f971205e0918847c6ee7efa016ebc68def507331a09e861c4e69327a3aa",

@@ -9,7 +9,8 @@ from ascl.data import Batch
 from ascl.errors import ConfigError, DimensionError, FormatError
 from ascl.losses import LossWeights, total_loss
 from ascl.models import MLPClassifier, ModelSpec, load_model, save_model
-from ascl.tensor import Tensor, log_softmax
+from ascl.tensor import Tensor
+from mlp_graph import log_softmax
 
 
 def small_spec(**kw):

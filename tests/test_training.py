@@ -8,14 +8,19 @@ from pathlib import Path
 
 import numpy as np
 
+import pytest
+
 import ascl.attacks
 import ascl.divergence
 import ascl.training
+from adam_loop import AdamLoop
 from ascl.cli import cli
 from ascl.config import RunConfig
 from ascl.data import Dataset, make_blobs, save_dataset
-from ascl.models import MLPClassifier
+from ascl.models import MLPClassifier, ModelSpec, load_model, save_model
+from ascl.tensor import Tensor
 from ascl.training import Adam, train, train_step
+from test_golden import _COMMON, CONFIGS
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
 
@@ -153,3 +158,90 @@ def test_one_class_test_split_leaves_the_divergences_empty(tmp_path):
         assert row["d_a_minus"] == "" and row["r_div"] == ""
         assert math.isfinite(float(row["d_a_plus"]))
         assert 0.0 <= float(row["rob_acc"]) <= 1.0
+
+
+def _two_models(spec, seed):
+    return MLPClassifier(spec, seed=seed), MLPClassifier(spec, seed=seed)
+
+
+def _random_grads(rng, params, missing=()):
+    grads = [rng.normal(scale=10.0 ** rng.integers(-6, 2), size=p.data.shape) for p in params]
+    # both zeros, a tiny and a huge entry
+    grads[0].flat[:4] = [0.0, -0.0, 1e-200, 1e150]
+    for k in missing:
+        grads[k] = None
+    return grads
+
+
+@pytest.mark.parametrize("missing", [(), (0,), (2, 3), (5,), (1, 4)])
+def test_flat_adam_equals_the_per_array_loop_bitwise(missing):
+    spec = ModelSpec(input_dim=3, hidden_layers=(5, 4), num_classes=3, projection="linear",
+                     projection_dim=2)
+    a, b = _two_models(spec, seed=6)
+    flat, loop = Adam(a.parameters, lr=0.1), AdamLoop(b.parameters, lr=0.1)
+    rng = np.random.default_rng(len(missing))
+    for step in range(5):
+        grads = _random_grads(rng, a.parameters, missing if step % 2 else ())
+        if step == 3:
+            flat.lr = loop.lr = 0.003
+        flat.step(grads)
+        loop.step(grads)
+        for p, q, m, n, v, w in zip(a.parameters, b.parameters, flat.m, loop.m, flat.v, loop.v):
+            assert p.data.tobytes() == q.data.tobytes()
+            assert m.tobytes() == n.tobytes() and v.tobytes() == w.tobytes()
+
+
+def test_a_parameter_without_gradient_keeps_its_values_and_moments():
+    model = MLPClassifier(ModelSpec(input_dim=3, hidden_layers=(5, 4), num_classes=3), seed=7)
+    opt = Adam(model.parameters, lr=0.1)
+    rng = np.random.default_rng(7)
+    opt.step(_random_grads(rng, model.parameters))
+    before = [(p.data.copy(), m.copy(), v.copy()) for p, m, v in zip(opt.params, opt.m, opt.v)]
+    opt.step(_random_grads(rng, model.parameters, missing=(1, 2)))
+    for k, (p, m, v) in enumerate(zip(opt.params, opt.m, opt.v)):
+        same = [a.tobytes() == b.tobytes() for a, b in zip((p.data, m, v), before[k])]
+        assert same == [k in (1, 2)] * 3
+
+
+def test_seeded_runs_under_the_per_array_adam_write_the_same_checkpoint(tmp_path, monkeypatch):
+    cfg = {**_COMMON, **CONFIGS["leaked_cosine"], "epochs": 2, "eval_every": 0}
+    flat = train(RunConfig(output_dir=str(tmp_path / "flat"), **cfg)).checkpoint_path
+    monkeypatch.setattr(ascl.training, "Adam", AdamLoop)
+    loop = train(RunConfig(output_dir=str(tmp_path / "loop"), **cfg)).checkpoint_path
+    assert Path(flat).read_bytes() == Path(loop).read_bytes()
+
+
+def test_loading_then_taking_an_optimizer_keeps_the_checkpoint_bytes(tmp_path):
+    spec = ModelSpec(input_dim=3, hidden_layers=(5, 4), num_classes=3, projection="two_layer",
+                     projection_mid=6, projection_dim=4)
+    save_model(MLPClassifier(spec, seed=8), tmp_path / "a.ckpt")
+    model = load_model(tmp_path / "a.ckpt")
+    Adam(model.parameters, lr=0.1)
+    save_model(model, tmp_path / "b.ckpt")
+    assert (tmp_path / "a.ckpt").read_bytes() == (tmp_path / "b.ckpt").read_bytes()
+
+
+# tensors one train_step builds: the stacked input, the encode and classify
+# nodes, the AT node, then per weighted term its node, the weight and the
+# product, and one sum
+@pytest.mark.parametrize("name,edit,tensors", [
+    ("at_moons", {}, 4),
+    ("at_moons", dict(lambda_vat=2.0), 8),
+    ("leaked_cosine", {}, 12),
+])
+def test_train_step_builds_few_tensors(name, edit, tensors, monkeypatch):
+    cfg = RunConfig(**{**_COMMON, **CONFIGS[name], **edit})
+    train_ds, _ = cfg.build_datasets()
+    model = MLPClassifier(cfg.model_spec(train_ds.dim, train_ds.num_classes), seed=1)
+    opt = Adam(model.parameters, lr=cfg.lr)
+    built = []
+    real = Tensor.__init__
+
+    def counting(self, data):
+        built.append(self)
+        real(self, data)
+
+    monkeypatch.setattr(Tensor, "__init__", counting)
+    x, y = train_ds.features[:cfg.batch_size], train_ds.labels[:cfg.batch_size]
+    train_step(model, opt, x, y, cfg, step_seed=(1,))
+    assert len(built) == tensors
