@@ -1,9 +1,9 @@
 """Adversarial supervised contrastive learning at desk scale.
 
-A small float64 autodiff engine, MLP classifiers with an exposed
-penultimate latent, L-inf PGD attacks, four positive/negative selection
-strategies feeding a contrastive + adversarial + KL objective, and
-latent-divergence diagnostics, wired into a deterministic training CLI.
+A float64 reverse-mode engine of a few coarse nodes, MLP classifiers with
+an exposed penultimate latent, L-inf PGD attacks, four positive/negative
+selection strategies feeding a contrastive + adversarial + KL objective,
+and latent-divergence diagnostics, wired into a deterministic training CLI.
 """
 
 __version__ = "0.1.0"

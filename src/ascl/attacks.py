@@ -15,8 +15,9 @@ any batching, serial or per-sample-parallel evaluation agree bitwise.
 Targeted runs reuse the same start.
 
 A model provides ``spec``, against which an attack checks its batch and labels
-once, ``_input_gradient(x, labels)`` (d/dx of the summed cross-entropy, unchecked)
-for every PGD step, and ``encode``/``classify``/``forward`` for scoring.
+once, ``_input_gradient(x, labels)`` (d/dx of the summed cross-entropy, one
+unchecked numpy pass) for every PGD step, and ``encode``/``classify``/``forward``,
+whose node values score the results; no attack walks a graph.
 """
 
 from __future__ import annotations
@@ -25,7 +26,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ContractError, DimensionError
+from .errors import ConfigError, ContractError, DimensionError
+from .models import _size
 from .tensor import _lse_softmax, check_labels
 
 __all__ = [
@@ -48,8 +50,10 @@ class AttackConfig:
         # written so that NaN fails them; an infinite eta times sign(0) is NaN
         if not self.epsilon >= 0:
             raise ContractError("epsilon must be nonnegative")
-        if self.steps < 0:
-            raise ContractError("steps must be nonnegative")
+        try:
+            _size(self.steps, "steps", low=0)
+        except ConfigError as e:
+            raise ContractError(str(e)) from None
         if self.steps > 0 and not 0 < self.eta < np.inf:
             raise ContractError("eta must be positive and finite when steps > 0")
         if not self.clip_range[0] < self.clip_range[1]:

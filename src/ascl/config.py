@@ -64,13 +64,11 @@ class RunConfig:
         for name in ("data_size", "data_classes", "data_per_class", "data_dims",
                      "projection_dim", "projection_mid", "batch_size"):
             setattr(self, name, _size(getattr(self, name), name))
+        for name in ("epochs", "train_steps", "eval_steps", "seed", "data_seed", "eval_every"):
+            setattr(self, name, _size(getattr(self, name), name, low=0))
         self.hidden_layers = tuple(_size(w, "hidden_layers") for w in self.hidden_layers)
         if self.batch_size < 2:
             raise ConfigError("batch_size must be at least 2 (selection needs other samples)")
-        if self.epochs < 0:
-            raise ConfigError("epochs must be nonnegative")
-        if self.eval_every < 0:
-            raise ConfigError("eval_every must be nonnegative")
         if self.strategy not in STRATEGIES:
             raise ConfigError(f"strategy must be one of {STRATEGIES}")
         if self.similarity != "cosine":
@@ -85,7 +83,7 @@ class RunConfig:
         rates = (self.lr, *(v for _, v in self.schedule))
         if not all(math.isfinite(v) and v > 0 for v in rates):
             raise ConfigError("lr and schedule rates must be finite and positive")
-        if not (0 <= self.seed < 2**64 and 0 <= self.data_seed < 2**64):
+        if not (self.seed < 2**64 and self.data_seed < 2**64):
             raise ConfigError("seed and data_seed must lie in [0, 2**64)")
         # LossWeights, AttackConfig and the generators own these checks;
         # running them here rejects a bad value before a run writes anything

@@ -124,8 +124,9 @@ def select(strategy, labels, preds, i: int) -> SelectionResult:
 
 
 def _mean_counts(pos, neg):
-    # the +1 counts the anchor's own adversarial view as a positive
-    return float(np.mean(pos.sum(axis=1) + 1)), float(np.mean(neg.sum(axis=1)))
+    # the + n counts each anchor's own adversarial view as a positive
+    n = pos.shape[0]
+    return (np.count_nonzero(pos) + n) / n, np.count_nonzero(neg) / n
 
 
 def selection_stats(strategy, labels, preds=None):
@@ -242,27 +243,28 @@ def total_loss(batch, model: MLPClassifier, strategy, weights: LossWeights,
     natural and adversarial views stacked as 2N rows.
 
     ``batch`` carries (x, y, x_adv). Terms with zero weight are skipped, so
-    at lambda_scl = lambda_vat = 0 the result is exactly the AT loss.
+    at lambda_scl = lambda_vat = 0 the total is the AT node itself; otherwise
+    it is one node over the term nodes, ``at + lambda * term`` summed in term
+    order, with VJPs ``g`` toward AT and ``g * lambda`` toward each other term.
     """
     z = model.encode(np.concatenate([batch.x, batch.x_adv]))
     logits = model.classify(z)
     pos, neg = selection_masks(strategy, batch.y, np.argmax(logits.data, axis=1))
+    at = at_loss(logits, batch.y, nat_ce=nat_ce)
+    scl = supcon_batch(model.project(z), pos, neg, weights) if weights.lambda_scl > 0 else None
+    vat = vat_loss(logits) if use_vat and weights.lambda_vat > 0 else None
+
+    total = at
+    terms = [(t, lam) for t, lam in ((scl, weights.lambda_scl), (vat, weights.lambda_vat))
+             if t is not None]
+    if terms:
+        value = at.data
+        for t, lam in terms:
+            value = value + t.data * lam
+        total = Tensor._make(value, (at, *(t for t, _ in terms)),
+                             (lambda g: g, *(lambda g, lam=lam: g * lam for _, lam in terms)))
+
     mean_pos, mean_neg = _mean_counts(pos, neg)
-
-    total = at_loss(logits, batch.y, nat_ce=nat_ce)
-    at_val = total.item()
-
-    scl_val = 0.0
-    if weights.lambda_scl > 0:
-        scl = supcon_batch(model.project(z), pos, neg, weights)
-        scl_val = scl.item()
-        total = total + weights.lambda_scl * scl
-
-    vat_val = 0.0
-    if use_vat and weights.lambda_vat > 0:
-        vat = vat_loss(logits)
-        vat_val = vat.item()
-        total = total + weights.lambda_vat * vat
-
-    return LossBreakdown(total=total, at=at_val, scl=scl_val, vat=vat_val,
+    return LossBreakdown(total=total, at=at.item(), scl=0.0 if scl is None else scl.item(),
+                         vat=0.0 if vat is None else vat.item(),
                          mean_pos=mean_pos, mean_neg=mean_neg)

@@ -1,8 +1,10 @@
 """Small MLP classifiers with an exposed penultimate latent and optional
-projection heads for the contrastive loss. ``encode`` and ``classify`` are
-one engine node each. The one backprop loop, ``_hidden_backprop``, serves
-the ``encode`` node's VJPs, one pass per gradient, and ``input_gradient``,
-whose unchecked form every PGD step calls."""
+projection heads for the contrastive loss. ``encode``, ``classify`` and a
+``linear`` or ``two_layer`` ``project`` are one engine node each, and each
+VJP returns its parent's shape, biases' summed over the batch. The one
+backprop loop, ``_hidden_backprop``, serves the ``encode`` node's VJPs, one
+pass per gradient, and ``input_gradient``, whose unchecked form every PGD
+step calls."""
 
 from __future__ import annotations
 
@@ -23,10 +25,11 @@ PROJECTION_KINDS = ("identity", "linear", "two_layer")
 CHECKPOINT_MAGIC = b"ASCLMZ1\x00"
 
 
-def _size(v, what="model sizes"):
-    """``v`` as an int; ConfigError unless it is a positive integer, bools excluded."""
-    if isinstance(v, bool) or not isinstance(v, numbers.Integral) or v < 1:
-        raise ConfigError(f"{what} must be positive integers, got {v!r}")
+def _size(v, what="model sizes", low=1):
+    """``v`` as an int; ConfigError unless it is an integer >= ``low``, bools excluded."""
+    if isinstance(v, bool) or not isinstance(v, numbers.Integral) or v < low:
+        kind = "positive" if low else "nonnegative"
+        raise ConfigError(f"{what} must be {kind} integers, got {v!r}")
     return int(v)
 
 
@@ -57,6 +60,12 @@ class ModelSpec:
     @property
     def latent_dim(self) -> int:
         return self.hidden_layers[-1]
+
+
+def _batch_sum(g):
+    """A (1, k) bias's gradient from the (N, k) one of its output: the sum over
+    the batch, and for one row that row itself, which keeps the sign of a zero."""
+    return g if len(g) == 1 else g.sum(axis=0, keepdims=True)
 
 
 def _glorot(rng, fan_in, fan_out):
@@ -130,7 +139,7 @@ class MLPClassifier:
         out = h @ w
         out += self.cls_b.data
         return Tensor._make(out, (z, self.cls_w, self.cls_b),
-                            (lambda g: g @ w.T, lambda g: h.T @ g, lambda g: g))
+                            (lambda g: g @ w.T, lambda g: h.T @ g, _batch_sum))
 
     def forward(self, x) -> Tensor:
         return self.classify(self.encode(x))
@@ -147,21 +156,21 @@ class MLPClassifier:
         return acts, masks
 
     def _hidden_backprop(self, g, masks, acts=None):
-        """``g`` carried from the latent down the relu stack in the engine's float ops,
-        overwriting it: the gradient at the first pre-activation and, given the layer
-        inputs ``acts``, each weight's gradient and bias's per-row share, in order."""
+        """``g`` carried from the latent down the relu stack in the float ops of the
+        relu-and-affine VJPs, overwriting it: the gradient at the first pre-activation
+        and, given the layer inputs ``acts``, each weight's and bias's gradient, in order."""
         grads = []
         for i in reversed(range(len(self.hidden))):
             g *= masks[i]
             if acts is not None:
-                grads[:0] = (acts[i].T @ g, g)
+                grads[:0] = (acts[i].T @ g, _batch_sum(g))
             if i:
                 g = g @ self.hidden[i][0].data.T
         return g, grads
 
     def input_gradient(self, x, labels) -> np.ndarray:
         """d/dx of the summed cross-entropy of ``forward(x)`` against ``labels``,
-        bit for bit the engine's backward through the affine-and-relu composition."""
+        bit for bit a backward walk through the ``forward`` nodes."""
         x = np.asarray(x, dtype=np.float64)
         if x.ndim != 2 or x.shape[1] != self.spec.input_dim:
             raise DimensionError(
@@ -181,13 +190,28 @@ class MLPClassifier:
         return self._hidden_backprop(z @ self.cls_w.data.T, masks)[0] @ self.hidden[0][0].data.T
 
     def project(self, z) -> Tensor:
-        """Map the latent into the contrastive space per the configured head."""
+        """Map the latent into the contrastive space per the configured head:
+        ``z`` itself, ``z @ P`` or ``relu(z @ P0) @ P1``, the last two as one
+        node whose parents are ``z`` and the head's weights."""
         z = self._as_batch(z, self.spec.latent_dim, "project")
         if self.spec.projection == "identity":
             return z
+        h, w = z.data, self.proj[0].data
         if self.spec.projection == "linear":
-            return z @ self.proj[0]
-        return (z @ self.proj[0]).relu() @ self.proj[1]
+            return Tensor._make(h @ w, (z, self.proj[0]), (lambda g: g @ w.T, lambda g: h.T @ g))
+        a = h @ w
+        mask = a > 0.0
+        r, w1 = np.maximum(a, 0.0), self.proj[1].data
+        memo = [None]
+
+        def mid(g):
+            # the gradient at ``z @ P0``, shared by the VJPs toward z and P0
+            if memo[0] is not g:
+                memo[:] = g, (g @ w1.T) * mask
+            return memo[1]
+
+        return Tensor._make(r @ w1, (z, *self.proj),
+                            (lambda g: mid(g) @ w.T, lambda g: h.T @ mid(g), lambda g: r.T @ g))
 
 
 # -- checkpoint io -------------------------------------------------------------

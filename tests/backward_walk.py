@@ -14,18 +14,6 @@ import numpy as np
 from ascl.errors import ContractError
 
 
-def _reduce(t, g):
-    """``g`` reduced to the shape of tensor ``t`` by the one broadcasting rule."""
-    shape = t.data.shape
-    if g.shape != shape:
-        if shape == ():
-            return g.sum()
-        if axes := tuple(i for i, (ds, dg) in enumerate(zip(shape, g.shape))
-                         if ds == 1 and dg != 1):
-            return g.sum(axis=axes, keepdims=True)
-    return g
-
-
 def backward_walk(root, inputs):
     """d(root)/d(t) for each ``t`` in ``inputs``, as a list; ``None`` for one
     the root does not reach."""
@@ -61,11 +49,6 @@ def backward_walk(root, inputs):
             continue
         for parent, vjp in zip(node._parents, node._vjps):
             if id(parent) in wanted:
-                d = _reduce(parent, vjp(g))
-                if id(parent) in grads:
-                    grads[id(parent)] = grads[id(parent)] + d
-                else:
-                    # zeros + d only where d still broadcasts
-                    shape = parent.data.shape
-                    grads[id(parent)] = d if d.shape == shape else d + np.zeros(shape)
+                d = vjp(g)
+                grads[id(parent)] = grads[id(parent)] + d if id(parent) in grads else d
     return [grads.get(id(t)) for t in inputs]

@@ -13,7 +13,7 @@ import numpy as np
 
 from ascl.errors import ContractError, DimensionError
 from ascl.tensor import Tensor
-from mlp_graph import div, log_sum_exp, sub
+from mlp_graph import add, div, log_sum_exp, matmul, mul, sub, sum_
 
 
 def power(t: Tensor, exponent) -> Tensor:
@@ -42,10 +42,10 @@ def transpose(t: Tensor) -> Tensor:
 
 def similarity_matrix(pool: Tensor) -> Tensor:
     """Pairwise cosine similarities of the pool's rows, (2N, h) -> (2N, 2N)."""
-    norms = sqrt((pool * pool).sum(axis=1, keepdims=True))
+    norms = sqrt(sum_(mul(pool, pool), axis=1, keepdims=True))
     # an all-zero row stays zero: similarity 0 to every slot
-    unit = div(pool, norms + Tensor(norms.data == 0.0))
-    return unit @ transpose(unit)
+    unit = div(pool, add(norms, Tensor(norms.data == 0.0)))
+    return matmul(unit, transpose(unit))
 
 
 def supcon_batch_composed(pool: Tensor, pos, neg, weights) -> Tensor:
@@ -57,6 +57,6 @@ def supcon_batch_composed(pool: Tensor, pos, neg, weights) -> Tensor:
     num = np.tile(pos, (2, 1)) | partner
     den = num | np.tile(neg, (2, 1))
     sims = div(similarity_matrix(pool), weights.tau)
-    lse = log_sum_exp(sims + Tensor(np.where(den, 0.0, -np.inf)), axis=1)
-    num_mean = (sims * Tensor(num / num.sum(axis=1, keepdims=True))).sum(axis=1)
-    return div(sub(lse, num_mean).sum(), float(n))
+    lse = log_sum_exp(add(sims, Tensor(np.where(den, 0.0, -np.inf))), axis=1)
+    num_mean = sum_(mul(sims, Tensor(num / num.sum(axis=1, keepdims=True))), axis=1)
+    return div(sum_(sub(lse, num_mean)), float(n))

@@ -12,7 +12,7 @@ import numpy as np
 from ascl.errors import ContractError, DomainError
 from ascl.losses import LossWeights, SelectionResult
 from ascl.tensor import Tensor
-from mlp_graph import div, log_sum_exp, mean, sub
+from mlp_graph import add, div, log_sum_exp, matmul, mean, mul, sub, sum_
 from supcon_graph import sqrt, transpose
 
 
@@ -21,16 +21,16 @@ def similarity_rows(rows: Tensor, anchor: Tensor) -> Tensor:
     norms = np.linalg.norm(rows.data, axis=1)
     if not np.linalg.norm(anchor.data) > 0 or not np.all(norms > 0):
         raise DomainError("cosine similarity of a zero vector")
-    dots = rows @ transpose(anchor)
-    rn = sqrt((rows * rows).sum(axis=1, keepdims=True))
-    an = sqrt((anchor * anchor).sum(axis=1, keepdims=True))
-    return div(dots, rn * an)
+    dots = matmul(rows, transpose(anchor))
+    rn = sqrt(sum_(mul(rows, rows), axis=1, keepdims=True))
+    an = sqrt(sum_(mul(anchor, anchor), axis=1, keepdims=True))
+    return div(dots, mul(rn, an))
 
 
 def gather_rows(t: Tensor, idx) -> Tensor:
     """Rows ``idx`` of a 2-D tensor as a one-hot matmul: each output entry
     is one product by 1.0 plus zeros, so values are exact."""
-    return Tensor(np.eye(t.shape[0])[np.asarray(idx, dtype=np.intp)]) @ t
+    return matmul(Tensor(np.eye(t.shape[0])[np.asarray(idx, dtype=np.intp)]), t)
 
 
 def anchor_loss(anchor_slot, partner_slot, pool, sel, weights):
@@ -70,6 +70,7 @@ def supcon_batch_loop(pool: Tensor, pos, neg, weights: LossWeights) -> Tensor:
     for i in range(n):
         sel = SelectionResult(anchor=i, positives=np.flatnonzero(pos[i]),
                               negatives=np.flatnonzero(neg[i]), anchor_adv_slot=i + n)
-        term = supcon_anchor_nat(i, pool, sel, weights) + supcon_anchor_adv(i, pool, sel, weights)
-        total = term if total is None else total + term
+        term = add(supcon_anchor_nat(i, pool, sel, weights),
+                   supcon_anchor_adv(i, pool, sel, weights))
+        total = term if total is None else add(total, term)
     return div(total, float(n))

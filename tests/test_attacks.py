@@ -16,7 +16,7 @@ from ascl.errors import ContractError, DimensionError
 from ascl.models import MLPClassifier, ModelSpec
 from ascl.tensor import Tensor
 from ascl.training import train
-from mlp_graph import cross_entropy, forward, log_sum_exp, sub
+from mlp_graph import add, cross_entropy, forward, log_sum_exp, matmul, mul, sub, sum_
 from mtpgd_loop import multi_targeted_pgd_loop
 
 
@@ -32,7 +32,7 @@ def engine_input_gradient(model, x, labels):
     the oracle for ``MLPClassifier.input_gradient``."""
     xt = Tensor(x)
     logits = forward(model, xt) if isinstance(model, MLPClassifier) else model.forward(xt)
-    return cross_entropy(logits, labels).sum().backward((xt,))[0]
+    return sum_(cross_entropy(logits, labels)).backward((xt,))[0]
 
 
 class LinearLogistic:
@@ -47,7 +47,7 @@ class LinearLogistic:
         return x if isinstance(x, Tensor) else Tensor(x)
 
     def classify(self, z):
-        return z @ Tensor(self.w) + Tensor(self.b.reshape(1, -1))
+        return add(matmul(z, Tensor(self.w)), Tensor(self.b.reshape(1, -1)))
 
     def forward(self, x):
         return self.classify(self.encode(x))
@@ -91,6 +91,11 @@ class TestAttackConfig:
                 AttackConfig(epsilon=0.05, eta=eta, steps=2)
         with pytest.raises(ContractError):
             AttackConfig(clip_range=(1.0, 0.0))
+
+    @pytest.mark.parametrize("steps", [2.5, np.float64(3), True, np.bool_(False), "3", -1])
+    def test_steps_must_be_a_nonnegative_integer(self, steps):
+        with pytest.raises(ContractError, match="steps must be nonnegative integers"):
+            AttackConfig(epsilon=0.05, eta=0.01, steps=steps)
 
     def test_training_defaults(self):
         cfg = AttackConfig()
@@ -162,7 +167,8 @@ class TestPGD:
         for _ in range(cfg.steps):
             xt = Tensor(cur)
             logits = forward(toy_model, xt)
-            loss = (sub(log_sum_exp(logits, axis=1, keepdims=True), logits) * Tensor(onehot)).sum()
+            loss = sum_(mul(sub(log_sum_exp(logits, axis=1, keepdims=True), logits),
+                            Tensor(onehot)))
             grad = loss.backward((xt, *toy_model.parameters))[0]
             cur = project_linf(cur + cfg.eta * np.sign(grad), x, cfg.epsilon)
         assert got.tobytes() == cur.tobytes()

@@ -12,7 +12,7 @@ from ascl.losses import STRATEGIES, LossWeights, total_loss
 from ascl.models import PROJECTION_KINDS, MLPClassifier, ModelSpec
 from ascl.tensor import Tensor
 from backward_walk import backward_walk
-from mlp_graph import cross_entropy
+from mlp_graph import cross_entropy, sum_
 from vjp_spy import spy_on_vjps
 
 # which terms of the objective are in the graph, as the run config's nat_ce
@@ -40,7 +40,7 @@ def _graph(name):
     encode = model.encode
     model.encode = lambda v: seen.append(Tensor(v)) or seen.append(encode(seen[-1])) or seen[-1]
     if kind == "input_gradient":
-        root = cross_entropy(model.forward(x), y).sum()
+        root = sum_(cross_entropy(model.forward(x), y))
     else:
         weights = LossWeights(lambda_scl=1.0, lambda_vat=2.0, tau=0.5)
         root = total_loss(Batch(x, y, x_adv), model, strategy, weights, **TERMS[terms]).total

@@ -110,21 +110,30 @@ def test_training_file_must_hold_a_train_split(tmp_path):
         swapped.build_datasets()
 
 
+# counts may be zero; sizes may not
+COUNTS = ("epochs", "train_steps", "eval_steps", "seed", "data_seed", "eval_every")
+
+
 @pytest.mark.parametrize("edit", [
     dict(hidden_layers=(2.7, True)), dict(hidden_layers=(8, np.float64(8))),
     dict(hidden_layers=("8",)), dict(dataset="blobs", data_dims=2.5),
     dict(data_size=200.0), dict(data_classes=np.bool_(True)), dict(data_per_class=0),
     dict(projection_dim=3.5), dict(projection_mid=-1), dict(batch_size=64.0),
+    dict(epochs=1.5), dict(epochs=-1), dict(train_steps=2.5), dict(eval_steps=2.5),
+    dict(eval_steps="3"), dict(seed=1.5), dict(seed=np.float64(3)), dict(data_seed=1.5),
+    dict(eval_every=True), dict(eval_every=-1),
 ])
-def test_sizes_must_be_positive_integers(edit):
+def test_sizes_and_counts_must_be_integers(edit):
     name = next(iter(edit.keys() - {"dataset"}))
-    with pytest.raises(ConfigError, match=f"{name} must be positive integers"):
+    kind = "nonnegative" if name in COUNTS else "positive"
+    with pytest.raises(ConfigError, match=f"{name} must be {kind} integers"):
         RunConfig(**edit)
 
 
 def test_numpy_integer_sizes_become_ints():
     cfg = RunConfig(hidden_layers=np.array([16, 8]), data_dims=np.int64(6),
-                    batch_size=np.int32(32))
+                    batch_size=np.int32(32), epochs=np.int64(0), seed=np.uint64(2**64 - 1))
     assert cfg.hidden_layers == (16, 8) and (cfg.data_dims, cfg.batch_size) == (6, 32)
-    assert all(type(v) is int for v in (*cfg.hidden_layers, cfg.data_dims, cfg.batch_size))
+    assert all(type(v) is int for v in (*cfg.hidden_layers, cfg.data_dims, cfg.batch_size,
+                                        cfg.epochs, cfg.seed))
     assert json.loads(json.dumps(cfg.to_dict()))["hidden_layers"] == [16, 8]

@@ -11,6 +11,7 @@ from ascl.losses import (STRATEGIES, LossWeights, at_loss, select, selection_mas
                          selection_stats, supcon_batch, total_loss, vat_loss)
 from ascl.models import MLPClassifier, ModelSpec
 from ascl.tensor import Tensor
+from mlp_graph import mul, sum_
 from supcon_graph import similarity_matrix
 from supcon_loop import supcon_anchor_adv, supcon_anchor_nat
 
@@ -168,7 +169,7 @@ class TestSimilarity:
         out = similarity_matrix(t)
         unit = x0 / np.linalg.norm(x0, axis=1, keepdims=True)
         assert np.allclose(out.data, unit @ unit.T, rtol=1e-14, atol=1e-15)
-        (g,) = (out * Tensor(w)).sum().backward((t,))
+        (g,) = sum_(mul(out, Tensor(w))).backward((t,))
         h = 1e-6
         for idx in np.ndindex(*shape):
             up, down = x0.copy(), x0.copy()

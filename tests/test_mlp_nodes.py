@@ -1,10 +1,11 @@
 """The training step's coarse nodes against their op-by-op compositions in
-``mlp_graph``: ``encode`` and ``classify`` bit for bit on one batch, toward
-the input, the latent and every parameter; the ``at_loss`` and ``vat_loss``
-nodes and the stacked objective's parameter gradients within ``REL``
-relative to the largest gradient entry, since one stacked matmul over both
-views sums in another order than two matmuls and an add; and the AT and KL
-VJPs against central differences of their own values."""
+``mlp_graph``: ``encode``, ``classify`` and ``project`` bit for bit on one
+batch, toward the input, the latent and every parameter; the ``at_loss`` and
+``vat_loss`` nodes and the stacked objective's parameter gradients within
+``REL`` relative to the largest gradient entry, since one stacked matmul over
+both views sums in another order than two matmuls and an add; every VJP under
+the objective handing its parent exactly the parent's shape; and the AT and
+KL VJPs against central differences of their own values."""
 
 import numpy as np
 import pytest
@@ -15,13 +16,26 @@ from ascl.errors import ContractError
 from ascl.losses import STRATEGIES, LossWeights, at_loss, total_loss, vat_loss
 from ascl.models import PROJECTION_KINDS, MLPClassifier, ModelSpec
 from ascl.tensor import Tensor
+from mlp_graph import add, mul, sum_
 from test_tensor import fd_gradient
+from vjp_spy import nodes_under
 
 # float64 rounding over sums of a few hundred terms, with margin; the
 # largest gap measured over 720 random cases was 6.2e-14
 REL = 1e-12
+# which terms of the objective are in the graph: ``total_loss`` flags, and
+# loss weights that differ from (lambda_scl, lambda_vat) = (1, 2)
 TERMS = {"all": dict(), "adv_scl": dict(nat_ce=False, use_vat=False),
-         "no_nat": dict(nat_ce=False)}
+         "no_nat": dict(nat_ce=False), "no_scl": dict(lambda_scl=0.0),
+         "at_only": dict(lambda_scl=0.0, lambda_vat=0.0)}
+
+
+def _terms(name, tau):
+    """The loss weights and the ``total_loss`` flags of a ``TERMS`` entry."""
+    flags = dict(TERMS[name])
+    weights = LossWeights(lambda_scl=flags.pop("lambda_scl", 1.0),
+                          lambda_vat=flags.pop("lambda_vat", 2.0), tau=tau)
+    return weights, flags
 
 
 def _bitwise_equal(a, b):
@@ -33,31 +47,39 @@ def _assert_close(got, want, scale):
     assert np.max(np.abs(got - want), initial=0.0) <= REL * scale
 
 
-def _one_view(encode, classify, model, x, weights):
-    """Logits, then the gradients of ``(logits * weights).sum()`` toward the
+def _one_view(encode, classify, project, model, x, weights, proj_weights):
+    """Logits and projections, then the gradients of
+    ``sum_(logits * weights) + sum_(project(z) * proj_weights)`` toward the
     input, the latent and every parameter."""
     xt = Tensor(x)
     z = encode(xt)
-    logits = classify(z)
-    return [logits.data] + (logits * Tensor(weights)).sum().backward(
-        [xt, z, *model.parameters])
+    logits, proj = classify(z), project(z)
+    root = add(sum_(mul(logits, Tensor(weights))), sum_(mul(proj, Tensor(proj_weights))))
+    return [logits.data, proj.data] + root.backward([xt, z, *model.parameters])
 
 
+@pytest.mark.parametrize("projection", PROJECTION_KINDS)
 @pytest.mark.parametrize("hidden,classes", [((7, 6), 3), ((8,), 2), ((5, 4, 3), 4)])
 @pytest.mark.parametrize("n", [9, 1])
-def test_encode_and_classify_equal_the_composition_bitwise(hidden, classes, n):
-    model = MLPClassifier(ModelSpec(input_dim=5, hidden_layers=hidden, num_classes=classes),
-                          seed=len(hidden))
+def test_encode_classify_and_project_equal_the_composition_bitwise(hidden, classes, n,
+                                                                    projection):
+    model = MLPClassifier(ModelSpec(input_dim=5, hidden_layers=hidden, num_classes=classes,
+                                    projection=projection, projection_dim=4,
+                                    projection_mid=6), seed=len(hidden))
     rng = np.random.default_rng(n)
     x = rng.uniform(size=(n, 5))
-    # a zero row has pre-activation exactly 0 in every layer (biases start at 0)
+    # a zero row has pre-activation exactly 0 in every layer (biases start at 0),
+    # and in the two-layer head's first product
     x[0] = 0.0
-    # mixed signs, including both zeros, reach every branch of the relu VJP
+    # mixed signs, including both zeros, reach every branch of the relu VJPs
     weights = rng.normal(size=(n, classes))
     weights.flat[:2] = [0.0, -0.0]
-    got = _one_view(model.encode, model.classify, model, x, weights)
+    proj_weights = rng.normal(size=(n, hidden[-1] if projection == "identity" else 4))
+    proj_weights.flat[:2] = [-0.0, 0.0]
+    got = _one_view(model.encode, model.classify, model.project, model, x, weights,
+                    proj_weights)
     want = _one_view(lambda v: mlp_graph.encode(model, v), lambda z: mlp_graph.classify(model, z),
-                     model, x, weights)
+                     lambda z: mlp_graph.project(model, z), model, x, weights, proj_weights)
     assert all(g is not None for g in want)
     assert all(_bitwise_equal(a, b) for a, b in zip(got, want))
 
@@ -79,9 +101,13 @@ def _model_and_batch(seed, projection="identity"):
 def test_stacked_objective_matches_the_two_view_composition(strategy, projection, terms):
     for seed in range(3):
         model, batch = _model_and_batch(seed, projection)
-        w = LossWeights(lambda_scl=1.0, lambda_vat=2.0, tau=(0.07, 0.5, 1.0)[seed])
-        got = total_loss(batch, model, strategy, w, **TERMS[terms])
-        want = mlp_graph.total_loss(batch, model, strategy, w, **TERMS[terms])
+        w, flags = _terms(terms, (0.07, 0.5, 1.0)[seed])
+        got = total_loss(batch, model, strategy, w, **flags)
+        want = mlp_graph.total_loss(batch, model, strategy, w, **flags)
+        # every VJP hands its parent exactly the parent's shape
+        for node in nodes_under(got.total):
+            for parent, vjp in zip(node._parents, node._vjps):
+                assert np.shape(vjp(np.ones(node.shape))) == parent.shape
         for field in ("at", "scl", "vat", "mean_pos", "mean_neg"):
             a, b = getattr(got, field), getattr(want, field)
             assert abs(a - b) <= REL * abs(b)
@@ -112,7 +138,7 @@ def _value_and_grad(build, z, lam):
     """Value of ``build`` on stacked logits ``z`` and the gradient of ``lam`` times it."""
     t = Tensor(z)
     loss = build(t)
-    return loss.item(), (loss * lam).backward((t,))[0]
+    return loss.item(), mul(loss, lam).backward((t,))[0]
 
 
 def _composed_value_and_grad(build, z, lam):
@@ -120,7 +146,7 @@ def _composed_value_and_grad(build, z, lam):
     n = z.shape[0] // 2
     nat, adv = Tensor(z[:n]), Tensor(z[n:])
     loss = build(nat, adv)
-    grads = (loss * lam).backward((nat, adv))
+    grads = mul(loss, lam).backward((nat, adv))
     return loss.item(), np.concatenate([np.zeros((n, z.shape[1])) if g is None else g
                                         for g in grads])
 

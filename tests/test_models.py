@@ -10,7 +10,7 @@ from ascl.errors import ConfigError, DimensionError, FormatError
 from ascl.losses import LossWeights, total_loss
 from ascl.models import MLPClassifier, ModelSpec, load_model, save_model
 from ascl.tensor import Tensor
-from mlp_graph import log_softmax
+from mlp_graph import log_softmax, mul, sum_
 
 
 def small_spec(**kw):
@@ -126,7 +126,7 @@ class TestProjection:
         m = MLPClassifier(spec, seed=4)
         x = np.random.default_rng(4).uniform(size=(3, 3))
         p = m.project(m.encode(x))
-        (g,) = (p * p).sum().backward(m.parameters[:1])
+        (g,) = sum_(mul(p, p)).backward(m.parameters[:1])
         assert g is not None
         assert np.abs(g).sum() > 0
 

@@ -7,7 +7,8 @@ from hypothesis import strategies as st
 from ascl.errors import ContractError, DimensionError, DomainError
 from ascl.models import MLPClassifier, ModelSpec
 from ascl.tensor import Tensor
-from mlp_graph import concat, cross_entropy, div, exp, log_softmax, log_sum_exp, mean, sub
+from mlp_graph import (add, concat, cross_entropy, div, exp, log_softmax, log_sum_exp, matmul,
+                       mean, mul, relu, sub, sum_)
 from supcon_loop import gather_rows
 from vjp_spy import count_vjps_toward
 
@@ -32,10 +33,10 @@ def assert_grad_close(analytic, fd, tol=1e-4):
 
 class TestElementwise:
     def test_add(self):
-        assert np.array_equal((Tensor([1.0, 2.0]) + Tensor([3.0, 4.0])).data, [4.0, 6.0])
+        assert np.array_equal(add(Tensor([1.0, 2.0]), Tensor([3.0, 4.0])).data, [4.0, 6.0])
 
     def test_relu(self):
-        assert np.array_equal(Tensor([-1.0, 0.0, 2.0]).relu().data, [0.0, 0.0, 2.0])
+        assert np.array_equal(relu(Tensor([-1.0, 0.0, 2.0])).data, [0.0, 0.0, 2.0])
 
     def test_div_by_zero(self):
         with pytest.raises(DomainError):
@@ -43,27 +44,27 @@ class TestElementwise:
 
     def test_rank_mismatch(self):
         with pytest.raises(DimensionError):
-            Tensor(np.ones((2, 3))) + Tensor(np.ones(3))
+            add(Tensor(np.ones((2, 3))), Tensor(np.ones(3)))
 
     def test_incompatible_dims(self):
         with pytest.raises(DimensionError):
-            Tensor(np.ones((2, 3))) * Tensor(np.ones((2, 4)))
+            mul(Tensor(np.ones((2, 3))), Tensor(np.ones((2, 4))))
 
     def test_scalar_broadcast(self):
-        out = Tensor(np.ones((2, 2))) * 3.0
+        out = mul(Tensor(np.ones((2, 2))), 3.0)
         assert np.array_equal(out.data, np.full((2, 2), 3.0))
 
     def test_broadcast_gradient_sums(self):
         b = Tensor(np.ones((1, 3)))
-        out = (Tensor(np.ones((4, 3))) + b).sum()
+        out = sum_(add(Tensor(np.ones((4, 3))), b))
         assert np.array_equal(out.backward((b,))[0], np.full((1, 3), 4.0))
 
     def test_no_nan_after_finite_ops(self):
         rng = np.random.default_rng(0)
         x = Tensor(rng.normal(size=(5, 5)))
         y = Tensor(rng.uniform(0.5, 2.0, size=(5, 5)))
-        for out in [x + y, sub(x, y), x * y, div(x, y), x.relu(), exp(x),
-                    x @ y, x.sum(), mean(x, axis=0), log_sum_exp(x, axis=1),
+        for out in [add(x, y), sub(x, y), mul(x, y), div(x, y), relu(x), exp(x),
+                    matmul(x, y), sum_(x), mean(x, axis=0), log_sum_exp(x, axis=1),
                     log_softmax(x)]:
             assert not np.any(np.isnan(out.data))
 
@@ -71,15 +72,15 @@ class TestElementwise:
 class TestMatmul:
     def test_identity(self):
         a = np.random.default_rng(1).normal(size=(3, 3))
-        assert np.array_equal((Tensor(a) @ Tensor(np.eye(3))).data, a)
+        assert np.array_equal(matmul(Tensor(a), Tensor(np.eye(3))).data, a)
 
     def test_hand_product(self):
-        out = Tensor([[1.0, 2.0], [3.0, 4.0]]) @ Tensor([[1.0], [1.0]])
+        out = matmul(Tensor([[1.0, 2.0], [3.0, 4.0]]), Tensor([[1.0], [1.0]]))
         assert np.array_equal(out.data, [[3.0], [7.0]])
 
     def test_inner_dim_mismatch(self):
         with pytest.raises(DimensionError):
-            Tensor(np.ones((2, 3))) @ Tensor(np.ones((2, 3)))
+            matmul(Tensor(np.ones((2, 3))), Tensor(np.ones((2, 3))))
 
     def test_gradient_matches_fd(self):
         rng = np.random.default_rng(2)
@@ -87,7 +88,7 @@ class TestMatmul:
         b0 = rng.normal(size=(3, 3))
 
         a = Tensor(a0)
-        (g,) = (a @ Tensor(b0)).sum().backward((a,))
+        (g,) = sum_(matmul(a, Tensor(b0))).backward((a,))
         fd = fd_gradient(lambda v: (v @ b0).sum(), a0, h=1e-6)
         rel = np.abs(g - fd) / (np.abs(g) + 1e-8)
         assert rel.max() < 1e-6
@@ -98,8 +99,8 @@ class TestMatmul:
             a = rng.normal(size=(4, 3))
             b = rng.normal(size=(3, 5))
             c = rng.normal(size=(5, 2))
-            left = ((Tensor(a) @ Tensor(b)) @ Tensor(c)).data
-            right = (Tensor(a) @ (Tensor(b) @ Tensor(c))).data
+            left = matmul(matmul(Tensor(a), Tensor(b)), Tensor(c)).data
+            right = matmul(Tensor(a), matmul(Tensor(b), Tensor(c))).data
             assert np.abs(left - right).max() / (np.abs(left).max() + 1e-30) < 1e-10
 
 
@@ -109,7 +110,7 @@ class TestReductions:
 
     def test_invalid_axis(self):
         with pytest.raises(DimensionError):
-            Tensor(np.ones((2, 2))).sum(axis=5)
+            sum_(Tensor(np.ones((2, 2))), axis=5)
 
 
 class TestLogSumExp:
@@ -177,39 +178,39 @@ class TestLogSoftmax:
 class TestBackward:
     def test_sum_of_squares(self):
         x = Tensor([1.0, 2.0])
-        assert np.array_equal((x * x).sum().backward((x,))[0], [2.0, 4.0])
+        assert np.array_equal(sum_(mul(x, x)).backward((x,))[0], [2.0, 4.0])
 
     def test_constant_function(self):
         x = Tensor([1.0, 2.0])
-        assert np.array_equal((x * 0.0).sum().backward((x,))[0], [0.0, 0.0])
+        assert np.array_equal(sum_(mul(x, 0.0)).backward((x,))[0], [0.0, 0.0])
 
     def test_non_scalar_root(self):
         x = Tensor([1.0, 2.0])
         with pytest.raises(ContractError):
-            (x * x).backward((x,))
+            mul(x, x).backward((x,))
 
     def test_walking_one_graph_twice_gives_equal_gradients(self):
         model = MLPClassifier(ModelSpec(input_dim=3, hidden_layers=(5,), num_classes=3), seed=1)
         rng = np.random.default_rng(1)
         xt = Tensor(rng.uniform(size=(6, 3)))
         inputs = (xt, *model.parameters)
-        root = cross_entropy(model.forward(xt), rng.integers(0, 3, size=6)).sum()
+        root = sum_(cross_entropy(model.forward(xt), rng.integers(0, 3, size=6)))
         first = root.backward(inputs)
         second = root.backward(inputs)
         assert all(_bitwise_equal(a, b) for a, b in zip(first, second))
 
     def test_two_roots_over_a_shared_interior_node(self):
         x = Tensor([1.5, -2.0, 0.25])
-        mid = x * x
-        r1 = (mid * 3.0).sum()
-        r2 = (mid * -0.5).sum()
+        mid = mul(x, x)
+        r1 = sum_(mul(mid, 3.0))
+        r2 = sum_(mul(mid, -0.5))
         for root, want in [(r1, 6.0 * x.data), (r2, -x.data), (r1, 6.0 * x.data)]:
             assert np.array_equal(root.backward((x,))[0], want)
 
     def test_leaves_survive_consumption(self):
         x = Tensor(2.0)
-        (x * x).backward((x,))
-        assert (x * 3.0).backward((x,))[0] == 3.0
+        mul(x, x).backward((x,))
+        assert mul(x, 3.0).backward((x,))[0] == 3.0
 
     def test_independent_subgraph_linearity(self):
         rng = np.random.default_rng(5)
@@ -218,17 +219,17 @@ class TestBackward:
 
         a = Tensor(a0)
         b = Tensor(b0)
-        joint_a, joint_b = ((a * a).sum() + exp(b).sum()).backward((a, b))
+        joint_a, joint_b = add(sum_(mul(a, a)), sum_(exp(b))).backward((a, b))
 
         a2 = Tensor(a0)
         b2 = Tensor(b0)
-        assert np.array_equal(joint_a, (a2 * a2).sum().backward((a2,))[0])
-        assert np.array_equal(joint_b, exp(b2).sum().backward((b2,))[0])
+        assert np.array_equal(joint_a, sum_(mul(a2, a2)).backward((a2,))[0])
+        assert np.array_equal(joint_b, sum_(exp(b2)).backward((b2,))[0])
 
     def test_diamond_accumulation(self):
         x = Tensor(3.0)
-        y = x * x
-        assert (y + y).backward((x,))[0] == pytest.approx(12.0)
+        y = mul(x, x)
+        assert add(y, y).backward((x,))[0] == pytest.approx(12.0)
 
     def test_parents_sharing_one_vjp_array_get_their_own_grads(self):
         # add's VJP hands the same array to both parents; x then gets a
@@ -236,14 +237,14 @@ class TestBackward:
         x = Tensor(np.ones(3))
         y = Tensor(np.ones(3))
         c = np.array([1.0, 2.0, 3.0])
-        gx, gy = (((x + y) * Tensor(c)).sum() + (x * 3.0).sum()).backward((x, y))
+        gx, gy = add(sum_(mul(add(x, y), Tensor(c))), sum_(mul(x, 3.0))).backward((x, y))
         assert np.array_equal(gx, c + 3.0)
         assert np.array_equal(gy, c)
 
     def test_input_the_root_does_not_reach_gets_none(self):
         x = Tensor(2.0)
         other = Tensor(1.0)
-        assert (x * x).backward((other, x))[0] is None
+        assert mul(x, x).backward((other, x))[0] is None
 
 
 def _bitwise_equal(a, b):
@@ -252,10 +253,10 @@ def _bitwise_equal(a, b):
 
 def _grads(build, arrays, weights):
     """Forward value and the gradient of every input from a backward through
-    ``(build(*inputs) * weights).sum()``."""
+    ``sum_(build(*inputs) * weights)``."""
     inputs = [Tensor(a) for a in arrays]
     out = build(*inputs)
-    return [out.data] + (out * Tensor(weights)).sum().backward(inputs)
+    return [out.data] + sum_(mul(out, Tensor(weights))).backward(inputs)
 
 
 class TestBackwardInputs:
@@ -270,24 +271,24 @@ class TestBackwardInputs:
         model, x, y = model_and_batch
         calls = count_vjps_toward(monkeypatch, model.parameters)
         full = Tensor(x)
-        want = cross_entropy(model.forward(full), y).sum().backward((full, *model.parameters))
+        want = sum_(cross_entropy(model.forward(full), y)).backward((full, *model.parameters))
         assert all(g is not None for g in want)
         assert len(calls) == len(model.parameters)
 
         calls.clear()
         only = Tensor(x)
-        got = cross_entropy(model.forward(only), y).sum().backward((only,))
+        got = sum_(cross_entropy(model.forward(only), y)).backward((only,))
         assert len(got) == 1 and _bitwise_equal(got[0], want[0])
         assert calls == []
 
     def test_requested_parameter_only(self, model_and_batch, monkeypatch):
         model, x, y = model_and_batch
-        want = cross_entropy(model.forward(Tensor(x)), y).sum().backward(model.parameters)
+        want = sum_(cross_entropy(model.forward(Tensor(x)), y)).backward(model.parameters)
 
         xt = Tensor(x)
         w = model.hidden[0][0]
         calls = count_vjps_toward(monkeypatch, [xt, *model.parameters])
-        (got,) = cross_entropy(model.forward(xt), y).sum().backward((w,))
+        (got,) = sum_(cross_entropy(model.forward(xt), y)).backward((w,))
         assert _bitwise_equal(got, want[0])
         assert calls == [w]
 
@@ -295,18 +296,18 @@ class TestBackwardInputs:
         model, x, y = model_and_batch
         xt = Tensor(x)
         z = model.encode(xt)
-        gz, gx = cross_entropy(model.classify(z), y).sum().backward((z, xt))
+        gz, gx = sum_(cross_entropy(model.classify(z), y)).backward((z, xt))
 
         zt = Tensor(z.data)
-        assert _bitwise_equal(gz, cross_entropy(model.classify(zt), y).sum().backward((zt,))[0])
+        assert _bitwise_equal(gz, sum_(cross_entropy(model.classify(zt), y)).backward((zt,))[0])
         xt2 = Tensor(x)
-        assert _bitwise_equal(gx, cross_entropy(model.forward(xt2), y).sum().backward((xt2,))[0])
+        assert _bitwise_equal(gx, sum_(cross_entropy(model.forward(xt2), y)).backward((xt2,))[0])
 
     def test_any_tensor_may_be_requested(self):
         # no flag marks what is differentiated: a plain Tensor is an input,
         # and one the root does not reach gets None
         x = Tensor(2.0)
-        gx, gc = (x * x).backward((x, Tensor(1.0)))
+        gx, gc = mul(x, x).backward((x, Tensor(1.0)))
         assert gx == 4.0 and gc is None
 
     def test_constants_get_no_vjp(self, monkeypatch):
@@ -314,9 +315,9 @@ class TestBackwardInputs:
         # keeps the walk from running VJPs toward them
         rng = np.random.default_rng(3)
         w, c, d = (Tensor(rng.normal(size=(2, 3))) for _ in range(3))
-        s = c + d
+        s = add(c, d)
         calls = count_vjps_toward(monkeypatch, [w, c, d, s])
-        (g,) = (w * s).sum().backward((w,))
+        (g,) = sum_(mul(w, s)).backward((w,))
         assert _bitwise_equal(g, s.data)
         assert calls == [w]
 
@@ -338,53 +339,54 @@ class TestCoarseNodes:
             # mixed signs, including both zeros, reach every branch of the VJP
             weights = np.concatenate([rng.normal(size=6), [0.0, -0.0, -1.0, 1.0]])
             got = _grads(lambda z: cross_entropy(z, y), [logits], weights)
-            want = _grads(lambda z: sub(log_sum_exp(z, axis=1), (z * Tensor(onehot)).sum(axis=1)),
+            want = _grads(lambda z: sub(log_sum_exp(z, axis=1),
+                                        sum_(mul(z, Tensor(onehot)), axis=1)),
                           [logits], weights)
             assert all(_bitwise_equal(a, b) for a, b in zip(got, want))
 
 
 def _square(t):
-    return t * t
+    return mul(t, t)
 
 
 def _random_ops(rng):
     """(name, tensor fn, numpy fn, data strategy) for the FD sweep."""
     return [
-        ("add", lambda t, c: (t + Tensor(c)).sum(), None,
+        ("add", lambda t, c: sum_(add(t, Tensor(c))), None,
          lambda: (rng.normal(size=(3, 4)), rng.normal(size=(3, 4)))),
-        ("mul", lambda t, c: (t * Tensor(c)).sum(), None,
+        ("mul", lambda t, c: sum_(mul(t, Tensor(c))), None,
          lambda: (rng.normal(size=(3, 4)), rng.normal(size=(3, 4)))),
-        ("div", lambda t, c: div(t, Tensor(c)).sum(), None,
+        ("div", lambda t, c: sum_(div(t, Tensor(c))), None,
          lambda: (rng.normal(size=(3, 4)), rng.uniform(0.5, 2.0, size=(3, 4)))),
-        ("exp", lambda t, c: exp(t).sum(), None,
+        ("exp", lambda t, c: sum_(exp(t)), None,
          lambda: (rng.normal(size=(3, 4)), None)),
-        ("relu", lambda t, c: t.relu().sum(), None,
+        ("relu", lambda t, c: sum_(relu(t)), None,
          lambda: (rng.normal(size=(3, 4)) + 0.5, None)),
-        ("matmul", lambda t, c: (t @ Tensor(c)).sum(), None,
+        ("matmul", lambda t, c: sum_(matmul(t, Tensor(c))), None,
          lambda: (rng.normal(size=(3, 4)), rng.normal(size=(4, 2)))),
-        ("sum0", lambda t, c: _square(t.sum(axis=0)).sum(), None,
+        ("sum0", lambda t, c: sum_(_square(sum_(t, axis=0))), None,
          lambda: (rng.normal(size=(3, 4)), None)),
-        ("mean1", lambda t, c: _square(mean(t, axis=1)).sum(), None,
+        ("mean1", lambda t, c: sum_(_square(mean(t, axis=1))), None,
          lambda: (rng.normal(size=(3, 4)), None)),
-        ("lse", lambda t, c: log_sum_exp(t, axis=1).sum(), None,
+        ("lse", lambda t, c: sum_(log_sum_exp(t, axis=1)), None,
          lambda: (rng.normal(size=(3, 4)), None)),
-        ("log_softmax", lambda t, c: (log_softmax(t) * Tensor(c)).sum(), None,
+        ("log_softmax", lambda t, c: sum_(mul(log_softmax(t), Tensor(c))), None,
          lambda: (rng.normal(size=(3, 4)), rng.normal(size=(3, 4)))),
-        ("cross_entropy", lambda t, c: cross_entropy(t, c).sum(), None,
+        ("cross_entropy", lambda t, c: sum_(cross_entropy(t, c)), None,
          lambda: (rng.normal(size=(3, 4)), rng.integers(0, 4, size=3))),
-        ("concat", lambda t, c: _square(concat([t, Tensor(c)])).sum(), None,
+        ("concat", lambda t, c: sum_(_square(concat([t, Tensor(c)]))), None,
          lambda: (rng.normal(size=(3, 4)), rng.normal(size=(2, 4)))),
-        # the differentiated tensor is the broadcast side: backward sums
-        # its gradient over the axes it was broadcast along
-        ("sub_bcast", lambda t, c: _square(sub(Tensor(c), t)).sum(), None,
+        # the differentiated tensor is the broadcast side: its op sums
+        # the gradient over the axes it was broadcast along
+        ("sub_bcast", lambda t, c: sum_(_square(sub(Tensor(c), t))), None,
          lambda: (rng.normal(size=(1, 4)), rng.normal(size=(3, 4)))),
-        ("mul_bcast", lambda t, c: _square(t * Tensor(c)).sum(), None,
+        ("mul_bcast", lambda t, c: sum_(_square(mul(t, Tensor(c)))), None,
          lambda: (rng.normal(size=(1, 4)), rng.normal(size=(3, 4)))),
-        ("div_bcast", lambda t, c: _square(div(Tensor(c), t)).sum(), None,
+        ("div_bcast", lambda t, c: sum_(_square(div(Tensor(c), t))), None,
          lambda: (rng.uniform(0.5, 2.0, size=(1, 4)), rng.normal(size=(3, 4)))),
-        ("mul_0d", lambda t, c: _square(Tensor(c) * t).sum(), None,
+        ("mul_0d", lambda t, c: sum_(_square(mul(Tensor(c), t))), None,
          lambda: (np.array(rng.normal()), rng.normal(size=(3, 4)))),
-        ("sum1_keepdims", lambda t, c: _square(t.sum(axis=1, keepdims=True)).sum(), None,
+        ("sum1_keepdims", lambda t, c: sum_(_square(sum_(t, axis=1, keepdims=True))), None,
          lambda: (rng.normal(size=(3, 4)), None)),
     ]
 
@@ -414,13 +416,13 @@ class TestGatherConcat:
 
     def test_gather_duplicate_accumulates(self):
         t = Tensor(np.ones((3, 2)))
-        (g,) = gather_rows(t, [1, 1]).sum().backward((t,))
+        (g,) = sum_(gather_rows(t, [1, 1])).backward((t,))
         assert np.array_equal(g, [[0, 0], [2, 2], [0, 0]])
 
     def test_concat_backward_splits(self):
         a = Tensor(np.ones((2, 2)))
         b = Tensor(np.ones((1, 2)))
-        ga, gb = (concat([a, b]) * Tensor([[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]])).sum().backward(
+        ga, gb = sum_(mul(concat([a, b]), Tensor([[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]]))).backward(
             (a, b))
         assert np.array_equal(ga, [[1, 2], [3, 4]])
         assert np.array_equal(gb, [[5, 6]])

@@ -222,12 +222,12 @@ def test_loading_then_taking_an_optimizer_keeps_the_checkpoint_bytes(tmp_path):
 
 
 # tensors one train_step builds: the stacked input, the encode and classify
-# nodes, the AT node, then per weighted term its node, the weight and the
-# product, and one sum
+# nodes and the AT node, then one node per weighted term and one weighted
+# sum over the terms (an identity head adds no projection node)
 @pytest.mark.parametrize("name,edit,tensors", [
     ("at_moons", {}, 4),
-    ("at_moons", dict(lambda_vat=2.0), 8),
-    ("leaked_cosine", {}, 12),
+    ("at_moons", dict(lambda_vat=2.0), 6),
+    ("leaked_cosine", {}, 7),
 ])
 def test_train_step_builds_few_tensors(name, edit, tensors, monkeypatch):
     cfg = RunConfig(**{**_COMMON, **CONFIGS[name], **edit})
