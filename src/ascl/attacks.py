@@ -136,10 +136,10 @@ def pgd_attack(model, x, y, cfg: AttackConfig, seed=0, targets=None, index_base=
     ``cfg.clip_range``; where it equals a bound, it is kept (``_ball_clamp``).
     """
     x = _checked(model, x, cfg)
+    targeted = targets is not None
+    goal = check_labels(targets if targeted else y, model.spec.num_classes, x.shape[0])
     if cfg.epsilon == 0:
         return x
-    targeted = targets is not None
-    goal = check_labels(targets if targeted else y, model.spec.num_classes)
     indices = np.arange(index_base, index_base + x.shape[0], dtype=np.uint64)
     return _pgd(model, x, goal, targeted, cfg, seed, indices)
 
@@ -175,9 +175,9 @@ def multi_targeted_pgd(model, x, y, cfg: AttackConfig, seed=0, index_base=0):
     if c < 2:
         raise ContractError("multi-targeted attack requires at least 2 classes")
     x = _checked(model, x, cfg)
+    y = check_labels(y, c, x.shape[0])
     if cfg.epsilon == 0:
         return x
-    y = check_labels(y, c)
 
     best = x.copy()
     decided = np.zeros(x.shape[0], dtype=bool)
@@ -221,9 +221,11 @@ def robust_accuracy(model, features, labels, attack, cfg: AttackConfig,
     ``latents`` is a list, each batch's latent array is appended to it.
     """
     features = np.asarray(features, dtype=np.float64)
-    labels = np.asarray(labels, dtype=np.intp)
     if features.shape[0] == 0 or not np.all(np.isfinite(features)):
         raise ContractError("robust_accuracy needs a non-empty dataset of finite features")
+    labels = check_labels(labels, model.spec.num_classes, features.shape[0])
+    if batch_size < 1:
+        raise ContractError(f"batch_size must be at least 1, got {batch_size}")
     fn = attack_by_name(attack) if isinstance(attack, str) else attack
 
     correct = 0
@@ -233,9 +235,7 @@ def robust_accuracy(model, features, labels, attack, cfg: AttackConfig,
         z = model.encode(fn(model, xb, yb, cfg, seed=seed, index_base=lo))
         if latents is not None:
             latents.append(z.data)
-        logits = model.classify(z).data
-        check_labels(yb, logits.shape[1])
-        preds = np.argmax(logits, axis=1)
+        preds = np.argmax(model.classify(z).data, axis=1)
         correct += int((preds == yb).sum())
         # free the batch's graph before the next batch's attack: held across
         # it, glibc trimmed and re-faulted the attack's heap pages every step

@@ -73,14 +73,15 @@ def _squash_unit(x):
     return np.where(flat, 0.5, out)
 
 
+# written so that NaN fails them; an infinite spread or noise squashes to NaN features
 def check_blobs(num_classes, per_class, dims, spread):
-    if not (num_classes >= 1 and per_class >= 1 and dims >= 1 and spread >= 0):
-        raise ContractError("blob parameters must be positive (spread nonnegative)")
+    if not (num_classes >= 1 and per_class >= 1 and dims >= 1 and 0 <= spread < np.inf):
+        raise ContractError("blob parameters must be positive (spread finite and nonnegative)")
 
 
 def check_moons(size, noise):
-    if not (size >= 2 and noise >= 0):
-        raise ContractError("size must be >= 2 and noise nonnegative")
+    if not (size >= 2 and 0 <= noise < np.inf):
+        raise ContractError("size must be >= 2 and noise finite and nonnegative")
 
 
 def make_blobs(num_classes, per_class, dims, spread, seed, split="train") -> Dataset:

@@ -12,7 +12,7 @@ import numpy as np
 
 from .attacks import AttackConfig, pgd_attack, robust_accuracy
 from .errors import ContractError
-from .losses import selection_masks
+from .losses import _unit_rows, selection_masks
 
 __all__ = [
     "DivergenceReport",
@@ -62,15 +62,16 @@ def absolute_divergences(z, labels, z_adv=None, block_rows=None):
     anchor left (one class only, say) is None.
     An all-zero latent is at distance 1 from every slot, as it has
     similarity 0 in the contrastive loss.
-    Anchors are taken ``block_rows`` at a time (default: all at once), so
+    Anchors are taken ``block_rows`` at a time (at least 1; default: all at once), so
     no temporary outgrows a (block_rows, pool) block; the result does not
     depend on the block size.
     """
+    if block_rows is not None and block_rows < 1:
+        raise ContractError(f"block_rows must be at least 1, got {block_rows}")
     pool, labels = _pooled(z, labels, z_adv)
     m, n = pool.shape[0], labels.shape[0]
     masks = [mask[:, :m] for mask in selection_masks("global", labels)]
-    norms = np.linalg.norm(pool, axis=1)
-    unit = pool / np.where(norms > 0, norms, 1.0)[:, None]
+    unit = _unit_rows(pool)[0]
     step = block_rows or max(m, 1)
 
     # per-anchor distance sums and counts; side 0 positives, side 1 negatives

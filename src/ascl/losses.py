@@ -137,6 +137,13 @@ def selection_stats(strategy, labels, preds=None):
     return _mean_counts(*selection_masks(strategy, labels, preds))
 
 
+def _unit_rows(a):
+    """Rows of ``a`` over their L2 norms, and the norm column; a zero row counts as norm 1."""
+    norms = np.sqrt((a * a).sum(axis=1, keepdims=True))
+    norms[norms == 0.0] = 1.0
+    return a / norms, norms
+
+
 def supcon_batch(pool: Tensor, pos, neg, weights: LossWeights) -> Tensor:
     """Batch mean of the natural- plus adversarial-anchor losses over the
     (N, 2N) ``selection_masks``.
@@ -155,9 +162,7 @@ def supcon_batch(pool: Tensor, pos, neg, weights: LossWeights) -> Tensor:
     partner = np.roll(np.eye(2 * n, dtype=bool), n, axis=1)
     num = np.tile(pos, (2, 1)) | partner
     den = num | np.tile(neg, (2, 1))
-    norms = np.sqrt((pool.data * pool.data).sum(axis=1, keepdims=True))
-    norms[norms == 0.0] = 1.0
-    unit = pool.data / norms
+    unit, norms = _unit_rows(pool.data)
     sims = unit @ unit.T
     sims /= weights.tau
     lse, soft = _lse_softmax(np.where(den, sims, -np.inf), 1)
@@ -171,9 +176,9 @@ def supcon_batch(pool: Tensor, pos, neg, weights: LossWeights) -> Tensor:
         du *= g / (n * weights.tau)
         du -= unit * (du * unit).sum(axis=1, keepdims=True)
         du /= norms
-        return du
+        return (du,)
 
-    return Tensor._make(loss, (pool,), (vjp,))
+    return Tensor._make(loss, (pool,), vjp)
 
 
 def _stacked(logits: Tensor):
@@ -189,9 +194,7 @@ def at_loss(logits: Tensor, labels, nat_ce: bool = True) -> Tensor:
     over the adversarial rows plus, unless disabled, over the natural rows.
     One node; its VJP is (softmax - onehot) g / N on the rows it counts."""
     n, lse, soft = _stacked(logits)
-    if len(labels) != n:
-        raise ContractError(f"{len(labels)} labels do not match {n} samples")
-    label_at = (np.arange(2 * n), np.tile(check_labels(labels, soft.shape[1]), 2))
+    label_at = (np.arange(2 * n), np.tile(check_labels(labels, soft.shape[1], n), 2))
     ce = lse[:, 0] - logits.data[label_at]
     loss = ce[n:].sum() / n
     if nat_ce:
@@ -202,9 +205,9 @@ def at_loss(logits: Tensor, labels, nat_ce: bool = True) -> Tensor:
         d[label_at] -= g / n
         if not nat_ce:
             d[:n] = 0.0
-        return d
+        return (d,)
 
-    return Tensor._make(loss, (logits,), (vjp,))
+    return Tensor._make(loss, (logits,), vjp)
 
 
 def vat_loss(logits: Tensor) -> Tensor:
@@ -221,9 +224,9 @@ def vat_loss(logits: Tensor) -> Tensor:
     def vjp(g):
         d = np.concatenate([p * (diff - kl), q - p])
         d *= g / n
-        return d
+        return (d,)
 
-    return Tensor._make(kl.sum() / n, (logits,), (vjp,))
+    return Tensor._make(kl.sum() / n, (logits,), vjp)
 
 
 @dataclass
@@ -245,7 +248,7 @@ def total_loss(batch, model: MLPClassifier, strategy, weights: LossWeights,
     ``batch`` carries (x, y, x_adv). Terms with zero weight are skipped, so
     at lambda_scl = lambda_vat = 0 the total is the AT node itself; otherwise
     it is one node over the term nodes, ``at + lambda * term`` summed in term
-    order, with VJPs ``g`` toward AT and ``g * lambda`` toward each other term.
+    order, whose VJP gives ``g`` to AT and ``g * lambda`` to each other term.
     """
     z = model.encode(np.concatenate([batch.x, batch.x_adv]))
     logits = model.classify(z)
@@ -262,7 +265,7 @@ def total_loss(batch, model: MLPClassifier, strategy, weights: LossWeights,
         for t, lam in terms:
             value = value + t.data * lam
         total = Tensor._make(value, (at, *(t for t, _ in terms)),
-                             (lambda g: g, *(lambda g, lam=lam: g * lam for _, lam in terms)))
+                             lambda g: (g, *(g * lam for _, lam in terms)))
 
     mean_pos, mean_neg = _mean_counts(pos, neg)
     return LossBreakdown(total=total, at=at.item(), scl=0.0 if scl is None else scl.item(),

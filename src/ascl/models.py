@@ -1,10 +1,10 @@
 """Small MLP classifiers with an exposed penultimate latent and optional
 projection heads for the contrastive loss. ``encode``, ``classify`` and a
-``linear`` or ``two_layer`` ``project`` are one engine node each, and each
-VJP returns its parent's shape, biases' summed over the batch. The one
-backprop loop, ``_hidden_backprop``, serves the ``encode`` node's VJPs, one
-pass per gradient, and ``input_gradient``, whose unchecked form every PGD
-step calls."""
+``linear`` or ``two_layer`` ``project`` are one engine node each, whose one
+VJP returns its parents' shares, biases' summed over the batch. An ndarray
+passed to ``encode`` is a constant, not a parent: no caller holds it as a
+Tensor to request. ``_hidden_backprop`` serves the ``encode`` VJP and
+``input_gradient``, whose unchecked form every PGD step calls."""
 
 from __future__ import annotations
 
@@ -116,21 +116,18 @@ class MLPClassifier:
         return t
 
     def encode(self, x) -> Tensor:
-        """The penultimate activation: one node whose parents are the input and
-        every hidden weight and bias, in ``parameters`` order."""
-        x = self._as_batch(x, self.spec.input_dim, "encode")
-        acts, masks = self._hidden_forward(x.data)
-        params = [t for layer in self.hidden for t in layer]
-        memo = [None]
+        """The penultimate activation: one node whose parents are every hidden
+        weight and bias, in ``parameters`` order, after ``x`` when it is a Tensor."""
+        t = self._as_batch(x, self.spec.input_dim, "encode")
+        acts, masks = self._hidden_forward(t.data)
+        params = tuple(p for layer in self.hidden for p in layer)
+        const = t is not x
 
-        def share(g, k):
-            # one pass down the stack serves every parent's VJP for one gradient
-            if memo[0] is not g:
-                memo[:] = g, *self._hidden_backprop(g.copy(), masks, acts)
-            return memo[2][k - 1] if k else memo[1] @ params[0].data.T
+        def vjp(g):
+            gx, grads = self._hidden_backprop(g.copy(), masks, acts)
+            return tuple(grads) if const else (gx @ params[0].data.T, *grads)
 
-        vjps = tuple(lambda g, k=k: share(g, k) for k in range(len(params) + 1))
-        return Tensor._make(acts[-1], (x, *params), vjps)
+        return Tensor._make(acts[-1], params if const else (t, *params), vjp)
 
     def classify(self, z) -> Tensor:
         """Logits of latents ``z``, ``z @ cls_w + cls_b``, as one node."""
@@ -139,7 +136,7 @@ class MLPClassifier:
         out = h @ w
         out += self.cls_b.data
         return Tensor._make(out, (z, self.cls_w, self.cls_b),
-                            (lambda g: g @ w.T, lambda g: h.T @ g, _batch_sum))
+                            lambda g: (g @ w.T, h.T @ g, _batch_sum(g)))
 
     def forward(self, x) -> Tensor:
         return self.classify(self.encode(x))
@@ -175,7 +172,7 @@ class MLPClassifier:
         if x.ndim != 2 or x.shape[1] != self.spec.input_dim:
             raise DimensionError(
                 f"input_gradient expects shape (N, {self.spec.input_dim}), got {x.shape}")
-        return self._input_gradient(x, check_labels(labels, self.spec.num_classes))
+        return self._input_gradient(x, check_labels(labels, self.spec.num_classes, x.shape[0]))
 
     def _input_gradient(self, x, labels):
         """``input_gradient`` of a checked batch and labels; builds no Tensor."""
@@ -198,20 +195,16 @@ class MLPClassifier:
             return z
         h, w = z.data, self.proj[0].data
         if self.spec.projection == "linear":
-            return Tensor._make(h @ w, (z, self.proj[0]), (lambda g: g @ w.T, lambda g: h.T @ g))
+            return Tensor._make(h @ w, (z, self.proj[0]), lambda g: (g @ w.T, h.T @ g))
         a = h @ w
         mask = a > 0.0
         r, w1 = np.maximum(a, 0.0), self.proj[1].data
-        memo = [None]
 
-        def mid(g):
-            # the gradient at ``z @ P0``, shared by the VJPs toward z and P0
-            if memo[0] is not g:
-                memo[:] = g, (g @ w1.T) * mask
-            return memo[1]
+        def vjp(g):
+            d = (g @ w1.T) * mask
+            return d @ w.T, h.T @ d, r.T @ g
 
-        return Tensor._make(r @ w1, (z, *self.proj),
-                            (lambda g: mid(g) @ w.T, lambda g: h.T @ mid(g), lambda g: r.T @ g))
+        return Tensor._make(r @ w1, (z, *self.proj), vjp)
 
 
 # -- checkpoint io -------------------------------------------------------------

@@ -1,13 +1,13 @@
 """Dense float64 tensors with reverse-mode automatic differentiation.
 
 The engine is a leaf, ``Tensor(data)``, a node, ``Tensor._make(data,
-parents, vjps)``, and one walk, ``root.backward(inputs)``. A node holds its
-forward value and one vector-Jacobian product (VJP) per parent: a map from
-the node's gradient to that parent's share, of exactly the parent's shape.
-``backward`` on a scalar root walks the graph once in reverse topological
-order, calls only the VJPs toward a requested input or a node that leads
-to one, sums the shares a tensor gets, and returns d(root)/d(input) for
-each of ``inputs``; the request alone says what is differentiated. No
+parents, vjp)``, and one walk, ``root.backward(inputs)``. A node holds its
+forward value and one vector-Jacobian product (VJP): a map from the node's
+gradient to a tuple of shares, one per parent, each of exactly that
+parent's shape. ``backward`` on a scalar root walks the graph once in
+reverse topological order, calls once the VJP of each node that leads to a
+requested input, sums the shares a tensor gets, and returns d(root)/d(input)
+for each of ``inputs``; the request alone says what is differentiated. No
 tensor keeps gradient state, so a graph can be walked again.
 
 The nodes are the training step's: ``MLPClassifier.encode``, ``classify``
@@ -29,12 +29,12 @@ __all__ = ["Tensor"]
 class Tensor:
     """A float64 array plus graph linkage."""
 
-    __slots__ = ("data", "_parents", "_vjps")
+    __slots__ = ("data", "_parents", "_vjp")
 
     def __init__(self, data):
         self.data = np.asarray(data, dtype=np.float64)
         self._parents = ()
-        self._vjps = ()
+        self._vjp = None
 
     @property
     def shape(self):
@@ -49,18 +49,18 @@ class Tensor:
         return f"Tensor(shape={self.shape})"
 
     @staticmethod
-    def _make(data, parents, vjps):
-        """A node whose ``vjps[k]`` maps its gradient to ``parents[k]``'s."""
+    def _make(data, parents, vjp):
+        """A node whose ``vjp`` maps its gradient to a tuple of ``parents``' shares."""
         out = Tensor(data)
         out._parents = parents
-        out._vjps = vjps
+        out._vjp = vjp
         return out
 
     def backward(self, inputs):
         """d(root)/d(t) for each ``t`` in ``inputs``, as a list; ``None`` for
-        one the root does not reach. One walk over the interior nodes; only VJPs
-        toward nodes that lead to an input run. The root must be a scalar; any
-        tensor may be an input. Returned arrays may share memory: do not write to them.
+        one the root does not reach. One walk over the interior nodes; only the
+        VJPs of nodes that lead to an input run, once each. The root must be a scalar; any
+        tensor may be an input. Returned arrays may alias one another: do not write to them.
         """
         if self.data.ndim != 0:
             raise ContractError(f"backward() root must be scalar, got shape {self.shape}")
@@ -92,9 +92,8 @@ class Tensor:
         for node in reversed(order):
             # a node's gradient is complete here; keep only the requested ones
             g = grads[node] if node in requested else grads.pop(node)
-            for parent, vjp in zip(node._parents, node._vjps):
+            for parent, d in zip(node._parents, node._vjp(g)):
                 if parent in wanted:
-                    d = vjp(g)
                     grads[parent] = grads[parent] + d if parent in grads else d
         return [grads.get(t) for t in inputs]
 
@@ -107,9 +106,11 @@ def _lse_softmax(a, axis):
     return m + np.log(total), shifted / total
 
 
-def check_labels(labels, num_classes):
-    """``labels`` as an intp array; ContractError unless each lies in [0, num_classes)."""
+def check_labels(labels, num_classes, n):
+    """``labels`` as an intp array; ContractError unless it is (n,), each in [0, num_classes)."""
     labels = np.asarray(labels, dtype=np.intp)
+    if labels.shape != (n,):
+        raise ContractError(f"labels of shape {labels.shape} do not match {n} samples")
     # viewed as unsigned, a negative label lies above every class index
     if np.count_nonzero(labels.view(np.uintp) >= num_classes):
         raise ContractError("labels must lie in [0, number of classes)")

@@ -3,10 +3,10 @@
 One depth-first walk over every node under the root, leaves included,
 gives a post-order (the last parent of a node first) and marks each node
 that leads to a requested input. A second loop visits that order in
-reverse, calls each VJP toward a marked parent, and accumulates. It is the
-plain form of the walk, so the tests use it as the oracle that
-``Tensor.backward`` must equal bit for bit, and make no more VJP calls
-than.
+reverse, skips leaves, calls the VJP of each node that has a gradient, and
+accumulates the shares of its marked parents. It is the plain form of the
+walk, so the tests use it as the oracle that ``Tensor.backward`` must equal
+bit for bit, and make no more VJP calls than.
 """
 
 import numpy as np
@@ -45,10 +45,9 @@ def backward_walk(root, inputs):
     for node in reversed(order):
         # a node's gradient is complete here; keep only the requested ones
         g = grads.get(id(node)) if id(node) in requested else grads.pop(id(node), None)
-        if g is None:
+        if g is None or node._vjp is None:
             continue
-        for parent, vjp in zip(node._parents, node._vjps):
+        for parent, d in zip(node._parents, node._vjp(g)):
             if id(parent) in wanted:
-                d = vjp(g)
                 grads[id(parent)] = grads[id(parent)] + d if id(parent) in grads else d
     return [grads.get(id(t)) for t in inputs]

@@ -5,8 +5,9 @@ each and ``total_loss`` stacked the two views.
 
 The ops here, ``add``, ``sub``, ``mul``, ``div``, ``exp``, ``relu``,
 ``matmul``, ``sum_``, ``mean``, ``log_sum_exp``, ``log_softmax``,
-``cross_entropy`` and ``concat``, keep the VJPs the engine once had, and each
-hands its parent exactly the parent's shape: the elementwise ops sum a
+``cross_entropy`` and ``concat``, keep the VJPs the engine once had, as one
+VJP per node that returns every parent's share, and each hands its parent
+exactly the parent's shape: the elementwise ops sum a
 broadcast gradient back down, and ``sum_`` broadcasts its gradient up by
 adding zeros, as the engine's walk once did for them. ``encode``, ``classify``
 and ``project`` build each layer from ``matmul``, ``add`` and ``relu`` on the
@@ -58,8 +59,8 @@ def _check_axis(t: Tensor, axis):
 
 
 def _binary(value, a: Tensor, b: Tensor, vjp_a, vjp_b) -> Tensor:
-    return Tensor._make(value, (a, b), (lambda g: _unbroadcast(vjp_a(g), a),
-                                        lambda g: _unbroadcast(vjp_b(g), b)))
+    return Tensor._make(value, (a, b),
+                        lambda g: (_unbroadcast(vjp_a(g), a), _unbroadcast(vjp_b(g), b)))
 
 
 def add(a: Tensor, b) -> Tensor:
@@ -89,7 +90,7 @@ def div(a: Tensor, b) -> Tensor:
 def relu(t: Tensor) -> Tensor:
     a = t.data
     mask = a > 0.0
-    return Tensor._make(np.maximum(a, 0.0), (t,), (lambda g: g * mask,))
+    return Tensor._make(np.maximum(a, 0.0), (t,), lambda g: (g * mask,))
 
 
 def matmul(a: Tensor, b) -> Tensor:
@@ -99,7 +100,7 @@ def matmul(a: Tensor, b) -> Tensor:
     if a.shape[1] != b.shape[0]:
         raise DimensionError(f"inner dimensions disagree: {a.shape} @ {b.shape}")
     x, y = a.data, b.data
-    return Tensor._make(x @ y, (a, b), (lambda g: g @ y.T, lambda g: x.T @ g))
+    return Tensor._make(x @ y, (a, b), lambda g: (g @ y.T, x.T @ g))
 
 
 def sum_(t: Tensor, axis=None, keepdims=False) -> Tensor:
@@ -108,14 +109,14 @@ def sum_(t: Tensor, axis=None, keepdims=False) -> Tensor:
 
     def vjp(g):
         g = g if axis is None or keepdims else np.expand_dims(g, axis)
-        return g if g.shape == shape else g + np.zeros(shape)
+        return (g if g.shape == shape else g + np.zeros(shape),)
 
-    return Tensor._make(t.data.sum(axis=axis, keepdims=keepdims), (t,), (vjp,))
+    return Tensor._make(t.data.sum(axis=axis, keepdims=keepdims), (t,), vjp)
 
 
 def exp(t: Tensor) -> Tensor:
     out = np.exp(t.data)
-    return Tensor._make(out, (t,), (lambda g: g * out,))
+    return Tensor._make(out, (t,), lambda g: (g * out,))
 
 
 def log_sum_exp(t: Tensor, axis=None, keepdims=False) -> Tensor:
@@ -123,7 +124,7 @@ def log_sum_exp(t: Tensor, axis=None, keepdims=False) -> Tensor:
     _check_axis(t, axis)
     out_full, soft = _lse_softmax(t.data, axis)
     out = out_full if keepdims else np.squeeze(out_full, axis=axis)
-    return Tensor._make(out, (t,), (lambda g: soft * g.reshape(out_full.shape),))
+    return Tensor._make(out, (t,), lambda g: (soft * g.reshape(out_full.shape),))
 
 
 def mean(t: Tensor, axis=None, keepdims=False) -> Tensor:
@@ -141,13 +142,13 @@ def cross_entropy(logits: Tensor, labels) -> Tensor:
     """Per-row cross-entropy, (N,): one node for ``log_sum_exp - sum_(z * onehot, 1)``,
     bit for bit; the VJP keeps the two products apart."""
     _check_axis(logits, 1)
-    labels = check_labels(labels, logits.shape[1])
+    labels = check_labels(labels, logits.shape[1], logits.shape[0])
     lse, soft = _lse_softmax(logits.data, 1)
     rows = np.arange(logits.shape[0])
     onehot = np.zeros(logits.shape)
     onehot[rows, labels] = 1.0
     return Tensor._make(lse[:, 0] - logits.data[rows, labels], (logits,),
-                        (lambda g: soft * g[:, None] - onehot * g[:, None],))
+                        lambda g: (soft * g[:, None] - onehot * g[:, None],))
 
 
 def concat(tensors) -> Tensor:
@@ -158,8 +159,9 @@ def concat(tensors) -> Tensor:
     if any(t.data.ndim != 2 for t in tensors):
         raise DimensionError("concat expects 2-D tensors")
     offsets = np.cumsum([0] + [t.data.shape[0] for t in tensors])
-    vjps = tuple((lambda g, lo=lo, hi=hi: g[lo:hi]) for lo, hi in zip(offsets[:-1], offsets[1:]))
-    return Tensor._make(np.concatenate([t.data for t in tensors]), tuple(tensors), vjps)
+    bounds = list(zip(offsets[:-1], offsets[1:]))
+    return Tensor._make(np.concatenate([t.data for t in tensors]), tuple(tensors),
+                        lambda g: tuple(g[lo:hi] for lo, hi in bounds))
 
 
 def encode(model, x) -> Tensor:

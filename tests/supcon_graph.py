@@ -25,9 +25,9 @@ def power(t: Tensor, exponent) -> Tensor:
         with np.errstate(divide="ignore", invalid="ignore"):
             d = e * a ** (e - 1.0)
         # kink convention at 0 for e < 1, mirroring sign(0) = 0
-        return g * np.where(np.isfinite(d), d, 0.0)
+        return (g * np.where(np.isfinite(d), d, 0.0),)
 
-    return Tensor._make(a ** e, (t,), (vjp,))
+    return Tensor._make(a ** e, (t,), vjp)
 
 
 def sqrt(t: Tensor) -> Tensor:
@@ -37,7 +37,7 @@ def sqrt(t: Tensor) -> Tensor:
 def transpose(t: Tensor) -> Tensor:
     if t.data.ndim != 2:
         raise DimensionError("transpose expects a 2-D tensor")
-    return Tensor._make(t.data.T, (t,), (lambda g: g.T,))
+    return Tensor._make(t.data.T, (t,), lambda g: (g.T,))
 
 
 def similarity_matrix(pool: Tensor) -> Tensor:

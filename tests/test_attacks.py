@@ -13,6 +13,7 @@ from ascl.attacks import (AttackConfig, _ball_clamp, _random_start, attack_by_na
                           multi_targeted_pgd, pgd_attack, robust_accuracy)
 from ascl.config import RunConfig
 from ascl.errors import ContractError, DimensionError
+from ascl.losses import at_loss
 from ascl.models import MLPClassifier, ModelSpec
 from ascl.tensor import Tensor
 from ascl.training import train
@@ -78,6 +79,26 @@ def trained_moons(tmp_path_factory):
     result = train(cfg)
     _, test = cfg.build_datasets()
     return result.model, test
+
+
+_CFG = AttackConfig(epsilon=0.05, eta=0.01, steps=2)
+# each entry point that takes a batch's labels, called with ``labels``
+LABEL_TAKERS = {
+    "pgd_attack": lambda m, x, labels: pgd_attack(m, x, labels, _CFG),
+    "multi_targeted_pgd": lambda m, x, labels: multi_targeted_pgd(m, x, labels, _CFG),
+    "input_gradient": lambda m, x, labels: m.input_gradient(x, labels),
+    "robust_accuracy": lambda m, x, labels: robust_accuracy(m, x, labels, "none", _CFG),
+    "at_loss": lambda m, x, labels: at_loss(m.forward(np.concatenate([x, x])), labels),
+}
+
+
+@pytest.mark.parametrize("length", [1, 15])
+@pytest.mark.parametrize("entry", sorted(LABEL_TAKERS))
+def test_labels_must_match_the_batch_length(toy_model, toy_batch, entry, length):
+    # one label broadcast over all 16 rows: PGD attacked every row toward it
+    x, y = toy_batch
+    with pytest.raises(ContractError, match=rf"labels of shape \({length},\) do not match 16"):
+        LABEL_TAKERS[entry](toy_model, x, y[:length])
 
 
 class TestAttackConfig:
@@ -320,8 +341,8 @@ class TestInputGradient:
         calls = []
         for module in (ascl.attacks, ascl.models):
             real = module.check_labels
-            monkeypatch.setattr(module, "check_labels",
-                                lambda labels, c, real=real: calls.append(c) or real(labels, c))
+            monkeypatch.setattr(module, "check_labels", lambda labels, c, n, real=real:
+                                calls.append(c) or real(labels, c, n))
         x, y = toy_batch
         attack(toy_model, x, y, AttackConfig(epsilon=0.05, eta=0.01, steps=10), seed=3)
         assert calls == [3]
@@ -655,7 +676,7 @@ class TestRobustAccuracy:
     @pytest.mark.parametrize("bad", [3, -1])
     def test_label_outside_the_classes_is_a_contract_error(self, toy_model, toy_batch,
                                                           attack, bad):
-        # the last batch holds the bad label, so every earlier batch scores
+        # the last batch holds the bad label
         x, y = toy_batch
         y = y.copy()
         y[-1] = bad
@@ -667,6 +688,13 @@ class TestRobustAccuracy:
         with pytest.raises(ContractError):
             robust_accuracy(toy_model, np.zeros((0, 4)), np.zeros(0, dtype=int),
                             "pgd", AttackConfig())
+
+    @pytest.mark.parametrize("batch_size", [0, -1])
+    def test_batch_size_below_one_is_a_contract_error(self, toy_model, toy_batch, batch_size):
+        # -1 read 0.0 and 0 raised from range()
+        x, y = toy_batch
+        with pytest.raises(ContractError, match="batch_size"):
+            robust_accuracy(toy_model, x, y, "none", AttackConfig(), batch_size=batch_size)
 
     def test_monotone_in_epsilon(self, trained_moons):
         model, test = trained_moons

@@ -1,6 +1,7 @@
 """``Tensor.backward`` against the reference walk in ``backward_walk.py``:
-bitwise-equal gradients and no more VJP calls, on the training step's graphs
-and on a cross-entropy graph through the ``encode`` and ``classify`` nodes."""
+bitwise-equal gradients and no more VJP calls, counted per node, on the
+training step's graphs and on a cross-entropy graph through the ``encode``
+and ``classify`` nodes."""
 
 from collections import Counter
 
@@ -54,6 +55,22 @@ def _requested(name, request):
     return root, inputs
 
 
+def _leading(root, inputs):
+    """The ids of the requested inputs and of every node under ``root`` that leads to one."""
+    ids, done = {id(t) for t in inputs}, set()
+
+    def visit(t):
+        if id(t) not in done:
+            done.add(id(t))
+            for p in t._parents:
+                visit(p)
+            if any(id(p) in ids for p in t._parents):
+                ids.add(id(t))
+
+    visit(root)
+    return ids
+
+
 def _bitwise_equal(a, b):
     return np.array_equal(a, b) and np.array_equal(np.signbit(a), np.signbit(b))
 
@@ -78,7 +95,9 @@ def test_makes_no_more_vjp_calls_than_the_reference_walk(name, request_):
     want = Counter(map(id, calls))
     calls.clear()
     root.backward(inputs)
-    assert Counter(map(id, calls)) <= want
-    # none toward a leaf that is not requested
-    ids = {id(t) for t in inputs}
-    assert all(p._parents or id(p) in ids for p in calls)
+    got = Counter(map(id, calls))
+    assert got <= want
+    # each node once, and none that leads to no requested input
+    assert set(got.values()) == {1}
+    leads = _leading(root, inputs)
+    assert all(any(id(p) in leads for p in node._parents) for node in calls)

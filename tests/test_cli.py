@@ -76,6 +76,13 @@ def test_missing_checkpoint_is_a_runtime_failure(files, tmp_path):
     ["train", "--data-noise", "-1"],
     ["train", "--dataset", "blobs", "--data-classes", "0"],
     ["train", "--dataset", "blobs", "--data-spread", "-1"],
+    # an infinite noise or spread squashes to NaN features
+    ["train", "--data-noise", "inf"],
+    ["train", "--data-noise", "nan"],
+    ["train", "--dataset", "blobs", "--data-spread", "inf"],
+    ["train", "--dataset", "blobs", "--data-spread", "nan"],
+    ["make-data", "--data-noise", "inf"],
+    ["make-data", "--dataset", "blobs", "--data-spread", "inf"],
     ["evaluate", "--steps", "-3"],
     ["evaluate", "--eps", "nan"],
     ["evaluate", "--steps", "3", "--eta", "inf"],

@@ -265,6 +265,20 @@ class TestSweep:
             got = absolute_divergences(z, labels, z_adv, block_rows=block_rows)
             assert got == pytest.approx(whole, rel=1e-12)
 
+    @pytest.mark.parametrize("block_rows", [0, -1])
+    def test_block_rows_below_one_is_a_contract_error(self, block_rows):
+        # -1 read (None, None); None still means all rows at once
+        z, z_adv, labels = random_pool(np.random.default_rng(8), 11, 3)
+        with pytest.raises(ContractError, match="block_rows"):
+            absolute_divergences(z, labels, z_adv, block_rows=block_rows)
+
+    @pytest.mark.parametrize("batch_size", [0, -3])
+    def test_batch_size_below_one_is_a_contract_error(self, batch_size):
+        model = MLPClassifier(ModelSpec(input_dim=3, hidden_layers=(4,), num_classes=2), seed=0)
+        with pytest.raises(ContractError, match="batch_size"):
+            divergence_report(model, np.full((4, 3), 0.5), np.array([0, 1, 0, 1]), None,
+                              batch_size=batch_size)
+
 
 class TestOneEncodePerInput:
     def test_evaluations_encode_each_input_once_per_view(self, trained_for_sweep,

@@ -1,12 +1,15 @@
 """Every name a module imports is used or re-exported, every ``__all__``
 entry names something the module defines or imports, every private
 function, class and method in ``src/ascl`` is referenced there, every
-engine export has an importer there, and ``Tensor`` defines no op."""
+engine export has an importer there, and ``Tensor`` defines no op and
+holds one VJP per node."""
 
 import ast
 from pathlib import Path
 
 import pytest
+
+from ascl.tensor import Tensor
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "ascl"
 MODULES = sorted(SRC.glob("*.py"))
@@ -106,3 +109,8 @@ def test_tensor_methods_are_item_and_backward():
                 for t in (node.targets if isinstance(node, ast.Assign) else [node.target])
                 if isinstance(t, ast.Name)}
     assert defined == {"__slots__", "__init__", "shape", "item", "__repr__", "_make", "backward"}
+
+
+def test_a_node_holds_one_vjp():
+    """A node's adjoint is one map from its gradient to every parent's share."""
+    assert Tensor.__slots__ == ("data", "_parents", "_vjp")

@@ -4,8 +4,9 @@ batch, toward the input, the latent and every parameter; the ``at_loss`` and
 ``vat_loss`` nodes and the stacked objective's parameter gradients within
 ``REL`` relative to the largest gradient entry, since one stacked matmul over
 both views sums in another order than two matmuls and an add; every VJP under
-the objective handing its parent exactly the parent's shape; and the AT and
-KL VJPs against central differences of their own values."""
+the objective handing each parent exactly the parent's shape, and every leaf
+under it a parameter; and the AT and KL VJPs against central differences of
+their own values."""
 
 import numpy as np
 import pytest
@@ -104,10 +105,12 @@ def test_stacked_objective_matches_the_two_view_composition(strategy, projection
         w, flags = _terms(terms, (0.07, 0.5, 1.0)[seed])
         got = total_loss(batch, model, strategy, w, **flags)
         want = mlp_graph.total_loss(batch, model, strategy, w, **flags)
-        # every VJP hands its parent exactly the parent's shape
+        # every VJP hands each parent exactly the parent's shape
         for node in nodes_under(got.total):
-            for parent, vjp in zip(node._parents, node._vjps):
-                assert np.shape(vjp(np.ones(node.shape))) == parent.shape
+            if node._parents:
+                shares = node._vjp(np.ones(node.shape))
+                assert isinstance(shares, tuple) and len(shares) == len(node._parents)
+                assert [np.shape(d) for d in shares] == [p.shape for p in node._parents]
         for field in ("at", "scl", "vat", "mean_pos", "mean_neg"):
             a, b = getattr(got, field), getattr(want, field)
             assert abs(a - b) <= REL * abs(b)
@@ -118,6 +121,20 @@ def test_stacked_objective_matches_the_two_view_composition(strategy, projection
             assert (a is None) == (b is None)
             if a is not None:
                 _assert_close(a, b, scale)
+
+
+@pytest.mark.parametrize("terms", sorted(TERMS))
+@pytest.mark.parametrize("projection", PROJECTION_KINDS)
+@pytest.mark.parametrize("strategy", STRATEGIES)
+def test_objective_leaves_are_parameters(strategy, projection, terms):
+    # from array inputs, every leaf is a parameter, so a backward toward the
+    # parameters computes no share that it then drops
+    model, batch = _model_and_batch(0, projection)
+    w, flags = _terms(terms, 0.5)
+    total = total_loss(batch, model, strategy, w, **flags).total
+    params = {id(p) for p in model.parameters}
+    assert all(id(p) in params for node in nodes_under(total) for p in node._parents
+               if not p._parents)
 
 
 def _logits(rng, n, c):
@@ -198,7 +215,8 @@ def test_kl_vjp_vs_central_differences(seed):
 
 @pytest.mark.parametrize("labels,rows,match", [
     ([0, 2], 4, "labels must lie"), ([0, -1], 4, "labels must lie"),
-    ([0, 1, 1], 4, "3 labels do not match 2 samples"), ([0, 1], 5, r"stacked \(2N, C\)"),
+    ([0, 1, 1], 4, r"labels of shape \(3,\) do not match 2 samples"),
+    ([0, 1], 5, r"stacked \(2N, C\)"),
 ])
 def test_at_loss_contracts(labels, rows, match):
     with pytest.raises(ContractError, match=match):

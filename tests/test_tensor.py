@@ -10,7 +10,7 @@ from ascl.tensor import Tensor
 from mlp_graph import (add, concat, cross_entropy, div, exp, log_softmax, log_sum_exp, matmul,
                        mean, mul, relu, sub, sum_)
 from supcon_loop import gather_rows
-from vjp_spy import count_vjps_toward
+from vjp_spy import count_vjp_calls
 
 
 def fd_gradient(fn, x, h=1e-5):
@@ -251,6 +251,14 @@ def _bitwise_equal(a, b):
     return np.array_equal(a, b) and np.array_equal(np.signbit(a), np.signbit(b))
 
 
+def _chain(root, k):
+    """``root`` and its first-parent ancestors, ``k`` nodes in all."""
+    nodes = [root]
+    while len(nodes) < k:
+        nodes.append(nodes[-1]._parents[0])
+    return nodes
+
+
 def _grads(build, arrays, weights):
     """Forward value and the gradient of every input from a backward through
     ``sum_(build(*inputs) * weights)``."""
@@ -269,28 +277,33 @@ class TestBackwardInputs:
     def test_requested_leaf_matches_full_backward_and_others_stay_none(self, model_and_batch,
                                                                        monkeypatch):
         model, x, y = model_and_batch
-        calls = count_vjps_toward(monkeypatch, model.parameters)
+        calls = count_vjp_calls(monkeypatch)
         full = Tensor(x)
-        want = sum_(cross_entropy(model.forward(full), y)).backward((full, *model.parameters))
+        root = sum_(cross_entropy(model.forward(full), y))
+        want = root.backward((full, *model.parameters))
         assert all(g is not None for g in want)
-        assert len(calls) == len(model.parameters)
+        # the four nodes from the root down to encode, each once
+        assert calls == _chain(root, 4)
 
         calls.clear()
         only = Tensor(x)
-        got = sum_(cross_entropy(model.forward(only), y)).backward((only,))
+        root = sum_(cross_entropy(model.forward(only), y))
+        got = root.backward((only,))
         assert len(got) == 1 and _bitwise_equal(got[0], want[0])
-        assert calls == []
+        assert calls == _chain(root, 4)
 
-    def test_requested_parameter_only(self, model_and_batch, monkeypatch):
+    @pytest.mark.parametrize("which,nodes", [("hidden", 4), ("cls_w", 3)])
+    def test_requested_parameter_only(self, model_and_batch, monkeypatch, which, nodes):
+        # a classifier weight's gradient runs no encode VJP
         model, x, y = model_and_batch
         want = sum_(cross_entropy(model.forward(Tensor(x)), y)).backward(model.parameters)
 
-        xt = Tensor(x)
-        w = model.hidden[0][0]
-        calls = count_vjps_toward(monkeypatch, [xt, *model.parameters])
-        (got,) = sum_(cross_entropy(model.forward(xt), y)).backward((w,))
-        assert _bitwise_equal(got, want[0])
-        assert calls == [w]
+        w = model.hidden[0][0] if which == "hidden" else model.cls_w
+        calls = count_vjp_calls(monkeypatch)
+        root = sum_(cross_entropy(model.forward(Tensor(x)), y))
+        (got,) = root.backward((w,))
+        assert _bitwise_equal(got, want[model.parameters.index(w)])
+        assert calls == _chain(root, nodes)
 
     def test_requested_interior_node_gets_its_gradient(self, model_and_batch):
         model, x, y = model_and_batch
@@ -312,14 +325,15 @@ class TestBackwardInputs:
 
     def test_constants_get_no_vjp(self, monkeypatch):
         # c, d and their sum are recorded like any operand; only the request
-        # keeps the walk from running VJPs toward them
+        # keeps the walk from running the VJP of their sum
         rng = np.random.default_rng(3)
         w, c, d = (Tensor(rng.normal(size=(2, 3))) for _ in range(3))
         s = add(c, d)
-        calls = count_vjps_toward(monkeypatch, [w, c, d, s])
-        (g,) = sum_(mul(w, s)).backward((w,))
+        calls = count_vjp_calls(monkeypatch)
+        root = sum_(mul(w, s))
+        (g,) = root.backward((w,))
         assert _bitwise_equal(g, s.data)
-        assert calls == [w]
+        assert calls == _chain(root, 2)
 
 
 class TestCoarseNodes:

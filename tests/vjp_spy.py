@@ -1,12 +1,11 @@
-"""Visit the graph under a root, and count the VJPs that a backward walk runs.
+"""Visit the graph under a root, and record the nodes whose VJP a backward walk runs.
 
 ``nodes_under`` yields every tensor under a root once, leaves included.
-``Tensor.backward`` calls no VJP toward a node that leads to no requested
-input. These spies let a test see that. ``spy_on_vjps`` wraps, in place,
-every VJP of the graph under a root whose parent is one of ``targets``
-(every VJP when ``targets`` is None), so that each call of one appends
-that parent to a list; any walk of that graph, the engine's or a test
-oracle's, then shows its calls there. ``count_vjps_toward`` installs the
+``Tensor.backward`` runs the VJP of each node that leads to a requested
+input once, and no other. These spies let a test see that. ``spy_on_vjps``
+wraps, in place, the VJP of every node under a root, so that each call
+appends that node to a list; any walk of that graph, the engine's or a
+test oracle's, then shows its calls there. ``count_vjp_calls`` installs the
 same wrapping before each ``Tensor.backward`` while it is patched in.
 """
 
@@ -24,23 +23,21 @@ def nodes_under(root):
             stack.extend(node._parents)
 
 
-def spy_on_vjps(root, calls, targets=None):
-    """Wrap the VJPs under ``root`` toward ``targets`` to append their parent
-    to ``calls``; wrap a graph once, or its calls count twice."""
-    ids = None if targets is None else {id(t) for t in targets}
+def spy_on_vjps(root, calls):
+    """Wrap the VJP of each node under ``root`` to append the node to
+    ``calls``; wrap a graph once, or its calls count twice."""
     for node in nodes_under(root):
-        node._vjps = tuple((lambda g, p=p, f=f: calls.append(p) or f(g))
-                           if ids is None or id(p) in ids else f
-                           for p, f in zip(node._parents, node._vjps))
+        if node._vjp is not None:
+            node._vjp = lambda g, node=node, f=node._vjp: calls.append(node) or f(g)
     return calls
 
 
-def count_vjps_toward(monkeypatch, targets):
+def count_vjp_calls(monkeypatch):
     calls = []
     real = Tensor.backward
 
     def spying(root, inputs):
-        spy_on_vjps(root, calls, targets)
+        spy_on_vjps(root, calls)
         return real(root, inputs)
 
     monkeypatch.setattr(Tensor, "backward", spying)
