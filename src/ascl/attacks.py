@@ -14,10 +14,9 @@ a subset of rows gives exactly those rows of the whole batch's attack:
 any batching, serial or per-sample-parallel evaluation agree bitwise.
 Targeted runs reuse the same start.
 
-A model provides ``spec``, against which an attack checks its batch and labels
-once, ``_input_gradient(x, labels)`` (d/dx of the summed cross-entropy, one
-unchecked numpy pass) for every PGD step, and ``encode``/``classify``/``forward``,
-whose node values score the results; no attack walks a graph.
+A model provides ``spec``, to check a batch and labels against once, and two
+unchecked numpy passes: ``_input_gradient(x, labels)``, d/dx of the summed cross-entropy,
+per PGD step, and ``_predict(x)``, latents and logits, to score.
 """
 
 from __future__ import annotations
@@ -50,14 +49,19 @@ class AttackConfig:
         # written so that NaN fails them; an infinite eta times sign(0) is NaN
         if not self.epsilon >= 0:
             raise ContractError("epsilon must be nonnegative")
-        try:
-            _size(self.steps, "steps", low=0)
-        except ConfigError as e:
-            raise ContractError(str(e)) from None
+        _contract_size(self.steps, "steps", low=0)
         if self.steps > 0 and not 0 < self.eta < np.inf:
             raise ContractError("eta must be positive and finite when steps > 0")
         if not self.clip_range[0] < self.clip_range[1]:
             raise ContractError("clip_range lower bound must be below upper bound")
+
+
+def _contract_size(v, what, low=1):
+    """``models._size``, its ConfigError raised as a ContractError."""
+    try:
+        return _size(v, what, low)
+    except ConfigError as e:
+        raise ContractError(str(e)) from None
 
 
 def _seed_parts(seed):
@@ -189,8 +193,7 @@ def multi_targeted_pgd(model, x, y, cfg: AttackConfig, seed=0, index_base=0):
             continue
         cand = _pgd(model, x[rows], np.full(rows.size, t, dtype=np.intp), True, cfg, seed,
                     index_base + rows)
-        # keep values only: the candidate's graph is freed before the next attack
-        logits_c = model.forward(cand).data
+        logits_c = model._predict(cand)[1]
         ce = _lse_softmax(logits_c, 1)[0][:, 0] - logits_c[np.arange(rows.size), y[rows]]
 
         flipped = np.argmax(logits_c, axis=1) != y[rows]
@@ -215,29 +218,25 @@ def robust_accuracy(model, features, labels, attack, cfg: AttackConfig,
                     seed=0, batch_size=256, latents=None):
     """Fraction of samples still predicted correctly after the attack.
 
-    ``attack`` is one of "none"/"pgd"/"mpgd" or a callable with the
-    pgd_attack signature. Attacks run per batch; per-sample seeding keeps
-    the result independent of batch_size. Each batch is encoded once; when
-    ``latents`` is a list, each batch's latent array is appended to it.
+    ``attack`` is "none", "pgd", "mpgd" or a callable with pgd_attack's signature. Attacks
+    run per batch, each sample on its own stream, so batch_size changes no result. One
+    ``_predict`` scores each attacked batch; its latents join ``latents`` if that is a list.
     """
     features = np.asarray(features, dtype=np.float64)
+    if features.ndim != 2 or features.shape[1] != model.spec.input_dim:
+        raise DimensionError(f"features must be (N, {model.spec.input_dim}), got {features.shape}")
     if features.shape[0] == 0 or not np.all(np.isfinite(features)):
         raise ContractError("robust_accuracy needs a non-empty dataset of finite features")
     labels = check_labels(labels, model.spec.num_classes, features.shape[0])
-    if batch_size < 1:
-        raise ContractError(f"batch_size must be at least 1, got {batch_size}")
+    batch_size = _contract_size(batch_size, "batch_size")
     fn = attack_by_name(attack) if isinstance(attack, str) else attack
 
     correct = 0
     for lo in range(0, features.shape[0], batch_size):
         xb = features[lo:lo + batch_size]
         yb = labels[lo:lo + batch_size]
-        z = model.encode(fn(model, xb, yb, cfg, seed=seed, index_base=lo))
+        z, logits = model._predict(fn(model, xb, yb, cfg, seed=seed, index_base=lo))
         if latents is not None:
-            latents.append(z.data)
-        preds = np.argmax(model.classify(z).data, axis=1)
-        correct += int((preds == yb).sum())
-        # free the batch's graph before the next batch's attack: held across
-        # it, glibc trimmed and re-faulted the attack's heap pages every step
-        del z
+            latents.append(z)
+        correct += int((np.argmax(logits, axis=1) == yb).sum())
     return correct / features.shape[0]

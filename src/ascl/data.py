@@ -10,6 +10,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ContractError, FormatError
+from .tensor import check_labels
 
 __all__ = [
     "Dataset",
@@ -34,15 +35,11 @@ class Dataset:
 
     def __post_init__(self):
         self.features = np.asarray(self.features, dtype=np.float64)
-        self.labels = np.asarray(self.labels, dtype=np.intp)
         if self.features.ndim != 2 or self.features.shape[0] < 1:
             raise ContractError("features must be a nonempty (M, D) array")
-        if self.labels.shape != (self.features.shape[0],):
-            raise ContractError("labels must align with features")
+        self.labels = check_labels(self.labels, self.num_classes, self.features.shape[0])
         if not np.all((self.features >= 0.0) & (self.features <= 1.0)):
             raise ContractError("features must lie in [0, 1]")
-        if np.any(self.labels < 0) or np.any(self.labels >= self.num_classes):
-            raise ContractError("labels must lie in [0, num_classes)")
         if self.split not in _SPLITS:
             raise ContractError(f"split must be one of {_SPLITS}")
 

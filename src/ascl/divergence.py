@@ -2,7 +2,7 @@
 same-class pool (intra) and different-class pool (inter), and their
 ratio, computed over pooled natural+adversarial latents. Slots follow
 the ``global`` masks of ``losses.selection_masks``; ``divergence_report``
-keeps the latents of ``robust_accuracy``'s passes, one encode per input."""
+keeps the latents of ``robust_accuracy``'s passes, one numpy pass per input."""
 
 from __future__ import annotations
 
@@ -10,7 +10,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .attacks import AttackConfig, pgd_attack, robust_accuracy
+from .attacks import AttackConfig, _contract_size, pgd_attack, robust_accuracy
 from .errors import ContractError
 from .losses import _unit_rows, selection_masks
 
@@ -62,17 +62,15 @@ def absolute_divergences(z, labels, z_adv=None, block_rows=None):
     anchor left (one class only, say) is None.
     An all-zero latent is at distance 1 from every slot, as it has
     similarity 0 in the contrastive loss.
-    Anchors are taken ``block_rows`` at a time (at least 1; default: all at once), so
+    Anchors are taken ``block_rows`` at a time (a positive integer; default: all at once), so
     no temporary outgrows a (block_rows, pool) block; the result does not
     depend on the block size.
     """
-    if block_rows is not None and block_rows < 1:
-        raise ContractError(f"block_rows must be at least 1, got {block_rows}")
     pool, labels = _pooled(z, labels, z_adv)
     m, n = pool.shape[0], labels.shape[0]
     masks = [mask[:, :m] for mask in selection_masks("global", labels)]
     unit = _unit_rows(pool)[0]
-    step = block_rows or max(m, 1)
+    step = max(m, 1) if block_rows is None else _contract_size(block_rows, "block_rows")
 
     # per-anchor distance sums and counts; side 0 positives, side 1 negatives
     sums = np.zeros((2, m))
@@ -112,8 +110,8 @@ def divergence_report(model, features, labels, attack_cfg: AttackConfig | None,
     and ``nat_acc``. With an attack config at epsilon > 0, one PGD pass
     gives the adversarial latents, pooled with the natural ones, and
     ``rob_acc``, the accuracy on exactly those inputs; otherwise the pool
-    is benign-only and ``rob_acc`` is ``nat_acc``. Inputs are encoded and
-    attacked in mini-batches, each sample on its own attack stream; no
+    is benign-only and ``rob_acc`` is ``nat_acc``. Inputs are attacked and
+    scored in mini-batches, each sample on its own attack stream; no
     result depends on ``batch_size``.
     """
     attacked = attack_cfg is not None and attack_cfg.epsilon > 0

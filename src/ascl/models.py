@@ -1,10 +1,8 @@
-"""Small MLP classifiers with an exposed penultimate latent and optional
-projection heads for the contrastive loss. ``encode``, ``classify`` and a
-``linear`` or ``two_layer`` ``project`` are one engine node each, whose one
-VJP returns its parents' shares, biases' summed over the batch. An ndarray
-passed to ``encode`` is a constant, not a parent: no caller holds it as a
-Tensor to request. ``_hidden_backprop`` serves the ``encode`` VJP and
-``input_gradient``, whose unchecked form every PGD step calls."""
+"""Small MLP classifiers with an exposed penultimate latent and optional projection
+heads for the contrastive loss. Only training builds engine nodes: ``encode``,
+``classify`` and a ``linear`` or ``two_layer`` ``project``, one each, whose one VJP
+returns its parents' shares. Inference builds none: ``_predict`` and ``_input_gradient``,
+which every PGD step calls, run the same float ops in numpy."""
 
 from __future__ import annotations
 
@@ -68,6 +66,13 @@ def _batch_sum(g):
     return g if len(g) == 1 else g.sum(axis=0, keepdims=True)
 
 
+def _affine(h, w, b):
+    """``h @ w + b``, the bias added in place: every layer's map, classifier head included."""
+    out = h @ w
+    out += b
+    return out
+
+
 def _glorot(rng, fan_in, fan_out):
     limit = np.sqrt(6.0 / (fan_in + fan_out))
     return rng.uniform(-limit, limit, size=(fan_in, fan_out))
@@ -119,12 +124,12 @@ class MLPClassifier:
         """The penultimate activation: one node whose parents are every hidden
         weight and bias, in ``parameters`` order, after ``x`` when it is a Tensor."""
         t = self._as_batch(x, self.spec.input_dim, "encode")
-        acts, masks = self._hidden_forward(t.data)
+        acts = self._hidden_forward(t.data)
         params = tuple(p for layer in self.hidden for p in layer)
         const = t is not x
 
         def vjp(g):
-            gx, grads = self._hidden_backprop(g.copy(), masks, acts)
+            gx, grads = self._hidden_backprop(g.copy(), acts, params=True)
             return tuple(grads) if const else (gx @ params[0].data.T, *grads)
 
         return Tensor._make(acts[-1], params if const else (t, *params), vjp)
@@ -133,33 +138,33 @@ class MLPClassifier:
         """Logits of latents ``z``, ``z @ cls_w + cls_b``, as one node."""
         z = self._as_batch(z, self.spec.latent_dim, "classify")
         h, w = z.data, self.cls_w.data
-        out = h @ w
-        out += self.cls_b.data
-        return Tensor._make(out, (z, self.cls_w, self.cls_b),
+        return Tensor._make(_affine(h, w, self.cls_b.data), (z, self.cls_w, self.cls_b),
                             lambda g: (g @ w.T, h.T @ g, _batch_sum(g)))
 
     def forward(self, x) -> Tensor:
         return self.classify(self.encode(x))
 
     def _hidden_forward(self, h):
-        """Each hidden layer's input with the latent last, and each layer's relu mask."""
-        acts, masks = [h], []
+        """Each hidden layer's input, the latent last; a relu output is its own mask."""
+        acts = [h]
         for w, b in self.hidden:
-            a = h @ w.data
-            a += b.data
-            masks.append(a > 0.0)
+            a = _affine(h, w.data, b.data)
             h = np.maximum(a, 0.0, out=a)
             acts.append(h)
-        return acts, masks
+        return acts
 
-    def _hidden_backprop(self, g, masks, acts=None):
-        """``g`` carried from the latent down the relu stack in the float ops of the
-        relu-and-affine VJPs, overwriting it: the gradient at the first pre-activation
-        and, given the layer inputs ``acts``, each weight's and bias's gradient, in order."""
+    def _predict(self, x):
+        """Latents and logits of an unchecked batch, as ``classify(encode(x))`` computes them."""
+        z = self._hidden_forward(x)[-1]
+        return z, _affine(z, self.cls_w.data, self.cls_b.data)
+
+    def _hidden_backprop(self, g, acts, params=False):
+        """``g`` carried down the relu stack of layer inputs ``acts`` in the VJPs' float ops,
+        overwriting it: d/d(first pre-activation) and, if ``params``, each weight's and bias's."""
         grads = []
         for i in reversed(range(len(self.hidden))):
-            g *= masks[i]
-            if acts is not None:
+            g *= acts[i + 1] > 0.0
+            if params:
                 grads[:0] = (acts[i].T @ g, _batch_sum(g))
             if i:
                 g = g @ self.hidden[i][0].data.T
@@ -176,15 +181,14 @@ class MLPClassifier:
 
     def _input_gradient(self, x, labels):
         """``input_gradient`` of a checked batch and labels; builds no Tensor."""
-        acts, masks = self._hidden_forward(x)
-        z = acts[-1] @ self.cls_w.data
-        z += self.cls_b.data
+        acts = self._hidden_forward(x)
+        z = _affine(acts[-1], self.cls_w.data, self.cls_b.data)
         # softmax as in tensor._lse_softmax, minus the one-hot of the labels
         z -= np.maximum.reduce(z, axis=1, keepdims=True)
         np.exp(z, out=z)
         z /= np.add.reduce(z, axis=1, keepdims=True)
         z[np.arange(z.shape[0]), labels] -= 1.0
-        return self._hidden_backprop(z @ self.cls_w.data.T, masks)[0] @ self.hidden[0][0].data.T
+        return self._hidden_backprop(z @ self.cls_w.data.T, acts)[0] @ self.hidden[0][0].data.T
 
     def project(self, z) -> Tensor:
         """Map the latent into the contrastive space per the configured head:

@@ -107,8 +107,10 @@ def _lse_softmax(a, axis):
 
 
 def check_labels(labels, num_classes, n):
-    """``labels`` as an intp array; ContractError unless it is (n,), each in [0, num_classes)."""
-    labels = np.asarray(labels, dtype=np.intp)
+    """``labels`` as an intp array; ContractError unless it is (n,) integers in [0, num_classes)."""
+    labels = (given := np.asarray(labels)).astype(np.intp, copy=False)
+    if given.dtype.kind not in "iu" and np.any(labels != given):
+        raise ContractError("labels must be integers")
     if labels.shape != (n,):
         raise ContractError(f"labels of shape {labels.shape} do not match {n} samples")
     # viewed as unsigned, a negative label lies above every class index

@@ -12,11 +12,13 @@ import ascl.models
 from ascl.attacks import (AttackConfig, _ball_clamp, _random_start, attack_by_name,
                           multi_targeted_pgd, pgd_attack, robust_accuracy)
 from ascl.config import RunConfig
+from ascl.data import Dataset
+from ascl.divergence import divergence_report, divergence_sweep
 from ascl.errors import ContractError, DimensionError
 from ascl.losses import at_loss
 from ascl.models import MLPClassifier, ModelSpec
 from ascl.tensor import Tensor
-from ascl.training import train
+from ascl.training import evaluate, train
 from mlp_graph import add, cross_entropy, forward, log_sum_exp, matmul, mul, sub, sum_
 from mtpgd_loop import multi_targeted_pgd_loop
 
@@ -44,14 +46,11 @@ class LinearLogistic:
         self.b = np.asarray(b, dtype=np.float64)
         self.spec = SimpleNamespace(input_dim=self.w.shape[0], num_classes=self.w.shape[1])
 
-    def encode(self, x):
-        return x if isinstance(x, Tensor) else Tensor(x)
-
-    def classify(self, z):
-        return add(matmul(z, Tensor(self.w)), Tensor(self.b.reshape(1, -1)))
-
     def forward(self, x):
-        return self.classify(self.encode(x))
+        return add(matmul(x, Tensor(self.w)), Tensor(self.b.reshape(1, -1)))
+
+    def _predict(self, x):
+        return x, x @ self.w + self.b
 
     def _input_gradient(self, x, labels):
         return engine_input_gradient(self, x, labels)
@@ -331,6 +330,21 @@ class TestInputGradient:
         with pytest.raises(ContractError, match="labels must lie"):
             pgd_attack(toy_model, x, y, AttackConfig(epsilon=0.05, eta=0.01, steps=2))
 
+    def test_fractional_label_is_a_contract_error(self, toy_model, toy_batch):
+        # the intp cast read 0.5 as 0; a float label with an integer value still works
+        x, labels = toy_batch
+        y = labels.astype(np.float64)
+        assert np.array_equal(toy_model.input_gradient(x, y), toy_model.input_gradient(x, labels))
+        y[4] = 0.5
+        with pytest.raises(ContractError, match="labels must be integers"):
+            toy_model.input_gradient(x, y)
+        cfg = AttackConfig(epsilon=0.05, eta=0.01, steps=2)
+        for attack in (pgd_attack, multi_targeted_pgd):
+            with pytest.raises(ContractError, match="labels must be integers"):
+                attack(toy_model, x, y, cfg)
+        with pytest.raises(ContractError, match="labels must be integers"):
+            pgd_attack(toy_model, x, y.astype(np.intp), cfg, targets=y)
+
     @pytest.mark.parametrize("shape", [(16, 3), (4,), (2, 4, 1)])
     def test_wrong_shape_is_a_dimension_error(self, toy_model, shape):
         with pytest.raises(DimensionError):
@@ -355,14 +369,19 @@ class TestInputGradient:
                    targets=(y + 1) % 3)
         assert calls == []
 
-    def test_mtpgd_builds_tensors_only_to_score_candidates(self, toy_model, toy_batch,
-                                                           monkeypatch):
+    def test_inference_builds_no_tensor(self, toy_model, toy_batch, monkeypatch):
+        # attacks, evaluation and divergence score every batch with one numpy forward
         x, y = toy_batch
+        test = Dataset(x, y, 3, split="test")
+        cfg = AttackConfig(epsilon=0.05, eta=0.01, steps=3)
         calls = _count_tensors(monkeypatch)
-        multi_targeted_pgd(toy_model, x, y, AttackConfig(epsilon=0.05, eta=0.01, steps=10),
-                           seed=3)
-        assert calls
-        assert all("multi_targeted_pgd" in names and "_pgd" not in names for names in calls)
+        multi_targeted_pgd(toy_model, x, y, cfg, seed=3)
+        for attack in ("none", "pgd", "mpgd"):
+            robust_accuracy(toy_model, x, y, attack, cfg, seed=3, batch_size=5)
+        evaluate(toy_model, test, cfg)
+        divergence_report(toy_model, x, y, cfg, seed=3)
+        divergence_sweep(toy_model, test, [0.0, 0.05], cfg)
+        assert calls == []
 
 
 def project_linf(x_adv, x_orig, epsilon, clip_range=(0.0, 1.0)):
@@ -684,14 +703,28 @@ class TestRobustAccuracy:
             robust_accuracy(toy_model, x, y, attack, AttackConfig(epsilon=0.05, eta=0.01, steps=2),
                             batch_size=5)
 
+    @pytest.mark.parametrize("attack", ["none", "pgd", "mpgd"])
+    def test_fractional_labels_are_a_contract_error(self, toy_model, toy_batch, attack):
+        # the intp cast read [0.5, 1.5, 2.5] as [0, 1, 2] and scored against those
+        x, y = toy_batch
+        with pytest.raises(ContractError, match="labels must be integers"):
+            robust_accuracy(toy_model, x, y + 0.5, attack,
+                            AttackConfig(epsilon=0.05, eta=0.01, steps=2))
+
+    @pytest.mark.parametrize("shape", [(16, 3), (16,), (16, 4, 1)])
+    def test_wrong_feature_shape_is_a_dimension_error(self, toy_model, toy_batch, shape):
+        _, y = toy_batch
+        with pytest.raises(DimensionError, match=r"features must be \(N, 4\)"):
+            robust_accuracy(toy_model, np.full(shape, 0.5), y, "none", AttackConfig())
+
     def test_empty_dataset(self, toy_model):
         with pytest.raises(ContractError):
             robust_accuracy(toy_model, np.zeros((0, 4)), np.zeros(0, dtype=int),
                             "pgd", AttackConfig())
 
-    @pytest.mark.parametrize("batch_size", [0, -1])
+    @pytest.mark.parametrize("batch_size", [0, -1, 2.5, True])
     def test_batch_size_below_one_is_a_contract_error(self, toy_model, toy_batch, batch_size):
-        # -1 read 0.0 and 0 raised from range()
+        # -1 read 0.0, 0 and 2.5 raised from range() and True read as 1
         x, y = toy_batch
         with pytest.raises(ContractError, match="batch_size"):
             robust_accuracy(toy_model, x, y, "none", AttackConfig(), batch_size=batch_size)

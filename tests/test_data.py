@@ -76,6 +76,13 @@ def test_label_out_of_range(blob, tmp_path):
         _load(tmp_path, edited)
 
 
+def test_fractional_labels_are_a_contract_error():
+    # the intp cast read [0.9, 0.2, 1.7, 1.2] as [0, 0, 1, 1]
+    with pytest.raises(ContractError, match="labels must be integers"):
+        Dataset(np.full((4, 2), 0.5), [0.9, 0.2, 1.7, 1.2], 2)
+    assert Dataset(np.full((2, 2), 0.5), [1.0, 0.0], 2).labels.tolist() == [1, 0]
+
+
 def test_nan_feature_is_a_contract_error():
     # NaN compares false both ways, so it must fail a check written as "all in range"
     with pytest.raises(ContractError, match=r"features must lie in \[0, 1\]"):

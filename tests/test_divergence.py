@@ -265,14 +265,15 @@ class TestSweep:
             got = absolute_divergences(z, labels, z_adv, block_rows=block_rows)
             assert got == pytest.approx(whole, rel=1e-12)
 
-    @pytest.mark.parametrize("block_rows", [0, -1])
+    @pytest.mark.parametrize("block_rows", [0, -1, 2.5, True])
     def test_block_rows_below_one_is_a_contract_error(self, block_rows):
-        # -1 read (None, None); None still means all rows at once
+        # -1 read (None, None), 2.5 raised from range() and True read as 1;
+        # None still means all rows at once
         z, z_adv, labels = random_pool(np.random.default_rng(8), 11, 3)
         with pytest.raises(ContractError, match="block_rows"):
             absolute_divergences(z, labels, z_adv, block_rows=block_rows)
 
-    @pytest.mark.parametrize("batch_size", [0, -3])
+    @pytest.mark.parametrize("batch_size", [0, -3, 2.5, True])
     def test_batch_size_below_one_is_a_contract_error(self, batch_size):
         model = MLPClassifier(ModelSpec(input_dim=3, hidden_layers=(4,), num_classes=2), seed=0)
         with pytest.raises(ContractError, match="batch_size"):
@@ -286,17 +287,16 @@ class TestOneEncodePerInput:
         model, test = trained_for_sweep
         n = len(test)
         encoded = []
-        real_encode = MLPClassifier.encode
+        real_predict = MLPClassifier._predict
 
-        def counting_encode(self, x):
-            z = real_encode(self, x)
-            encoded.append(z.shape[0])
-            return z
+        def counting_predict(self, x):
+            encoded.append(x.shape[0])
+            return real_predict(self, x)
 
         def no_forward_attack(model, x, y, cfg, seed=0, index_base=0):
             return np.clip(np.asarray(x) + cfg.epsilon / 2, 0.0, 1.0)
 
-        monkeypatch.setattr(MLPClassifier, "encode", counting_encode)
+        monkeypatch.setattr(MLPClassifier, "_predict", counting_predict)
         monkeypatch.setattr(ascl.divergence, "pgd_attack", no_forward_attack)
         monkeypatch.setattr(ascl.attacks, "pgd_attack", no_forward_attack)
         cfg = RunConfig(train_eps=0.08, train_eta=0.02, train_steps=3)

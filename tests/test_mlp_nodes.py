@@ -215,6 +215,7 @@ def test_kl_vjp_vs_central_differences(seed):
 
 @pytest.mark.parametrize("labels,rows,match", [
     ([0, 2], 4, "labels must lie"), ([0, -1], 4, "labels must lie"),
+    ([0, 0.5], 4, "labels must be integers"),
     ([0, 1, 1], 4, r"labels of shape \(3,\) do not match 2 samples"),
     ([0, 1], 5, r"stacked \(2N, C\)"),
 ])
@@ -233,9 +234,9 @@ def test_one_backprop_pass_per_gradient(monkeypatch):
     calls = []
     real = MLPClassifier._hidden_backprop
 
-    def counting(self, g, masks, acts=None):
-        calls.append(acts is not None)
-        return real(self, g, masks, acts)
+    def counting(self, g, acts, params=False):
+        calls.append(params)
+        return real(self, g, acts, params)
 
     monkeypatch.setattr(MLPClassifier, "_hidden_backprop", counting)
     model, batch = _model_and_batch(0)
