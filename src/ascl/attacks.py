@@ -14,9 +14,9 @@ a subset of rows gives exactly those rows of the whole batch's attack:
 any batching, serial or per-sample-parallel evaluation agree bitwise.
 Targeted runs reuse the same start.
 
-A model provides ``spec``, to check a batch and labels against once, and two
-unchecked numpy passes: ``_input_gradient(x, labels)``, d/dx of the summed cross-entropy,
-per PGD step, and ``_predict(x)``, latents and logits, to score.
+A model provides ``spec``, which ``check_batch`` and ``check_labels`` check a batch and
+its labels against once, and two unchecked numpy passes: ``_input_gradient(x, labels)``,
+d/dx of the summed cross-entropy, per PGD step, and ``_predict(x)``, latents and logits, to score.
 """
 
 from __future__ import annotations
@@ -25,9 +25,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, ContractError, DimensionError
-from .models import _size
-from .tensor import _lse_softmax, check_labels
+from .errors import ContractError, check_batch, check_integer, check_labels, check_seed
+from .tensor import _lse_softmax
 
 __all__ = [
     "AttackConfig",
@@ -49,26 +48,17 @@ class AttackConfig:
         # written so that NaN fails them; an infinite eta times sign(0) is NaN
         if not self.epsilon >= 0:
             raise ContractError("epsilon must be nonnegative")
-        _contract_size(self.steps, "steps", low=0)
+        check_integer(self.steps, "steps", low=0)
         if self.steps > 0 and not 0 < self.eta < np.inf:
             raise ContractError("eta must be positive and finite when steps > 0")
         if not self.clip_range[0] < self.clip_range[1]:
             raise ContractError("clip_range lower bound must be below upper bound")
 
 
-def _contract_size(v, what, low=1):
-    """``models._size``, its ConfigError raised as a ContractError."""
-    try:
-        return _size(v, what, low)
-    except ConfigError as e:
-        raise ContractError(str(e)) from None
-
-
 def _seed_parts(seed):
-    parts = (int(seed),) if isinstance(seed, (int, np.integer)) else tuple(int(s) for s in seed)
-    if not all(0 <= p < 2**64 for p in parts):
-        raise ContractError("attack seed parts must lie in [0, 2**64)")
-    return parts
+    """``seed``, an integer or a tuple or list of them, as ints each in [0, 2**64)."""
+    parts = seed if isinstance(seed, (tuple, list)) else (seed,)
+    return tuple(check_seed(p, "attack seed parts") for p in parts)
 
 
 _GAMMA = np.uint64(0x9E3779B97F4A7C15)
@@ -118,9 +108,7 @@ def _ball_clamp(x, epsilon, clip_range):
 
 
 def _checked(model, x, cfg):
-    x = np.array(x, dtype=np.float64)
-    if x.ndim != 2 or x.shape[1] != model.spec.input_dim:
-        raise DimensionError(f"attack expects shape (N, {model.spec.input_dim}), got {x.shape}")
+    x = check_batch(np.array(x, dtype=np.float64), model.spec.input_dim, "attack input")
     if not np.all((x >= cfg.clip_range[0]) & (x <= cfg.clip_range[1])):
         raise ContractError("input batch lies outside clip_range")
     return x
@@ -222,13 +210,11 @@ def robust_accuracy(model, features, labels, attack, cfg: AttackConfig,
     run per batch, each sample on its own stream, so batch_size changes no result. One
     ``_predict`` scores each attacked batch; its latents join ``latents`` if that is a list.
     """
-    features = np.asarray(features, dtype=np.float64)
-    if features.ndim != 2 or features.shape[1] != model.spec.input_dim:
-        raise DimensionError(f"features must be (N, {model.spec.input_dim}), got {features.shape}")
+    features = check_batch(features, model.spec.input_dim, "features")
     if features.shape[0] == 0 or not np.all(np.isfinite(features)):
         raise ContractError("robust_accuracy needs a non-empty dataset of finite features")
     labels = check_labels(labels, model.spec.num_classes, features.shape[0])
-    batch_size = _contract_size(batch_size, "batch_size")
+    batch_size = check_integer(batch_size, "batch_size")
     fn = attack_by_name(attack) if isinstance(attack, str) else attack
 
     correct = 0

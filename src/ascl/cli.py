@@ -19,7 +19,7 @@ from .attacks import AttackConfig, attack_by_name, robust_accuracy
 from .config import RunConfig, _parse_value, config_from_dict, parse_config_file
 from .data import Dataset, load_dataset, save_dataset
 from .divergence import SWEEP_COLUMNS, divergence_sweep
-from .errors import ConfigError
+from .errors import ConfigError, check_seed
 from .models import load_model
 from .training import evaluate, train, write_csv
 
@@ -59,8 +59,7 @@ def _run_config(args) -> RunConfig:
 
 
 def _attack_cfg(args, epsilon) -> AttackConfig:
-    if not 0 <= args.seed < 2**64:
-        raise ConfigError("seed must lie in [0, 2**64)")
+    check_seed(args.seed, "seed")
     return AttackConfig(epsilon=epsilon, eta=args.eta, steps=args.steps,
                         random_init=not args.no_random_init)
 

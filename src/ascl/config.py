@@ -9,9 +9,9 @@ from dataclasses import dataclass
 
 from .attacks import AttackConfig
 from .data import check_blobs, check_moons, load_dataset, make_blobs, make_two_moons
-from .errors import ConfigError, ContractError
+from .errors import ConfigError, ContractError, check_integer, check_seed
 from .losses import STRATEGIES, LossWeights
-from .models import ModelSpec, _size
+from .models import ModelSpec
 
 __all__ = ["RunConfig", "parse_config_file", "config_from_dict"]
 
@@ -61,14 +61,6 @@ class RunConfig:
     eval_every: int = 1
 
     def __post_init__(self):
-        for name in ("data_size", "data_classes", "data_per_class", "data_dims",
-                     "projection_dim", "projection_mid", "batch_size"):
-            setattr(self, name, _size(getattr(self, name), name))
-        for name in ("epochs", "train_steps", "eval_steps", "seed", "data_seed", "eval_every"):
-            setattr(self, name, _size(getattr(self, name), name, low=0))
-        self.hidden_layers = tuple(_size(w, "hidden_layers") for w in self.hidden_layers)
-        if self.batch_size < 2:
-            raise ConfigError("batch_size must be at least 2 (selection needs other samples)")
         if self.strategy not in STRATEGIES:
             raise ConfigError(f"strategy must be one of {STRATEGIES}")
         if self.similarity != "cosine":
@@ -83,11 +75,20 @@ class RunConfig:
         rates = (self.lr, *(v for _, v in self.schedule))
         if not all(math.isfinite(v) and v > 0 for v in rates):
             raise ConfigError("lr and schedule rates must be finite and positive")
-        if not (self.seed < 2**64 and self.data_seed < 2**64):
-            raise ConfigError("seed and data_seed must lie in [0, 2**64)")
-        # LossWeights, AttackConfig and the generators own these checks;
+        # errors, LossWeights, AttackConfig and the generators own these checks;
         # running them here rejects a bad value before a run writes anything
         try:
+            for name in ("data_size", "data_classes", "data_per_class", "data_dims",
+                         "projection_dim", "projection_mid", "batch_size"):
+                setattr(self, name, check_integer(getattr(self, name), name))
+            for name in ("epochs", "train_steps", "eval_steps", "eval_every"):
+                setattr(self, name, check_integer(getattr(self, name), name, low=0))
+            for name in ("seed", "data_seed"):
+                setattr(self, name, check_seed(getattr(self, name), name))
+            self.hidden_layers = tuple(check_integer(w, "hidden_layers")
+                                       for w in self.hidden_layers)
+            if self.batch_size < 2:
+                raise ConfigError("batch_size must be at least 2 (selection needs other samples)")
             self.loss_weights()
             self.train_attack()
             self.eval_attack()

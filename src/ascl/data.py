@@ -9,8 +9,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ContractError, FormatError
-from .tensor import check_labels
+from .errors import ContractError, FormatError, check_integer, check_labels
 
 __all__ = [
     "Dataset",
@@ -37,6 +36,7 @@ class Dataset:
         self.features = np.asarray(self.features, dtype=np.float64)
         if self.features.ndim != 2 or self.features.shape[0] < 1:
             raise ContractError("features must be a nonempty (M, D) array")
+        self.num_classes = check_integer(self.num_classes, "num_classes")
         self.labels = check_labels(self.labels, self.num_classes, self.features.shape[0])
         if not np.all((self.features >= 0.0) & (self.features <= 1.0)):
             raise ContractError("features must lie in [0, 1]")
@@ -72,12 +72,14 @@ def _squash_unit(x):
 
 # written so that NaN fails them; an infinite spread or noise squashes to NaN features
 def check_blobs(num_classes, per_class, dims, spread):
-    if not (num_classes >= 1 and per_class >= 1 and dims >= 1 and 0 <= spread < np.inf):
-        raise ContractError("blob parameters must be positive (spread finite and nonnegative)")
+    for v in (num_classes, per_class, dims):
+        check_integer(v, "blob sizes")
+    if not 0 <= spread < np.inf:
+        raise ContractError("blob spread must be finite and nonnegative")
 
 
 def check_moons(size, noise):
-    if not (size >= 2 and 0 <= noise < np.inf):
+    if not (check_integer(size, "size") >= 2 and 0 <= noise < np.inf):
         raise ContractError("size must be >= 2 and noise finite and nonnegative")
 
 

@@ -10,8 +10,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .attacks import AttackConfig, _contract_size, pgd_attack, robust_accuracy
-from .errors import ContractError
+from .attacks import AttackConfig, pgd_attack, robust_accuracy
+from .errors import ContractError, check_integer, check_labels
 from .losses import _unit_rows, selection_masks
 
 __all__ = [
@@ -41,9 +41,9 @@ class DivergenceReport:
 
 def _pooled(z, labels, z_adv):
     z = np.asarray(z, dtype=np.float64)
-    labels = np.asarray(labels, dtype=np.intp)
-    if z.ndim != 2 or labels.shape != (z.shape[0],):
+    if z.ndim != 2:
         raise ContractError("latents must be (N, h) with matching labels")
+    labels = check_labels(labels, None, z.shape[0])
     if z_adv is None:
         return z, labels
     z_adv = np.asarray(z_adv, dtype=np.float64)
@@ -70,7 +70,7 @@ def absolute_divergences(z, labels, z_adv=None, block_rows=None):
     m, n = pool.shape[0], labels.shape[0]
     masks = [mask[:, :m] for mask in selection_masks("global", labels)]
     unit = _unit_rows(pool)[0]
-    step = max(m, 1) if block_rows is None else _contract_size(block_rows, "block_rows")
+    step = max(m, 1) if block_rows is None else check_integer(block_rows, "block_rows")
 
     # per-anchor distance sums and counts; side 0 positives, side 1 negatives
     sums = np.zeros((2, m))

@@ -38,9 +38,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ContractError
+from .errors import ContractError, check_labels
 from .models import MLPClassifier
-from .tensor import Tensor, _lse_softmax, check_labels
+from .tensor import Tensor, _lse_softmax
 
 __all__ = [
     "STRATEGIES",
@@ -91,12 +91,10 @@ def selection_masks(strategy, labels, preds=None):
     2N slot predictions, natural then adversarial; ``global`` ignores them."""
     if strategy not in STRATEGIES:
         raise ContractError(f"unknown strategy {strategy!r}")
-    labels = np.asarray(labels, dtype=np.intp)
+    labels = check_labels(labels, None, np.size(labels))
     n = labels.shape[0]
     if preds is not None:
-        preds = np.asarray(preds, dtype=np.intp)
-        if preds.shape != (2 * n,):
-            raise ContractError(f"expected {2 * n} slot predictions, got shape {preds.shape}")
+        preds = check_labels(preds, None, 2 * n)
     elif strategy != "global":
         raise ContractError("prediction-filtered strategies need slot predictions")
     same = labels[:, None] == labels[None, :]

@@ -7,28 +7,20 @@ which every PGD step calls, run the same float ops in numpy."""
 from __future__ import annotations
 
 import json
-import numbers
 import struct
 from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .errors import ConfigError, DimensionError, FormatError
-from .tensor import Tensor, check_labels
+from .errors import (ConfigError, ContractError, FormatError, check_batch, check_integer,
+                     check_labels)
+from .tensor import Tensor
 
 __all__ = ["ModelSpec", "MLPClassifier", "save_model", "load_model"]
 
 PROJECTION_KINDS = ("identity", "linear", "two_layer")
 
 CHECKPOINT_MAGIC = b"ASCLMZ1\x00"
-
-
-def _size(v, what="model sizes", low=1):
-    """``v`` as an int; ConfigError unless it is an integer >= ``low``, bools excluded."""
-    if isinstance(v, bool) or not isinstance(v, numbers.Integral) or v < low:
-        kind = "positive" if low else "nonnegative"
-        raise ConfigError(f"{what} must be {kind} integers, got {v!r}")
-    return int(v)
 
 
 @dataclass(frozen=True)
@@ -45,9 +37,13 @@ class ModelSpec:
     projection_mid: int = 200
 
     def __post_init__(self):
-        for name in ("input_dim", "num_classes", "projection_dim", "projection_mid"):
-            object.__setattr__(self, name, _size(getattr(self, name)))
-        object.__setattr__(self, "hidden_layers", tuple(map(_size, self.hidden_layers)))
+        try:
+            for name in ("input_dim", "num_classes", "projection_dim", "projection_mid"):
+                object.__setattr__(self, name, check_integer(getattr(self, name), "model sizes"))
+            object.__setattr__(self, "hidden_layers", tuple(
+                check_integer(w, "model sizes") for w in self.hidden_layers))
+        except ContractError as e:
+            raise ConfigError(str(e)) from None
         if not self.hidden_layers:
             raise ConfigError("at least one hidden layer is required")
         if self.activation != "relu":
@@ -116,14 +112,13 @@ class MLPClassifier:
 
     def _as_batch(self, x, width, what):
         t = x if isinstance(x, Tensor) else Tensor(x)
-        if t.data.ndim != 2 or t.shape[1] != width:
-            raise DimensionError(f"{what} expects shape (N, {width}), got {t.shape}")
+        check_batch(t.data, width, what)
         return t
 
     def encode(self, x) -> Tensor:
         """The penultimate activation: one node whose parents are every hidden
         weight and bias, in ``parameters`` order, after ``x`` when it is a Tensor."""
-        t = self._as_batch(x, self.spec.input_dim, "encode")
+        t = self._as_batch(x, self.spec.input_dim, "encode's input")
         acts = self._hidden_forward(t.data)
         params = tuple(p for layer in self.hidden for p in layer)
         const = t is not x
@@ -136,7 +131,7 @@ class MLPClassifier:
 
     def classify(self, z) -> Tensor:
         """Logits of latents ``z``, ``z @ cls_w + cls_b``, as one node."""
-        z = self._as_batch(z, self.spec.latent_dim, "classify")
+        z = self._as_batch(z, self.spec.latent_dim, "classify's input")
         h, w = z.data, self.cls_w.data
         return Tensor._make(_affine(h, w, self.cls_b.data), (z, self.cls_w, self.cls_b),
                             lambda g: (g @ w.T, h.T @ g, _batch_sum(g)))
@@ -173,10 +168,7 @@ class MLPClassifier:
     def input_gradient(self, x, labels) -> np.ndarray:
         """d/dx of the summed cross-entropy of ``forward(x)`` against ``labels``,
         bit for bit a backward walk through the ``forward`` nodes."""
-        x = np.asarray(x, dtype=np.float64)
-        if x.ndim != 2 or x.shape[1] != self.spec.input_dim:
-            raise DimensionError(
-                f"input_gradient expects shape (N, {self.spec.input_dim}), got {x.shape}")
+        x = check_batch(x, self.spec.input_dim, "input_gradient's input")
         return self._input_gradient(x, check_labels(labels, self.spec.num_classes, x.shape[0]))
 
     def _input_gradient(self, x, labels):
@@ -194,7 +186,7 @@ class MLPClassifier:
         """Map the latent into the contrastive space per the configured head:
         ``z`` itself, ``z @ P`` or ``relu(z @ P0) @ P1``, the last two as one
         node whose parents are ``z`` and the head's weights."""
-        z = self._as_batch(z, self.spec.latent_dim, "project")
+        z = self._as_batch(z, self.spec.latent_dim, "project's input")
         if self.spec.projection == "identity":
             return z
         h, w = z.data, self.proj[0].data

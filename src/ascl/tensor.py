@@ -105,15 +105,3 @@ def _lse_softmax(a, axis):
     total = np.add.reduce(shifted, axis=axis, keepdims=True)
     return m + np.log(total), shifted / total
 
-
-def check_labels(labels, num_classes, n):
-    """``labels`` as an intp array; ContractError unless it is (n,) integers in [0, num_classes)."""
-    labels = (given := np.asarray(labels)).astype(np.intp, copy=False)
-    if given.dtype.kind not in "iu" and np.any(labels != given):
-        raise ContractError("labels must be integers")
-    if labels.shape != (n,):
-        raise ContractError(f"labels of shape {labels.shape} do not match {n} samples")
-    # viewed as unsigned, a negative label lies above every class index
-    if np.count_nonzero(labels.view(np.uintp) >= num_classes):
-        raise ContractError("labels must lie in [0, number of classes)")
-    return labels

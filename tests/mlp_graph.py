@@ -20,9 +20,9 @@ for.
 
 import numpy as np
 
-from ascl.errors import ContractError, DimensionError, DomainError
+from ascl.errors import ContractError, DimensionError, DomainError, check_labels
 from ascl.losses import LossBreakdown, _mean_counts, selection_masks, supcon_batch
-from ascl.tensor import Tensor, _lse_softmax, check_labels
+from ascl.tensor import Tensor, _lse_softmax
 
 
 def _operand(a: Tensor, b) -> Tensor:

@@ -253,8 +253,11 @@ class TestPGD:
         x_adv = pgd_attack(toy_model, x, y, AttackConfig(epsilon=0.05, eta=0.01, steps=2), seed=4)
         assert not np.array_equal(x_adv, x)
 
-    @pytest.mark.parametrize("seed", [-1, 2**64, (3, -1), (3, 2**64)])
+    @pytest.mark.parametrize("seed", [-1, 2**64, (3, -1), (3, 2**64), (1.7, 2), "12", True,
+                                      (True, 2), 2.5, np.float64(3), [3, 2**64]])
     def test_seed_part_outside_64_bits_is_a_contract_error(self, toy_model, toy_batch, seed):
+        # (1.7, 2) read as (1, 2), "12" as its characters (1, 2) and True as 1;
+        # 2.5 raised a bare TypeError
         x, y = toy_batch
         with pytest.raises(ContractError, match="seed"):
             pgd_attack(toy_model, x, y, AttackConfig(epsilon=0.05, eta=0.01, steps=1),
@@ -532,6 +535,7 @@ class TestRandomStart:
         rows = np.arange(8)
         assert (_random_start(3, rows, (8, 2), 0.1).tobytes()
                 == _random_start((3,), rows, (8, 2), 0.1).tobytes()
+                == _random_start([3], rows, (8, 2), 0.1).tobytes()
                 == _random_start(np.int64(3), rows, (8, 2), 0.1).tobytes())
 
     def test_distinct_seeds_give_distinct_streams(self):

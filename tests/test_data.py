@@ -3,7 +3,8 @@ import struct
 import numpy as np
 import pytest
 
-from ascl.data import DATASET_MAGIC, Dataset, load_dataset, make_blobs, save_dataset
+from ascl.data import (DATASET_MAGIC, Dataset, load_dataset, make_blobs, make_two_moons,
+                       save_dataset)
 from ascl.errors import ContractError, FormatError
 
 HEADER = 8 + struct.calcsize("<IIIB")
@@ -81,6 +82,25 @@ def test_fractional_labels_are_a_contract_error():
     with pytest.raises(ContractError, match="labels must be integers"):
         Dataset(np.full((4, 2), 0.5), [0.9, 0.2, 1.7, 1.2], 2)
     assert Dataset(np.full((2, 2), 0.5), [1.0, 0.0], 2).labels.tolist() == [1, 0]
+
+
+@pytest.mark.parametrize("num_classes", [2.5, "3", True, 0, np.float64(2)])
+def test_class_count_must_be_a_positive_integer(num_classes):
+    # 2.5 was kept and broke save_dataset with a bare struct.error; "3" raised UFuncTypeError
+    with pytest.raises(ContractError, match="num_classes must be positive integers"):
+        Dataset(np.full((2, 2), 0.5), [0, 1], num_classes)
+    assert type(Dataset(np.full((2, 2), 0.5), [0, 1], np.int64(2)).num_classes) is int
+
+
+@pytest.mark.parametrize("make", [
+    lambda: make_blobs(2.5, 3, 4, 0.1, 0), lambda: make_blobs(2, 3.0, 4, 0.1, 0),
+    lambda: make_blobs(2, 3, "4", 0.1, 0), lambda: make_two_moons(10.5, 0.1, 0),
+    lambda: make_two_moons(True, 0.1, 0),
+], ids=["classes", "per_class", "dims", "size", "bool-size"])
+def test_generator_sizes_must_be_integers(make):
+    # the first four raised bare TypeErrors
+    with pytest.raises(ContractError, match="must be positive integers"):
+        make()
 
 
 def test_nan_feature_is_a_contract_error():

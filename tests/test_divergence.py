@@ -160,6 +160,13 @@ class TestAbsoluteDivergences:
         assert dm is None
         assert relative_divergence(dp, dm) is None
 
+    @pytest.mark.parametrize("adversarial", [False, True])
+    def test_fractional_labels_are_a_contract_error(self, adversarial):
+        # the intp cast read [0.9, 0.2, 1.7, 1.2] as [0, 0, 1, 1]
+        z = np.random.default_rng(9).normal(size=(4, 3))
+        with pytest.raises(ContractError, match="labels must be integers"):
+            absolute_divergences(z, [0.9, 0.2, 1.7, 1.2], z.copy() if adversarial else None)
+
     def test_skips_empty_positive_anchors(self):
         # one isolated sample of class 2: its slots have no positives but
         # still count as negatives' anchors

@@ -1,8 +1,9 @@
 """Every name a module imports is used or re-exported, every ``__all__``
 entry names something the module defines or imports, every private
 function, class and method in ``src/ascl`` is referenced there, every
-engine export has an importer there, and ``Tensor`` defines no op and
-holds one VJP per node."""
+engine export has an importer there, ``Tensor`` defines no op and
+holds one VJP per node, ``tensor.py`` holds only the engine, and
+``errors.py`` imports no other ``ascl`` module."""
 
 import ast
 from pathlib import Path
@@ -109,6 +110,25 @@ def test_tensor_methods_are_item_and_backward():
                 for t in (node.targets if isinstance(node, ast.Assign) else [node.target])
                 if isinstance(t, ast.Name)}
     assert defined == {"__slots__", "__init__", "shape", "item", "__repr__", "_make", "backward"}
+
+
+def test_tensor_module_holds_only_the_engine():
+    """``tensor.py`` defines ``Tensor`` and ``_lse_softmax`` and nothing else at
+    module level; input checks live in ``errors.py``."""
+    tree = ast.parse((SRC / "tensor.py").read_text())
+    imported = {name for _, name in _imported(tree)}
+    assert _defined(tree) - imported == {"Tensor", "_lse_softmax", "__all__"}
+
+
+def test_errors_imports_no_other_ascl_module():
+    """Every module imports its exceptions and checks from ``errors.py``, so it
+    must import none of them back."""
+    tree = ast.parse((SRC / "errors.py").read_text())
+    modules = ["." * node.level + (node.module or "") for node in tree.body
+               if isinstance(node, ast.ImportFrom)]
+    modules += [alias.name for node in tree.body if isinstance(node, ast.Import)
+                for alias in node.names]
+    assert [m for m in modules if m.startswith(".") or m.split(".")[0] == "ascl"] == []
 
 
 def test_a_node_holds_one_vjp():

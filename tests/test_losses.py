@@ -76,6 +76,16 @@ class TestSelect:
         with pytest.raises(ContractError):
             selection_masks("hard", [0, 0, 1], preds)
 
+    @pytest.mark.parametrize("strategy,labels,preds", [
+        ("global", [0.9, 0.2, 1.7, 1.2], None), ("hard", [0.5, 0, 1], [0, 1, 1, 0, 1, 1]),
+        ("soft", [0, 1, 1], [0.5, 1, 1, 0, 1, 1]), ("leaked", [0, 1, 1], [0, 1, 1, 0, 1, 1.5]),
+    ])
+    def test_fractional_labels_and_predictions_are_a_contract_error(self, strategy, labels,
+                                                                    preds):
+        # the intp cast built the masks of the truncated labels and predictions
+        with pytest.raises(ContractError, match="labels must be integers"):
+            selection_masks(strategy, labels, preds)
+
     def test_anchor_out_of_range(self):
         with pytest.raises(ContractError):
             select("global", [0, 1], None, 2)
