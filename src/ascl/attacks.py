@@ -14,6 +14,15 @@ a subset of rows gives exactly those rows of the whole batch's attack:
 any batching, serial or per-sample-parallel evaluation agree bitwise.
 Targeted runs reuse the same start.
 
+Settled rows: a PGD step is therefore a function of the row's own bits, its
+goal label and its ball bounds alone, so a row state that repeats once
+repeats for good. A row whose new iterate has the bits of its current one
+(a fixed point) or of the one before (a 2-cycle) is not stepped again: it
+ends on the fixed point, or on whichever of its two points the remaining
+step count's parity selects. This returns bit for bit what all
+``cfg.steps`` steps return, with fewer gradient rows; states are compared
+as bit patterns, so -0.0 and +0.0 are never taken for one state.
+
 A model provides ``spec``, which ``check_batch`` and ``check_labels`` check a batch and
 its labels against once, and two unchecked numpy passes: ``_input_gradient(x, labels)``,
 d/dx of the summed cross-entropy, per PGD step, and ``_predict(x)``, latents and logits, to score.
@@ -98,13 +107,21 @@ def _random_start(seed, indices, shape, epsilon):
     return (epsilon * (2.0 * u - 1.0)).reshape(shape)
 
 
-def _ball_clamp(x, epsilon, clip_range):
-    """In-place clamp of ``v`` into the epsilon ball around ``x``, then into
-    ``clip_range``, for x in ``clip_range``; both bounds are computed once.
-    Where ``v`` equals a bound, ``v`` is kept, so a -0.0 stays -0.0."""
-    lo = np.maximum(clip_range[0], x - epsilon)
-    hi = np.minimum(clip_range[1], x + epsilon)
-    return lambda v: np.minimum(hi, np.maximum(lo, v, out=v), out=v)
+def _ball(x, epsilon, clip_range):
+    """Bounds ``lo``, ``hi`` of the epsilon ball around ``x`` cut to ``clip_range``."""
+    return np.maximum(clip_range[0], x - epsilon), np.minimum(clip_range[1], x + epsilon)
+
+
+def _clamp(v, lo, hi):
+    """In-place clamp of ``v`` into ``[lo, hi]``, for ``lo``, ``hi`` from ``_ball`` of an x
+    in ``clip_range``. Where ``v`` equals a bound, ``v`` is kept, so a -0.0 stays -0.0."""
+    return np.minimum(hi, np.maximum(lo, v, out=v), out=v)
+
+
+def _same_rows(a, b):
+    """Per row, whether ``a`` and ``b`` hold the same bits, so that -0.0 and +0.0, or
+    two NaN payloads, are never taken for one state."""
+    return (a.view(np.uint64) == b.view(np.uint64)).all(axis=1)
 
 
 def _checked(model, x, cfg):
@@ -125,8 +142,9 @@ def pgd_attack(model, x, y, cfg: AttackConfig, seed=0, targets=None, index_base=
     (``_random_start``), so splitting a dataset into batches does not
     change any sample's start. Each seed part must lie in [0, 2**64).
     Each iterate is clamped into the epsilon ball around ``x``, then into
-    ``cfg.clip_range``; where it equals a bound, it is kept (``_ball_clamp``).
+    ``cfg.clip_range``; where it equals a bound, it is kept (``_clamp``).
     """
+    seed = _seed_parts(seed)
     x = _checked(model, x, cfg)
     targeted = targets is not None
     goal = check_labels(targets if targeted else y, model.spec.num_classes, x.shape[0])
@@ -138,20 +156,46 @@ def pgd_attack(model, x, y, cfg: AttackConfig, seed=0, targets=None, index_base=
 
 def _pgd(model, x, goal, targeted, cfg, seed, indices):
     """``pgd_attack``'s loop at epsilon > 0 on a checked batch and ``goal``; row
-    ``i`` starts from index ``indices[i]``."""
-    project = _ball_clamp(x, cfg.epsilon, cfg.clip_range)
+    ``i`` starts from index ``indices[i]``. A row leaves the loop once it settles
+    (module docstring): ``rows``, ``cur``, ``prev``, ``goal``, ``lo`` and ``hi`` hold
+    the rows still stepped, and are cut only on a step where some row settles."""
+    lo, hi = _ball(x, cfg.epsilon, cfg.clip_range)
     if cfg.random_init:
-        x_adv = project(x + _random_start(seed, indices, x.shape, cfg.epsilon))
+        out = _clamp(x + _random_start(seed, indices, x.shape, cfg.epsilon), lo, hi)
     else:
-        x_adv = x.copy()
+        out = x.copy()
+    # x - eta * s and x + (-eta) * s are the same IEEE result
+    eta = -cfg.eta if targeted else cfg.eta
+    rows, cur, prev = np.arange(x.shape[0]), out, None
 
-    for _ in range(cfg.steps):
-        step = np.sign(model._input_gradient(x_adv, goal))
-        # x - eta * s and x + (-eta) * s are the same IEEE result
-        step *= -cfg.eta if targeted else cfg.eta
-        x_adv += step
-        project(x_adv)
-    return x_adv
+    # left counts the steps after this one; the last step runs on its own, as a
+    # row that settles on it would save no step
+    for left in range(cfg.steps - 1, 0, -1):
+        new = _step(model, cur, goal, eta, lo, hi)
+        settled = _same_rows(new, cur)
+        if prev is not None:
+            settled |= _same_rows(new, prev)
+        if settled.any():
+            # a 2-cycle ends on new after an even number of further steps and
+            # on cur after an odd one; at a fixed point new and cur are one state
+            out[rows[settled]] = (cur if left % 2 else new)[settled]
+            keep = np.flatnonzero(~settled)
+            if keep.size == 0:
+                return out
+            rows, cur, new, goal, lo, hi = (a.take(keep, axis=0)
+                                            for a in (rows, cur, new, goal, lo, hi))
+        prev, cur = cur, new
+    if cfg.steps:
+        cur = _step(model, cur, goal, eta, lo, hi)
+    out[rows] = cur
+    return out
+
+
+def _step(model, v, goal, eta, lo, hi):
+    """The PGD iterate after ``v``: a signed-gradient step of ``eta``, then the clamp."""
+    new = np.sign(model._input_gradient(v, goal))
+    new *= eta
+    return _clamp(np.add(v, new, out=new), lo, hi)
 
 
 def multi_targeted_pgd(model, x, y, cfg: AttackConfig, seed=0, index_base=0):
@@ -163,6 +207,7 @@ def multi_targeted_pgd(model, x, y, cfg: AttackConfig, seed=0, index_base=0):
     random start, so with two classes this equals one targeted attack. A
     decided row is not attacked again, nor is a row toward its own label.
     """
+    seed = _seed_parts(seed)
     c = model.spec.num_classes
     if c < 2:
         raise ContractError("multi-targeted attack requires at least 2 classes")

@@ -101,7 +101,10 @@ class Tensor:
 def _lse_softmax(a, axis):
     """log(sum(exp(a))) with the reduced axis kept, and softmax(a)."""
     m = np.maximum.reduce(a, axis=axis, keepdims=True) if a.size else a
-    shifted = np.exp(a - m)
+    # in place, so that a (2N, 2N) SupCon forward holds one array fewer at its peak
+    shifted = a - m
+    np.exp(shifted, out=shifted)
     total = np.add.reduce(shifted, axis=axis, keepdims=True)
-    return m + np.log(total), shifted / total
+    shifted /= total
+    return m + np.log(total), shifted
 

@@ -1,18 +1,18 @@
 """Full-batch reference implementation of multi-targeted PGD.
 
 Every targeted run attacks the whole batch, rows already decided by an
-earlier target and rows labelled with the target included, and the
-selection masks run over all rows. It is the plain form of the loop, so
-the tests use it as the oracle that ``multi_targeted_pgd`` must equal bit
-for bit.
+earlier target and rows labelled with the target included, and takes every
+PGD step on every row (``pgd_loop``); the selection masks run over all rows.
+It is the plain form of the loop, so the tests use it as the oracle that
+``multi_targeted_pgd`` must equal bit for bit.
 """
 
 import numpy as np
 
-from ascl.attacks import pgd_attack
 from ascl.errors import ContractError
 from ascl.tensor import Tensor
 from mlp_graph import cross_entropy
+from pgd_loop import pgd_attack_loop
 
 
 def multi_targeted_pgd_loop(model, x, y, cfg, seed=0, index_base=0):
@@ -35,7 +35,8 @@ def multi_targeted_pgd_loop(model, x, y, cfg, seed=0, index_base=0):
         active = targets != y
         if not np.any(active):
             continue
-        cand = pgd_attack(model, x, y, cfg, seed=seed, targets=targets, index_base=index_base)
+        cand = pgd_attack_loop(model, x, y, cfg, seed=seed, targets=targets,
+                               index_base=index_base)
         logits_c = model.forward(cand).data
         preds_c = np.argmax(logits_c, axis=1)
         ce = cross_entropy(Tensor(logits_c), y).data

@@ -1,4 +1,5 @@
 import traceback
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -9,7 +10,7 @@ from scipy.stats import kstest
 
 import ascl.attacks
 import ascl.models
-from ascl.attacks import (AttackConfig, _ball_clamp, _random_start, attack_by_name,
+from ascl.attacks import (AttackConfig, _ball, _clamp, _random_start, attack_by_name,
                           multi_targeted_pgd, pgd_attack, robust_accuracy)
 from ascl.config import RunConfig
 from ascl.data import Dataset
@@ -21,6 +22,7 @@ from ascl.tensor import Tensor
 from ascl.training import evaluate, train
 from mlp_graph import add, cross_entropy, forward, log_sum_exp, matmul, mul, sub, sum_
 from mtpgd_loop import multi_targeted_pgd_loop
+from pgd_loop import pgd_attack_loop, pgd_loop, project_linf, settled_row_steps
 
 
 def _softmax(logits):
@@ -254,14 +256,23 @@ class TestPGD:
         assert not np.array_equal(x_adv, x)
 
     @pytest.mark.parametrize("seed", [-1, 2**64, (3, -1), (3, 2**64), (1.7, 2), "12", True,
-                                      (True, 2), 2.5, np.float64(3), [3, 2**64]])
-    def test_seed_part_outside_64_bits_is_a_contract_error(self, toy_model, toy_batch, seed):
+                                      (True, 2), 2.5, np.float64(3), [3, 2**64], "x"])
+    @pytest.mark.parametrize("attack", [
+        lambda m, x, y, seed: pgd_attack(m, x, y, AttackConfig(epsilon=0.05, eta=0.01, steps=1),
+                                         seed=seed),
+        # no random start, or epsilon 0: these returned without checking the seed
+        lambda m, x, y, seed: pgd_attack(m, x, y, AttackConfig(epsilon=0.1, eta=0.01, steps=2,
+                                                               random_init=False), seed=seed),
+        lambda m, x, y, seed: pgd_attack(m, x, y, AttackConfig(epsilon=0.0), seed=seed),
+        lambda m, x, y, seed: multi_targeted_pgd(m, x, y, AttackConfig(epsilon=0.0), seed=seed),
+    ], ids=["pgd", "pgd_no_start", "pgd_eps0", "mtpgd_eps0"])
+    def test_seed_part_outside_64_bits_is_a_contract_error(self, toy_model, toy_batch, attack,
+                                                           seed):
         # (1.7, 2) read as (1, 2), "12" as its characters (1, 2) and True as 1;
         # 2.5 raised a bare TypeError
         x, y = toy_batch
         with pytest.raises(ContractError, match="seed"):
-            pgd_attack(toy_model, x, y, AttackConfig(epsilon=0.05, eta=0.01, steps=1),
-                       seed=seed)
+            attack(toy_model, x, y, seed)
 
     def test_targets_contract(self):
         # targeted exactly when targets are given: one step descends the
@@ -387,33 +398,6 @@ class TestInputGradient:
         assert calls == []
 
 
-def project_linf(x_adv, x_orig, epsilon, clip_range=(0.0, 1.0)):
-    """Clamp x_adv into the epsilon ball around x_orig, then into clip_range:
-    the oracle for ``_ball_clamp`` and, through ``_reference_pgd``, for PGD."""
-    if epsilon < 0:
-        raise ContractError("epsilon must be nonnegative")
-    x_adv = np.asarray(x_adv, dtype=np.float64)
-    x_orig = np.asarray(x_orig, dtype=np.float64)
-    lo, hi = clip_range
-    out = np.minimum(np.maximum(x_adv, x_orig - epsilon), x_orig + epsilon)
-    return np.clip(out, lo, hi)
-
-
-def _reference_pgd(model, x, y, cfg, seed=0, targets=None):
-    """``pgd_attack`` written with ``project_linf`` at every projection."""
-    x = np.array(x, dtype=np.float64)
-    x_adv = x.copy()
-    if cfg.random_init:
-        noise = _random_start(seed, np.arange(len(x)), x.shape, cfg.epsilon)
-        x_adv = project_linf(x + noise, x, cfg.epsilon, cfg.clip_range)
-    for _ in range(cfg.steps):
-        grad = engine_input_gradient(model, x_adv, y if targets is None else targets)
-        step = cfg.eta * np.sign(grad)
-        x_adv = project_linf(x_adv + step if targets is None else x_adv - step,
-                             x, cfg.epsilon, cfg.clip_range)
-    return x_adv
-
-
 _CLIPS = [(0.0, 1.0), (-0.0, 1.0), (-1.0, 0.0), (-1.0, -0.0), (-0.5, 0.5)]
 
 
@@ -440,7 +424,7 @@ class TestBallClamp:
         v = np.where(np.array(data.draw(st.lists(st.booleans(), min_size=len(x),
                                                  max_size=len(x)))), -0.0, v)
         want = project_linf(v, x, eps, (lo, hi))
-        got = _ball_clamp(x, eps, (lo, hi))(v.copy())
+        got = _clamp(v.copy(), *_ball(x, eps, (lo, hi)))
         assert np.array_equal(got, want)
         # signs of zero agree too, except where a v of -0.0 meets a ball
         # bound of +0.0, or x is -0.0 at epsilon 0: project_linf gives +0.0
@@ -450,7 +434,7 @@ class TestBallClamp:
         assert np.array_equal(np.signbit(got) & ~excused, np.signbit(want) & ~excused)
 
     @settings(max_examples=150, deadline=None)
-    @given(_in_clip(shape_max=6), st.integers(0, 4), st.booleans(), st.booleans(),
+    @given(_in_clip(shape_max=6), st.integers(0, 12), st.booleans(), st.booleans(),
            st.sampled_from([0.25, 1.0, 4.0]), st.integers(0, 3))
     def test_pgd_equals_the_project_linf_loop(self, case, steps, random_init, targeted,
                                               eta_scale, zero_rows):
@@ -468,8 +452,107 @@ class TestBallClamp:
         targets = np.array([1, 0]) if targeted else None
         cfg = AttackConfig(epsilon=eps, eta=eps / eta_scale, steps=steps,
                            random_init=random_init, clip_range=(lo, hi))
+        iterates = []
+        want = pgd_attack_loop(model, xb, y, cfg, seed=5, targets=targets, iterates=iterates)
+        rows = _count_gradient_rows(model)
         got = pgd_attack(model, xb, y, cfg, seed=5, targets=targets)
-        assert _bitwise_equal(got, _reference_pgd(model, xb, y, cfg, seed=5, targets=targets))
+        assert _bitwise_equal(got, want)
+        assert sum(rows) == settled_row_steps(iterates)
+
+
+def _count_gradient_rows(model):
+    """Make this ``model`` instance's ``_input_gradient`` record the rows of each call."""
+    rows, real = [], model._input_gradient
+    model._input_gradient = lambda x, labels: rows.append(len(x)) or real(x, labels)
+    return rows
+
+
+class TestSettledRows:
+    """PGD stops stepping a row at a fixed point or a 2-cycle and still
+    returns, bit for bit, what ``pgd_loop`` returns after every step."""
+
+    @pytest.mark.parametrize("steps", [7, 8, 25, 26])
+    def test_two_cycles_end_on_the_full_loops_iterate(self, steps):
+        # the loss ascends toward x = 0.5 from both sides, where both relus are
+        # off and the gradient is 0: 0.5 is a fixed point, and the other rows
+        # end up stepping across it and back
+        model = MLPClassifier(ModelSpec(input_dim=1, hidden_layers=(2,), num_classes=2))
+        (w, b), = model.hidden
+        w.data[...] = [[1.0, -1.0]]
+        b.data[...] = [[-0.5, 0.5]]
+        model.cls_w.data[...] = [[-1.0, 0.0], [-1.0, 0.0]]
+        model.cls_b.data[...] = 0.0
+        x = np.array([[0.52], [0.4], [0.5], [0.61]])
+        y = np.ones(4, dtype=np.intp)
+        cfg = AttackConfig(epsilon=0.15, eta=0.03, steps=steps, random_init=False)
+        iterates = []
+        want = pgd_attack_loop(model, x, y, cfg, iterates=iterates)
+        assert not np.array_equal(iterates[-1], iterates[-2])  # a 2-cycle is still live
+        rows = _count_gradient_rows(model)
+        assert _bitwise_equal(pgd_attack(model, x, y, cfg), want)
+        assert sum(rows) == settled_row_steps(iterates) == 13
+
+    @pytest.mark.parametrize("targeted", [False, True])
+    @pytest.mark.parametrize("random_init", [True, False])
+    def test_equals_the_full_loop_on_uneven_batches(self, targeted, random_init):
+        model = MLPClassifier(ModelSpec(input_dim=4, hidden_layers=(8, 6), num_classes=3),
+                              seed=11)
+        rng = np.random.default_rng(11)
+        x = rng.uniform(0.05, 0.95, size=(16, 4))
+        y = rng.integers(0, 3, size=16)
+        goal = (y + 1) % 3 if targeted else None
+        cfg = AttackConfig(epsilon=0.05, eta=0.01, steps=30, random_init=random_init)
+        iterates = []
+        want = pgd_attack_loop(model, x, y, cfg, seed=(6, 1), targets=goal, index_base=3,
+                               iterates=iterates)
+        rows = _count_gradient_rows(model)
+        got = np.concatenate([
+            pgd_attack(model, x[lo:hi], y[lo:hi], cfg, seed=(6, 1), index_base=3 + lo,
+                       targets=None if goal is None else goal[lo:hi])
+            for lo, hi in ((0, 1), (1, 10), (10, 16))])
+        assert _bitwise_equal(got, want)
+        assert sum(rows) == settled_row_steps(iterates) < cfg.steps * len(x)
+
+    @pytest.mark.parametrize("steps", [1, 2, 3])
+    def test_signed_zeros_are_two_states(self, steps):
+        # a zero gradient steps x = -0.0 to +0.0, which float == takes for no move
+        model = LinearLogistic(np.zeros((2, 2)), np.zeros(2))
+        x = np.array([[-0.0, 0.5]])
+        cfg = AttackConfig(epsilon=0.1, eta=0.01, steps=steps, random_init=False,
+                           clip_range=(-1.0, 1.0))
+        got = pgd_attack(model, x, [0], cfg)
+        assert _bitwise_equal(got, pgd_attack_loop(model, x, [0], cfg))
+        assert not np.signbit(got[0, 0])
+
+    def test_a_run_and_its_evaluation_keep_every_byte(self, tmp_path, monkeypatch):
+        # a shortened train-ascl-blobs run, then evaluate under none, PGD-50 and
+        # MT-PGD-50, once as it is and once with every PGD row stepped to the end
+        gradient_rows = []
+        real = MLPClassifier._input_gradient
+        monkeypatch.setattr(MLPClassifier, "_input_gradient", lambda model, x, labels:
+                            gradient_rows.append(len(x)) or real(model, x, labels))
+
+        def run(name):
+            gradient_rows.clear()
+            cfg = RunConfig(dataset="blobs", data_classes=10, data_per_class=25, data_dims=16,
+                            batch_size=256, strategy="global", lambda_scl=1.0, lambda_vat=2.0,
+                            tau=0.07, train_steps=10, epochs=1, eval_every=1, eval_steps=50,
+                            seed=61, data_seed=61, output_dir=str(tmp_path / name))
+            result = train(cfg)
+            _, test = cfg.build_datasets()
+            rows = evaluate(result.model, test, AttackConfig(epsilon=0.05, eta=0.0125, steps=50),
+                            seed=61)
+            with open(result.metrics_path) as fh:
+                # every column but the last, wall_time_s
+                metrics = [line.rsplit(",", 1)[0] for line in fh]
+            return (Path(result.checkpoint_path).read_bytes(), repr(result.summary["final"]),
+                    repr(rows), metrics), sum(gradient_rows)
+
+        settled, settled_rows = run("settled")
+        monkeypatch.setattr(ascl.attacks, "_pgd", pgd_loop)
+        full, full_rows = run("full")
+        assert full == settled
+        assert settled_rows < full_rows
 
 
 _M64 = 2**64 - 1
@@ -616,11 +699,11 @@ class TestMultiTargeted:
         cfg = AttackConfig(epsilon=0.05, eta=0.01, steps=3, random_init=False)
         got = multi_targeted_pgd(model, x, y, cfg, seed=4)
         assert got.tobytes() == x.tobytes()
-        assert sum(len(rows) for rows, _ in calls) == cfg.steps * (
-            (y != 0).sum() + 2 * (y == 0).sum())
+        # the first step returns every row to x, a fixed point: one call per pass
+        assert sum(len(rows) for rows, _ in calls) == (y != 0).sum() + 2 * (y == 0).sum()
         for rows, (t,) in calls:
             assert not np.any(y[rows] == t)
-        assert [rows for rows, t in calls if t == [1]] == [np.flatnonzero(y == 0).tolist()] * 3
+        assert [rows for rows, t in calls if t == [1]] == [np.flatnonzero(y == 0).tolist()]
 
     @pytest.mark.parametrize("eps", [0.05, 0.0])
     @pytest.mark.parametrize("bad", [-0.01, 1.01, np.nan])
