@@ -15,11 +15,11 @@ any batching, serial or per-sample-parallel evaluation agree bitwise.
 Targeted runs reuse the same start.
 
 Settled rows: a PGD step is therefore a function of the row's own bits, its
-goal label and its ball bounds alone, so a row state that repeats once
-repeats for good. A row whose new iterate has the bits of its current one
-(a fixed point) or of the one before (a 2-cycle) is not stepped again: it
-ends on the fixed point, or on whichever of its two points the remaining
-step count's parity selects. This returns bit for bit what all
+goal label and its ball bounds alone. A row whose new iterate has the bits
+of the iterate two steps back (on the first step, the start) repeats with
+period 1 or 2 from then on, so it is not stepped again: it ends on whichever
+of its last two iterates the remaining step count's parity selects, which
+are one state at a fixed point. This returns bit for bit what all
 ``cfg.steps`` steps return, with fewer gradient rows; states are compared
 as bit patterns, so -0.0 and +0.0 are never taken for one state.
 
@@ -155,10 +155,10 @@ def pgd_attack(model, x, y, cfg: AttackConfig, seed=0, targets=None, index_base=
 
 
 def _pgd(model, x, goal, targeted, cfg, seed, indices):
-    """``pgd_attack``'s loop at epsilon > 0 on a checked batch and ``goal``; row
-    ``i`` starts from index ``indices[i]``. A row leaves the loop once it settles
-    (module docstring): ``rows``, ``cur``, ``prev``, ``goal``, ``lo`` and ``hi`` hold
-    the rows still stepped, and are cut only on a step where some row settles."""
+    """``pgd_attack``'s loop at epsilon > 0 on a checked batch and ``goal``, row ``i``
+    from index ``indices[i]``. A row leaves once its new iterate has the bits of
+    ``prev``, two steps back (module docstring); ``rows``, ``cur``, ``prev``, ``goal``,
+    ``lo`` and ``hi`` hold the rows still stepped, cut only when some row settles."""
     lo, hi = _ball(x, cfg.epsilon, cfg.clip_range)
     if cfg.random_init:
         out = _clamp(x + _random_start(seed, indices, x.shape, cfg.epsilon), lo, hi)
@@ -166,15 +166,14 @@ def _pgd(model, x, goal, targeted, cfg, seed, indices):
         out = x.copy()
     # x - eta * s and x + (-eta) * s are the same IEEE result
     eta = -cfg.eta if targeted else cfg.eta
-    rows, cur, prev = np.arange(x.shape[0]), out, None
+    rows, cur, prev = np.arange(x.shape[0]), out, out
 
-    # left counts the steps after this one; the last step runs on its own, as a
-    # row that settles on it would save no step
-    for left in range(cfg.steps - 1, 0, -1):
-        new = _step(model, cur, goal, eta, lo, hi)
-        settled = _same_rows(new, cur)
-        if prev is not None:
-            settled |= _same_rows(new, prev)
+    # left counts the steps after this one
+    for left in range(cfg.steps - 1, -1, -1):
+        new = np.sign(model._input_gradient(cur, goal))
+        new *= eta
+        new = _clamp(np.add(cur, new, out=new), lo, hi)
+        settled = _same_rows(new, prev)
         if settled.any():
             # a 2-cycle ends on new after an even number of further steps and
             # on cur after an odd one; at a fixed point new and cur are one state
@@ -185,17 +184,8 @@ def _pgd(model, x, goal, targeted, cfg, seed, indices):
             rows, cur, new, goal, lo, hi = (a.take(keep, axis=0)
                                             for a in (rows, cur, new, goal, lo, hi))
         prev, cur = cur, new
-    if cfg.steps:
-        cur = _step(model, cur, goal, eta, lo, hi)
     out[rows] = cur
     return out
-
-
-def _step(model, v, goal, eta, lo, hi):
-    """The PGD iterate after ``v``: a signed-gradient step of ``eta``, then the clamp."""
-    new = np.sign(model._input_gradient(v, goal))
-    new *= eta
-    return _clamp(np.add(v, new, out=new), lo, hi)
 
 
 def multi_targeted_pgd(model, x, y, cfg: AttackConfig, seed=0, index_base=0):

@@ -65,19 +65,21 @@ class RunConfig:
             raise ConfigError(f"strategy must be one of {STRATEGIES}")
         if self.similarity != "cosine":
             raise ConfigError(f"similarity must be 'cosine', got {self.similarity!r}")
-        self.schedule = tuple((int(e), float(v)) for e, v in self.schedule)
-        epochs = [e for e, _ in self.schedule]
-        if epochs and epochs[0] < 1:
-            raise ConfigError("schedule lists changes from epoch 1 on; set the epoch-0 "
-                              "rate with lr (--lr)")
-        if any(a >= b for a, b in zip(epochs, epochs[1:])):
-            raise ConfigError("schedule epochs must strictly increase")
-        rates = (self.lr, *(v for _, v in self.schedule))
-        if not all(math.isfinite(v) and v > 0 for v in rates):
-            raise ConfigError("lr and schedule rates must be finite and positive")
         # errors, LossWeights, AttackConfig and the generators own these checks;
         # running them here rejects a bad value before a run writes anything
         try:
+            # any integer epoch passes here; one below 1 gets the lr hint below
+            self.schedule = tuple((check_integer(e, "schedule epochs", low=-math.inf), float(v))
+                                  for e, v in self.schedule)
+            epochs = [e for e, _ in self.schedule]
+            if epochs and epochs[0] < 1:
+                raise ConfigError("schedule lists changes from epoch 1 on; set the epoch-0 "
+                                  "rate with lr (--lr)")
+            if any(a >= b for a, b in zip(epochs, epochs[1:])):
+                raise ConfigError("schedule epochs must strictly increase")
+            rates = (self.lr, *(v for _, v in self.schedule))
+            if not all(math.isfinite(v) and v > 0 for v in rates):
+                raise ConfigError("lr and schedule rates must be finite and positive")
             for name in ("data_size", "data_classes", "data_per_class", "data_dims",
                          "projection_dim", "projection_mid", "batch_size"):
                 setattr(self, name, check_integer(getattr(self, name), name))
@@ -132,8 +134,13 @@ class RunConfig:
                               self.data_spread, self.data_seed + 1, split="test")
         else:
             train, test = load_dataset(self.dataset), load_dataset(self.dataset_test)
-            if train.split != "train":
-                raise ConfigError(f"{self.dataset} holds a {train.split} split, not a train split")
+            for ds, path, split in ((train, self.dataset, "train"),
+                                    (test, self.dataset_test, "test")):
+                if ds.split != split:
+                    raise ConfigError(f"{path} holds a {ds.split} split, not a {split} split")
+            if (test.dim, test.num_classes) != (train.dim, train.num_classes):
+                raise ConfigError(f"{self.dataset_test} does not match {self.dataset}'s "
+                                  f"{train.dim} features and {train.num_classes} classes")
         return train, test
 
     def to_dict(self) -> dict:

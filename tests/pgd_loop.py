@@ -61,15 +61,15 @@ def pgd_attack_loop(model, x, y, cfg, seed=0, targets=None, index_base=0, iterat
 def settled_row_steps(iterates):
     """Gradient rows a loop spends on the trajectory ``iterates`` (from
     ``pgd_loop``) when it stops stepping a row at the first step whose new
-    iterate has the bits of the current one or of the one before it."""
+    iterate has the bits of the iterate two steps back, the start on the
+    first step."""
     bits = [a.view(np.uint64) for a in iterates]
     steps = len(iterates) - 1
     total = 0
     for r in range(iterates[0].shape[0]):
         spent = steps
         for s in range(steps):
-            new = bits[s + 1][r]
-            if np.array_equal(new, bits[s][r]) or s > 0 and np.array_equal(new, bits[s - 1][r]):
+            if np.array_equal(bits[s + 1][r], bits[max(s - 1, 0)][r]):
                 spent = s + 1
                 break
         total += spent

@@ -468,8 +468,28 @@ def _count_gradient_rows(model):
 
 
 class TestSettledRows:
-    """PGD stops stepping a row at a fixed point or a 2-cycle and still
-    returns, bit for bit, what ``pgd_loop`` returns after every step."""
+    """PGD stops stepping a row once its new iterate has the bits of the one two
+    steps back (the start, on the first step), which catches fixed points and
+    2-cycles, and still returns, bit for bit, what ``pgd_loop`` returns after
+    every step."""
+
+    @pytest.mark.parametrize("x0,epsilon,k,spent", [
+        ([0.5, 0.6], 0.1, 4, 6), ([0.5, 0.6], 0.05, 2, 4), ([0.0, 0.0], 0.1, 0, 1)],
+        ids=["k4", "k2", "k0"])
+    def test_a_corner_reached_in_k_steps_takes_k_plus_two_rows(self, x0, epsilon, k, spent):
+        # the gradient's sign is -1 everywhere, so the row walks down by eta until
+        # the ball's lower corner stops it; it is seen there one step after it
+        # first repeats, unless the start already is the corner
+        model = LinearLogistic([[1.0, -1.0], [1.0, -1.0]], [0.0, 0.0])
+        x = np.array([x0])
+        cfg = AttackConfig(epsilon=epsilon, eta=0.03, steps=10, random_init=False)
+        iterates = []
+        want = pgd_attack_loop(model, x, [0], cfg, iterates=iterates)
+        lo = np.maximum(0.0, x - epsilon)
+        assert all(np.array_equal(it, lo) == (s >= k) for s, it in enumerate(iterates))
+        rows = _count_gradient_rows(model)
+        assert _bitwise_equal(pgd_attack(model, x, [0], cfg), want)
+        assert sum(rows) == settled_row_steps(iterates) == spent
 
     @pytest.mark.parametrize("steps", [7, 8, 25, 26])
     def test_two_cycles_end_on_the_full_loops_iterate(self, steps):

@@ -55,6 +55,9 @@ def test_bad_bool_is_rejected(tmp_path):
 @pytest.mark.parametrize("schedule,match", [
     (((0, 1e-3),), "--lr"), (((-1, 1e-3),), "--lr"),
     (((3, 1e-3), (3, 1e-4)), "strictly increase"), (((3, 1e-3), (2, 1e-4)), "strictly increase"),
+    (((1.5, 1e-2),), "schedule epochs must be positive integers, got 1.5"),
+    (((True, 1e-2),), "schedule epochs must be positive integers, got True"),
+    ((("2", 1e-2),), "schedule epochs must be positive integers, got '2'"),
 ])
 def test_schedule_lists_only_later_strictly_increasing_epochs(schedule, match):
     with pytest.raises(ConfigError, match=match):
@@ -99,15 +102,27 @@ def test_dataset_file_needs_a_test_file():
 
 
 def test_training_file_must_hold_a_train_split(tmp_path):
-    train, test = RunConfig(dataset="blobs", data_classes=3, data_per_class=4,
-                            data_dims=2).build_datasets()
-    save_dataset(train, tmp_path / "train.ds")
-    save_dataset(test, tmp_path / "test.ds")
-    ok = RunConfig(dataset=str(tmp_path / "train.ds"), dataset_test=str(tmp_path / "test.ds"))
+    def save(name, split, classes=3, dims=2):
+        train, test = RunConfig(dataset="blobs", data_classes=classes, data_per_class=4,
+                                data_dims=dims).build_datasets()
+        save_dataset(train if split == "train" else test, tmp_path / name)
+        return str(tmp_path / name)
+
+    train, test = save("train.ds", "train"), save("test.ds", "test")
+    ok = RunConfig(dataset=train, dataset_test=test)
     assert [ds.split for ds in ok.build_datasets()] == ["train", "test"]
-    swapped = RunConfig(dataset=str(tmp_path / "test.ds"), dataset_test=str(tmp_path / "train.ds"))
-    with pytest.raises(ConfigError, match="not a train split"):
-        swapped.build_datasets()
+    # the test file must hold a test split of the training file's width and classes;
+    # each mismatch is caught before training, so the run writes nothing
+    run = tmp_path / "run"
+    for data, data_test, match in [
+            (test, train, "not a train split"), (train, train, "not a test split"),
+            (save("wide.ds", "train", dims=4), test, "4 features and 3 classes"),
+            (train, save("five.ds", "test", classes=5), "2 features and 3 classes")]:
+        with pytest.raises(ConfigError, match=match):
+            RunConfig(dataset=data, dataset_test=data_test).build_datasets()
+        assert cli(["train", "--dataset", data, "--dataset-test", data_test, "--epochs", "1",
+                    "--output-dir", str(run)]) == 1
+        assert not run.exists()
 
 
 # counts may be zero; sizes may not
