@@ -15,13 +15,25 @@ any batching, serial or per-sample-parallel evaluation agree bitwise.
 Targeted runs reuse the same start.
 
 Settled rows: a PGD step is therefore a function of the row's own bits, its
-goal label and its ball bounds alone. A row whose new iterate has the bits
-of the iterate two steps back (on the first step, the start) repeats with
-period 1 or 2 from then on, so it is not stepped again: it ends on whichever
-of its last two iterates the remaining step count's parity selects, which
-are one state at a fixed point. This returns bit for bit what all
-``cfg.steps`` steps return, with fewer gradient rows; states are compared
-as bit patterns, so -0.0 and +0.0 are never taken for one state.
+goal label and its ball bounds alone. So once a row's new iterate ``s[t]`` has
+the bits of an earlier one ``s[a]``, the row repeats with period ``p = t - a``
+from step ``a`` on, and its last iterate after ``T = cfg.steps`` steps is
+``s[t + (T - t) mod p]``. Two comparisons find such rows. A row whose new
+iterate has the bits of the iterate two steps back (on the first step, the
+start) has period 1 or 2: it is not stepped again, and ends on whichever of its
+last two iterates the parity of the steps left selects (one state at a fixed
+point). Longer periods are found as in Brent's cycle search (Brent, BIT 1980):
+each row keeps an anchor, its iterate at the last power-of-two step ``a`` from 8
+on, and a new iterate is compared with it only where that can save a step,
+``2 < p <= T - t``. A row that matches is stepped ``(T - t) mod p`` more times,
+ends on that iterate, and is left. The two-back comparison still catches periods
+1 and 2 as early as they can be caught. Anchors start at step 8 so that a PGD-10
+saves and checks none: anchors at steps 1 and 2 are replaced before a check with
+``p > 2`` could use them, and one at step 4 would cost every PGD-10 a save and a
+check for the rare row in a 3- or 4-cycle by then. A cycle of period at most 8
+entered by step 8 is still caught by step 16. This returns bit for bit what all
+``cfg.steps`` steps return, with fewer gradient rows; states are compared as bit
+patterns, so -0.0 and +0.0 are never taken for one state.
 
 A model provides ``spec``, which ``check_batch`` and ``check_labels`` check a batch and
 its labels against once, and two unchecked numpy passes: ``_input_gradient(x, labels)``,
@@ -30,11 +42,13 @@ d/dx of the summed cross-entropy, per PGD step, and ``_predict(x)``, latents and
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ContractError, check_batch, check_integer, check_labels, check_seed
+from .errors import (ContractError, check_batch, check_integer, check_labels, check_real,
+                     check_seed)
 from .tensor import _lse_softmax
 
 __all__ = [
@@ -55,12 +69,16 @@ class AttackConfig:
 
     def __post_init__(self):
         # written so that NaN fails them; an infinite eta times sign(0) is NaN
-        if not self.epsilon >= 0:
+        if not check_real(self.epsilon, "epsilon") >= 0:
             raise ContractError("epsilon must be nonnegative")
         check_integer(self.steps, "steps", low=0)
-        if self.steps > 0 and not 0 < self.eta < np.inf:
+        eta = check_real(self.eta, "eta")
+        if self.steps > 0 and not 0 < eta < np.inf:
             raise ContractError("eta must be positive and finite when steps > 0")
-        if not self.clip_range[0] < self.clip_range[1]:
+        if not isinstance(self.random_init, bool):
+            raise ContractError(f"random_init must be True or False, got {self.random_init!r}")
+        low, high = self.clip_range
+        if not check_real(low, "clip_range") < check_real(high, "clip_range"):
             raise ContractError("clip_range lower bound must be below upper bound")
 
 
@@ -156,9 +174,14 @@ def pgd_attack(model, x, y, cfg: AttackConfig, seed=0, targets=None, index_base=
 
 def _pgd(model, x, goal, targeted, cfg, seed, indices):
     """``pgd_attack``'s loop at epsilon > 0 on a checked batch and ``goal``, row ``i``
-    from index ``indices[i]``. A row leaves once its new iterate has the bits of
-    ``prev``, two steps back (module docstring); ``rows``, ``cur``, ``prev``, ``goal``,
-    ``lo`` and ``hi`` hold the rows still stepped, cut only when some row settles."""
+    from index ``indices[i]``. ``rows``, ``cur``, ``prev``, ``goal``, ``lo`` and ``hi``
+    hold the rows still stepped, cut only on a step where some row leaves: its new
+    iterate at step ``t`` of ``T`` has the bits of ``prev``, or it matched its anchor
+    ``(T - t) mod p`` steps before (module docstring). ``anchor`` and ``stop``, the
+    step a looped row leaves on, are indexed by output row, so no cut touches them;
+    both are made at the first anchor, and ``stops`` holds the pending stop steps. An
+    anchor is saved only where a later check can use it, ``a + 6 <= T``, as a check
+    needs ``3 <= p <= T - t``."""
     lo, hi = _ball(x, cfg.epsilon, cfg.clip_range)
     if cfg.random_init:
         out = _clamp(x + _random_start(seed, indices, x.shape, cfg.epsilon), lo, hi)
@@ -166,23 +189,40 @@ def _pgd(model, x, goal, targeted, cfg, seed, indices):
         out = x.copy()
     # x - eta * s and x + (-eta) * s are the same IEEE result
     eta = -cfg.eta if targeted else cfg.eta
+    steps = cfg.steps
     rows, cur, prev = np.arange(x.shape[0]), out, out
+    # no anchor yet: t - inf fails every check
+    anchor, stop, anchor_step, stops = None, None, math.inf, set()
 
-    # left counts the steps after this one
-    for left in range(cfg.steps - 1, -1, -1):
+    for t in range(1, steps + 1):
+        left = steps - t
         new = np.sign(model._input_gradient(cur, goal))
         new *= eta
         new = _clamp(np.add(cur, new, out=new), lo, hi)
-        settled = _same_rows(new, prev)
-        if settled.any():
+        if 2 < t - anchor_step <= left:
+            looped = _same_rows(new, anchor.take(rows, axis=0))
+            if looped.any():
+                stop[rows[looped]] = end = t + left % (t - anchor_step)
+                stops.add(end)
+        done = settled = _same_rows(new, prev)
+        if t in stops:
+            ending = stop[rows] == t
+            out[rows[ending]] = new[ending]
+            done = settled | ending
+        if done.any():
             # a 2-cycle ends on new after an even number of further steps and
             # on cur after an odd one; at a fixed point new and cur are one state
             out[rows[settled]] = (cur if left % 2 else new)[settled]
-            keep = np.flatnonzero(~settled)
+            keep = np.flatnonzero(~done)
             if keep.size == 0:
                 return out
             rows, cur, new, goal, lo, hi = (a.take(keep, axis=0)
                                             for a in (rows, cur, new, goal, lo, hi))
+        if t & (t - 1) == 0 and 8 <= t <= steps - 6:
+            if anchor is None:
+                anchor, stop = np.empty_like(out), np.zeros(x.shape[0], dtype=np.intp)
+            anchor[rows] = new
+            anchor_step = t
         prev, cur = cur, new
     out[rows] = cur
     return out

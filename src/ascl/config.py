@@ -9,7 +9,7 @@ from dataclasses import dataclass
 
 from .attacks import AttackConfig
 from .data import check_blobs, check_moons, load_dataset, make_blobs, make_two_moons
-from .errors import ConfigError, ContractError, check_integer, check_seed
+from .errors import ConfigError, ContractError, check_integer, check_real, check_seed
 from .losses import STRATEGIES, LossWeights
 from .models import ModelSpec
 
@@ -69,15 +69,15 @@ class RunConfig:
         # running them here rejects a bad value before a run writes anything
         try:
             # any integer epoch passes here; one below 1 gets the lr hint below
-            self.schedule = tuple((check_integer(e, "schedule epochs", low=-math.inf), float(v))
-                                  for e, v in self.schedule)
+            self.schedule = tuple((check_integer(e, "schedule epochs", low=-math.inf),
+                                   check_real(v, "schedule rates")) for e, v in self.schedule)
             epochs = [e for e, _ in self.schedule]
             if epochs and epochs[0] < 1:
                 raise ConfigError("schedule lists changes from epoch 1 on; set the epoch-0 "
                                   "rate with lr (--lr)")
             if any(a >= b for a, b in zip(epochs, epochs[1:])):
                 raise ConfigError("schedule epochs must strictly increase")
-            rates = (self.lr, *(v for _, v in self.schedule))
+            rates = (check_real(self.lr, "lr"), *(v for _, v in self.schedule))
             if not all(math.isfinite(v) and v > 0 for v in rates):
                 raise ConfigError("lr and schedule rates must be finite and positive")
             for name in ("data_size", "data_classes", "data_per_class", "data_dims",
@@ -87,6 +87,9 @@ class RunConfig:
                 setattr(self, name, check_integer(getattr(self, name), name, low=0))
             for name in ("seed", "data_seed"):
                 setattr(self, name, check_seed(getattr(self, name), name))
+            for name in ("nat_ce", "use_vat"):
+                if not isinstance(getattr(self, name), bool):
+                    raise ConfigError(f"{name} must be True or False, got {getattr(self, name)!r}")
             self.hidden_layers = tuple(check_integer(w, "hidden_layers")
                                        for w in self.hidden_layers)
             if self.batch_size < 2:

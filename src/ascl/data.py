@@ -9,7 +9,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ContractError, FormatError, check_integer, check_labels
+from .errors import ContractError, FormatError, check_integer, check_labels, check_real
 
 __all__ = [
     "Dataset",
@@ -74,12 +74,12 @@ def _squash_unit(x):
 def check_blobs(num_classes, per_class, dims, spread):
     for v in (num_classes, per_class, dims):
         check_integer(v, "blob sizes")
-    if not 0 <= spread < np.inf:
+    if not 0 <= check_real(spread, "blob spread") < np.inf:
         raise ContractError("blob spread must be finite and nonnegative")
 
 
 def check_moons(size, noise):
-    if not (check_integer(size, "size") >= 2 and 0 <= noise < np.inf):
+    if not (check_integer(size, "size") >= 2 and 0 <= check_real(noise, "noise") < np.inf):
         raise ContractError("size must be >= 2 and noise finite and nonnegative")
 
 

@@ -37,6 +37,15 @@ def check_integer(v, what, low=1):
     return int(v)
 
 
+def check_real(v, what):
+    """``v`` as a float; ContractError unless it is a real number, bools and strings
+    excluded. NaN passes: callers bound the result with comparisons NaN fails."""
+    # a float skips the slow abstract-class check
+    if type(v) is not float and (isinstance(v, bool) or not isinstance(v, numbers.Real)):
+        raise ContractError(f"{what} must be a real number, got {v!r}")
+    return float(v)
+
+
 def check_seed(v, what):
     """``v`` as an int; ContractError unless it is an integer in [0, 2**64)."""
     if (v := check_integer(v, what, low=0)) >= 2**64:

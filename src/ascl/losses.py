@@ -38,7 +38,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ContractError, check_labels
+from .errors import ContractError, check_labels, check_real
 from .models import MLPClassifier
 from .tensor import Tensor, _lse_softmax
 
@@ -69,9 +69,10 @@ class LossWeights:
 
     def __post_init__(self):
         # written so that NaN fails them; an infinite tau flattens the SupCon term to a constant
-        if not (0 <= self.lambda_scl < np.inf and 0 <= self.lambda_vat < np.inf):
+        if not (0 <= check_real(self.lambda_scl, "loss weights") < np.inf
+                and 0 <= check_real(self.lambda_vat, "loss weights") < np.inf):
             raise ContractError("loss weights must be finite and nonnegative")
-        if not 0 < self.tau < np.inf:
+        if not 0 < check_real(self.tau, "temperature") < np.inf:
             raise ContractError("temperature must be finite and positive")
 
 

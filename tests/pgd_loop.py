@@ -58,19 +58,35 @@ def pgd_attack_loop(model, x, y, cfg, seed=0, targets=None, index_base=0, iterat
     return pgd_loop(model, x, goal, targets is not None, cfg, seed, indices, iterates)
 
 
-def settled_row_steps(iterates):
-    """Gradient rows a loop spends on the trajectory ``iterates`` (from
-    ``pgd_loop``) when it stops stepping a row at the first step whose new
-    iterate has the bits of the iterate two steps back, the start on the
-    first step."""
+def row_steps(iterates):
+    """Per row, the gradient rows ``attacks._pgd`` spends on the trajectory
+    ``iterates`` (from ``pgd_loop``): the steps up to the one after which the row
+    is not stepped again. A row stops at the first step ``t`` of ``T`` whose new
+    iterate has the bits of the iterate two steps back (the start, on the first
+    step), or ``(T - t) mod p`` steps after the first step ``t`` whose new iterate
+    has the bits of its anchor from step ``a``, ``p = t - a``, checked only where
+    ``2 < p <= T - t``. The anchor is the iterate of each power-of-two step ``a``
+    from 8 on with ``a + 6 <= T``; before step 8 there is none."""
     bits = [a.view(np.uint64) for a in iterates]
     steps = len(iterates) - 1
-    total = 0
+    spent = []
     for r in range(iterates[0].shape[0]):
-        spent = steps
-        for s in range(steps):
-            if np.array_equal(bits[s + 1][r], bits[max(s - 1, 0)][r]):
-                spent = s + 1
+        stop, anchor = steps, None
+        for t in range(1, steps + 1):
+            if np.array_equal(bits[t][r], bits[max(t - 2, 0)][r]):
+                stop = t
                 break
-        total += spent
-    return total
+            if (anchor is not None and 2 < t - anchor <= steps - t
+                    and np.array_equal(bits[t][r], bits[anchor][r])):
+                stop = t + (steps - t) % (t - anchor)
+                break
+            if t & (t - 1) == 0 and 8 <= t <= steps - 6:
+                anchor = t
+        spent.append(stop)
+    return spent
+
+
+def settled_row_steps(iterates):
+    """Gradient rows ``attacks._pgd`` spends on the trajectory ``iterates`` in
+    all (``row_steps``)."""
+    return sum(row_steps(iterates))

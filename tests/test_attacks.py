@@ -19,10 +19,10 @@ from ascl.errors import ContractError, DimensionError
 from ascl.losses import at_loss
 from ascl.models import MLPClassifier, ModelSpec
 from ascl.tensor import Tensor
-from ascl.training import evaluate, train
+from ascl.training import _S_FINAL_EVAL, evaluate, train
 from mlp_graph import add, cross_entropy, forward, log_sum_exp, matmul, mul, sub, sum_
 from mtpgd_loop import multi_targeted_pgd_loop
-from pgd_loop import pgd_attack_loop, pgd_loop, project_linf, settled_row_steps
+from pgd_loop import pgd_attack_loop, pgd_loop, project_linf, row_steps, settled_row_steps
 
 
 def _softmax(logits):
@@ -113,6 +113,24 @@ class TestAttackConfig:
                 AttackConfig(epsilon=0.05, eta=eta, steps=2)
         with pytest.raises(ContractError):
             AttackConfig(clip_range=(1.0, 0.0))
+
+    @pytest.mark.parametrize("field,value,match", [
+        ("epsilon", True, "epsilon must be a real number, got True"),
+        ("epsilon", "0.1", "epsilon must be a real number, got '0.1'"),
+        ("eta", True, "eta must be a real number"), ("eta", "0.01", "eta must be a real number"),
+        ("clip_range", (False, 1.0), "clip_range must be a real number"),
+        ("clip_range", ("0", "1"), "clip_range must be a real number"),
+        ("random_init", "no", "random_init must be True or False, got 'no'"),
+        ("random_init", 0, "random_init must be True or False, got 0"),
+        ("random_init", np.bool_(True), "random_init must be True or False"),
+    ])
+    def test_real_and_bool_fields_take_only_their_kind(self, field, value, match):
+        with pytest.raises(ContractError, match=match):
+            AttackConfig(**{"epsilon": 0.05, "eta": 0.01, "steps": 2, field: value})
+
+    def test_real_fields_take_numpy_and_integer_values(self):
+        cfg = AttackConfig(epsilon=np.float64(0.05), eta=np.float32(0.25), clip_range=(0, 1))
+        assert (cfg.epsilon, cfg.eta, cfg.clip_range) == (0.05, 0.25, (0, 1))
 
     @pytest.mark.parametrize("steps", [2.5, np.float64(3), True, np.bool_(False), "3", -1])
     def test_steps_must_be_a_nonnegative_integer(self, steps):
@@ -467,11 +485,19 @@ def _count_gradient_rows(model):
     return rows
 
 
+def _period(iterates, r, longest=12):
+    """The period of row ``r`` over the last iterates, or None above ``longest``."""
+    last = iterates[-1][r].tobytes()
+    return next((p for p in range(1, longest + 1) if iterates[-1 - p][r].tobytes() == last),
+                None)
+
+
 class TestSettledRows:
     """PGD stops stepping a row once its new iterate has the bits of the one two
     steps back (the start, on the first step), which catches fixed points and
-    2-cycles, and still returns, bit for bit, what ``pgd_loop`` returns after
-    every step."""
+    2-cycles, or a few steps after it has the bits of its anchor, which catches
+    longer cycles, and still returns, bit for bit, what ``pgd_loop`` returns after
+    every step. ``row_steps`` models the rows each row is stepped."""
 
     @pytest.mark.parametrize("x0,epsilon,k,spent", [
         ([0.5, 0.6], 0.1, 4, 6), ([0.5, 0.6], 0.05, 2, 4), ([0.0, 0.0], 0.1, 0, 1)],
@@ -511,6 +537,57 @@ class TestSettledRows:
         rows = _count_gradient_rows(model)
         assert _bitwise_equal(pgd_attack(model, x, y, cfg), want)
         assert sum(rows) == settled_row_steps(iterates) == 13
+
+    @pytest.mark.parametrize("steps,first", [(10, 10), (14, 14), (15, 15), (16, 12), (17, 13),
+                                             (33, 13), (250, 14)])
+    def test_a_four_cycle_ends_on_the_full_loops_iterate(self, steps, first):
+        # slopes -1, 1, -1, 1 of the logit gap, kinks between the iterates, so the
+        # first row walks 0.25, 0.375, 0.4375 (its upper bound), 0.3125 and back
+        # from step 1 on. At 16 steps or more, its anchor from step 8 catches it
+        # on step 12, and it is stepped (steps - 12) % 4 more times; at 14 and 15,
+        # a period of 4 is more than the steps left, and at 10 there is no anchor.
+        # The other rows settle by step 3.
+        # Every value is dyadic, so the signs are the same in any BLAS.
+        model = MLPClassifier(ModelSpec(input_dim=1, hidden_layers=(4,), num_classes=2))
+        (w, b), = model.hidden
+        w.data[...] = [[-1.0, 1.0, 1.0, 1.0]]
+        b.data[...] = [[1.0, -0.28125, -0.359375, -0.40625]]
+        model.cls_w.data[...] = [[0.0, 1.0], [0.0, 2.0], [0.0, -2.0], [0.0, 2.0]]
+        model.cls_b.data[...] = 0.0
+        x = np.array([[0.34375], [0.3], [0.5], [0.1]])
+        y = np.ones(4, dtype=np.intp)
+        cfg = AttackConfig(epsilon=0.09375, eta=0.125, steps=steps, random_init=False)
+        iterates = []
+        want = pgd_attack_loop(model, x, y, cfg, iterates=iterates)
+        assert [float(it[0, 0]) for it in iterates[1:5]] == [0.25, 0.375, 0.4375, 0.3125]
+        assert _period(iterates, 0) == 4
+        rows = _count_gradient_rows(model)
+        assert _bitwise_equal(pgd_attack(model, x, y, cfg), want)
+        assert row_steps(iterates) == [first, 3, 3, 3]
+        assert (len(rows), sum(rows)) == (first, first + 9)
+
+    def test_long_cycles_leave_a_pgd_250_early(self, tmp_path):
+        # the final PGD-250 of a seed-61 train-ascl-blobs unit: five test rows end
+        # in cycles of period 3, 4 and 6, which the two-back rule alone steps to the
+        # last step; the loop must take exactly the calls and rows row_steps models
+        cfg = RunConfig(dataset="blobs", data_classes=10, data_per_class=25, data_dims=16,
+                        batch_size=256, strategy="global", lambda_scl=1.0, lambda_vat=2.0,
+                        tau=0.07, train_steps=10, epochs=1, eval_every=0, seed=61,
+                        data_seed=61, output_dir=str(tmp_path))
+        model = train(cfg).model
+        _, test = cfg.build_datasets()
+        attack, seed = cfg.eval_attack(), (61, _S_FINAL_EVAL)
+        iterates = []
+        want = pgd_attack_loop(model, test.features, test.labels, attack, seed=seed,
+                               iterates=iterates)
+        periods = [_period(iterates, r) for r in range(len(test))]
+        assert sorted(p for p in periods if p > 2) == [3, 4, 4, 4, 6]
+        rows = _count_gradient_rows(model)
+        assert _bitwise_equal(pgd_attack(model, test.features, test.labels, attack, seed=seed),
+                              want)
+        spent = row_steps(iterates)
+        assert (len(rows), sum(rows)) == (max(spent), sum(spent))
+        assert max(spent) < 40
 
     @pytest.mark.parametrize("targeted", [False, True])
     @pytest.mark.parametrize("random_init", [True, False])

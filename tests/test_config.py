@@ -145,6 +145,26 @@ def test_sizes_and_counts_must_be_integers(edit):
         RunConfig(**edit)
 
 
+@pytest.mark.parametrize("edit,match", [
+    (dict(nat_ce="no"), "nat_ce must be True or False, got 'no'"),
+    (dict(use_vat=0), "use_vat must be True or False, got 0"),
+    (dict(use_vat=np.bool_(True)), "use_vat must be True or False"),
+    (dict(lr=True), "lr must be a real number, got True"),
+    (dict(lr="0.1"), "lr must be a real number, got '0.1'"),
+    (dict(schedule=((2, True),)), "schedule rates must be a real number, got True"),
+    (dict(schedule=((2, "0.5"),)), "schedule rates must be a real number, got '0.5'"),
+    (dict(train_eps=True), "epsilon must be a real number"),
+    (dict(eval_eta="0.01"), "eta must be a real number"),
+    (dict(tau=True), "temperature must be a real number"),
+    (dict(lambda_scl=True), "loss weights must be a real number"),
+    (dict(data_noise=True), "noise must be a real number"),
+    (dict(dataset="blobs", data_spread="0.1"), "blob spread must be a real number"),
+])
+def test_bool_and_real_fields_take_only_their_kind(edit, match):
+    with pytest.raises(ConfigError, match=match):
+        RunConfig(**edit)
+
+
 def test_numpy_integer_sizes_become_ints():
     cfg = RunConfig(hidden_layers=np.array([16, 8]), data_dims=np.int64(6),
                     batch_size=np.int32(32), epochs=np.int64(0), seed=np.uint64(2**64 - 1))

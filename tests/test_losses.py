@@ -196,6 +196,15 @@ class TestSimilarity:
             with pytest.raises(ContractError):
                 LossWeights(**bad)
 
+    @pytest.mark.parametrize("bad,match", [
+        (dict(tau=True), "temperature must be a real number, got True"),
+        (dict(tau="0.07"), "temperature must be a real number"),
+        (dict(lambda_scl=True), "loss weights must be a real number"),
+        (dict(lambda_vat="2"), "loss weights must be a real number, got '2'")])
+    def test_weights_must_be_real_numbers(self, bad, match):
+        with pytest.raises(ContractError, match=match):
+            LossWeights(**bad)
+
 
 class TestSupConLoss:
     def test_degenerate_sets_give_exact_zero(self):
