@@ -104,6 +104,10 @@ class RunConfig:
                             self.data_spread)
             elif not self.dataset_test:
                 raise ConfigError("a dataset file needs a dataset_test file to evaluate on")
+            # the run config records both fields, whichever dataset uses them
+            for name in ("data_noise", "data_spread"):
+                if not 0 <= check_real(getattr(self, name), name) < math.inf:
+                    raise ConfigError(f"{name} must be finite and nonnegative")
         except ContractError as e:
             raise ConfigError(str(e)) from e
 

@@ -138,7 +138,7 @@ def selection_stats(strategy, labels, preds=None):
 
 def _unit_rows(a):
     """Rows of ``a`` over their L2 norms, and the norm column; a zero row counts as norm 1."""
-    norms = np.sqrt((a * a).sum(axis=1, keepdims=True))
+    norms = np.sqrt((a * a).sum(axis=-1, keepdims=True))
     norms[norms == 0.0] = 1.0
     return a / norms, norms
 

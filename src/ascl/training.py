@@ -166,7 +166,10 @@ class TrainResult:
 
 def train(cfg: RunConfig, quiet=True) -> TrainResult:
     """Full run: epoch loop with the lr schedule, per-epoch cheap
-    evaluation, metrics CSV, final checkpoint and summary JSON."""
+    evaluation, metrics CSV, final checkpoint and summary JSON.
+
+    A seeded run gives the same checkpoint byte for byte at a fixed BLAS
+    thread count; another count can round matrix products differently."""
     train_ds, test_ds = cfg.build_datasets()
     spec = cfg.model_spec(train_ds.dim, train_ds.num_classes)
     model = MLPClassifier(spec, seed=(cfg.seed, _S_INIT))

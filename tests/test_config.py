@@ -165,6 +165,18 @@ def test_bool_and_real_fields_take_only_their_kind(edit, match):
         RunConfig(**edit)
 
 
+@pytest.mark.parametrize("edit,match", [
+    (dict(dataset="blobs", data_noise="x"), "data_noise must be a real number, got 'x'"),
+    (dict(dataset="blobs", data_noise=float("nan")), "data_noise must be finite and nonneg"),
+    (dict(dataset="moons", data_spread=True), "data_spread must be a real number, got True"),
+    (dict(dataset="moons", data_spread=-1.0), "data_spread must be finite and nonnegative"),
+])
+def test_dataset_fields_are_checked_for_every_dataset(edit, match):
+    # both fields are written to the run config, used or not
+    with pytest.raises(ConfigError, match=match):
+        RunConfig(**edit)
+
+
 def test_numpy_integer_sizes_become_ints():
     cfg = RunConfig(hidden_layers=np.array([16, 8]), data_dims=np.int64(6),
                     batch_size=np.int32(32), epochs=np.int64(0), seed=np.uint64(2**64 - 1))

@@ -1,5 +1,6 @@
 import io
 import time
+import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -27,7 +28,8 @@ def cosine_distance(z_a, z_b) -> float:
 
 
 def brute_force_divergences(pool, slot_labels, src):
-    """Double loop over anchor/other slot pairs; the independent oracle."""
+    """Double loop over anchor/other slot pairs; the independent oracle. A zero
+    row is at distance 1 from every slot; a side with no anchor is None."""
     m = pool.shape[0]
     plus_terms, minus_terms = [], []
     for i in range(m):
@@ -35,13 +37,30 @@ def brute_force_divergences(pool, slot_labels, src):
         for j in range(m):
             if src[j] == src[i]:
                 continue
-            d = cosine_distance(pool[i], pool[j])
+            zero = not (pool[i].any() and pool[j].any())
+            d = 1.0 if zero else cosine_distance(pool[i], pool[j])
             (pos if slot_labels[j] == slot_labels[i] else neg).append(d)
         if pos:
             plus_terms.append(np.mean(pos))
         if neg:
             minus_terms.append(np.mean(neg))
-    return np.mean(plus_terms), np.mean(minus_terms)
+    return tuple(float(np.mean(t)) if t else None for t in (plus_terms, minus_terms))
+
+
+def oracle_pool(rng, kind):
+    """A random pool of one kind, as (z, labels, z_adv); z_adv is None when benign-only."""
+    n = int(rng.integers(20, 41)) if kind == "large" else int(rng.integers(2, 17))
+    z, z_adv, labels = random_pool(rng, n, int(rng.integers(1, 4)))
+    if kind == "zero latents":
+        z[rng.random(n) < 0.3] = 0.0
+        z_adv[rng.random(n) < 0.3] = 0.0
+    elif kind == "one-sample class":
+        labels[int(rng.integers(n))] = 3
+    elif kind == "sparse labels":
+        labels = np.where(labels % 2, 2**40, 0)
+    elif kind == "negative labels":
+        labels = np.array([-7, -1, 5])[labels]
+    return z, labels, None if kind == "benign-only" else z_adv
 
 
 def random_pool(rng, n, c, dims=4):
@@ -96,18 +115,35 @@ class TestAbsoluteDivergences:
 
     def test_matches_double_loop_oracle(self):
         rng = np.random.default_rng(1)
-        for _ in range(30):
-            n = int(rng.integers(3, 17))
-            z, z_adv, labels = random_pool(rng, n, int(rng.integers(2, 4)))
-            if len(np.unique(labels)) < 2:
-                continue
-            dp, dm = absolute_divergences(z, labels, z_adv)
-            pool = np.concatenate([z, z_adv])
-            src = np.concatenate([np.arange(n)] * 2)
-            slot_labels = np.concatenate([labels, labels])
-            odp, odm = brute_force_divergences(pool, slot_labels, src)
-            assert abs(dp - odp) <= 1e-12 * max(1.0, abs(odp))
-            assert abs(dm - odm) <= 1e-12 * max(1.0, abs(odm))
+        for kind in ("plain", "zero latents", "one-sample class", "sparse labels",
+                     "negative labels", "benign-only", "large"):
+            for _ in range(30 if kind == "plain" else 6):
+                z, labels, z_adv = oracle_pool(rng, kind)
+                views = 1 if z_adv is None else 2
+                pool = z if z_adv is None else np.concatenate([z, z_adv])
+                expected = brute_force_divergences(pool, np.tile(labels, views),
+                                                   np.tile(np.arange(len(z)), views))
+                for got, want in zip(absolute_divergences(z, labels, z_adv), expected):
+                    assert (got is None) == (want is None), kind
+                    if want is not None:
+                        assert abs(got - want) <= 1e-12 * max(1.0, abs(want)), kind
+
+    @pytest.mark.parametrize("adversarial", [False, True])
+    def test_empty_pool_has_no_divergences(self, adversarial):
+        z = np.zeros((0, 3))
+        assert absolute_divergences(z, [], z.copy() if adversarial else None) == (None, None)
+
+    def test_memory_grows_with_the_pool_not_its_square(self):
+        # 400 samples pool 800 slots; one (800, 800) float64 block alone is 5.12 MB
+        z, z_adv, labels = random_pool(np.random.default_rng(10), 400, 10, dims=16)
+        m = 2 * len(z)
+        tracemalloc.start()
+        try:
+            absolute_divergences(z, labels, z_adv)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < m * m * 8 / 4
 
     def test_benign_only_pool(self):
         rng = np.random.default_rng(2)
@@ -264,21 +300,6 @@ class TestSweep:
         model = MLPClassifier(ModelSpec(input_dim=3, hidden_layers=(4,), num_classes=2), seed=0)
         with pytest.raises(ContractError, match="finite"):
             divergence_report(model, np.full((4, 3), np.nan), np.zeros(4, dtype=int), attack_cfg)
-
-    def test_block_rows_do_not_change_divergences(self):
-        z, z_adv, labels = random_pool(np.random.default_rng(8), 11, 3)
-        whole = absolute_divergences(z, labels, z_adv)
-        for block_rows in (1, 5, 22):
-            got = absolute_divergences(z, labels, z_adv, block_rows=block_rows)
-            assert got == pytest.approx(whole, rel=1e-12)
-
-    @pytest.mark.parametrize("block_rows", [0, -1, 2.5, True])
-    def test_block_rows_below_one_is_a_contract_error(self, block_rows):
-        # -1 read (None, None), 2.5 raised from range() and True read as 1;
-        # None still means all rows at once
-        z, z_adv, labels = random_pool(np.random.default_rng(8), 11, 3)
-        with pytest.raises(ContractError, match="block_rows"):
-            absolute_divergences(z, labels, z_adv, block_rows=block_rows)
 
     @pytest.mark.parametrize("batch_size", [0, -3, 2.5, True])
     def test_batch_size_below_one_is_a_contract_error(self, batch_size):
